@@ -10,6 +10,7 @@ tolerances and horizons are flag-overridable and echoed in the output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -106,6 +107,17 @@ def _emit(args, document: dict, human_lines) -> None:
             print(line)
 
 
+def _write_csv(args, header, rows) -> None:
+    """CSV to the ``--out`` file, else to stdout unless ``--json`` is given."""
+    if args.out is None and args.json:
+        return
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -167,34 +179,21 @@ def cmd_sweep(args) -> int:
             "cap_at_horizon": row.cap_at_horizon,
             "error": row.error,
         })
-    write_stdout_csv = not args.json and args.out is None
-    if args.out is not None or write_stdout_csv:
-        fh = sys.stdout if write_stdout_csv else open(args.out, "w", newline="",
-                                                      encoding="utf-8")
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "outcome", "alpha_hat", "cap_at_horizon"])
-            for row in table:
-                writer.writerow([
-                    f"{row['p']:g}", row["outcome"],
-                    "" if row["alpha_hat"] is None else f"{row['alpha_hat']:.6f}",
-                    "" if row["cap_at_horizon"] is None else f"{row['cap_at_horizon']:.12g}",
-                ])
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-    if args.json:
-        settings = _settings_dict(args, ("p_from", "p_to", "p_step", "rho", "horizon",
-                                         "grid_points", "conv_eps", "exp_band", "rel_tol"))
-        doc = {
-            "command": "sweep",
-            "inputs": {"config": args.config, "settings": settings},
-            "outcome": {"rows": table},
-            "evidence": {"row_count": len(table)},
-            "timings": {"total_s": time.monotonic() - t0},
-        }
-        json.dump(doc, sys.stdout, indent=2, default=_json_default)
-        sys.stdout.write("\n")
+    _write_csv(args, ["p", "outcome", "alpha_hat", "cap_at_horizon"], [
+        [f"{row['p']:g}", row["outcome"],
+         "" if row["alpha_hat"] is None else f"{row['alpha_hat']:.6f}",
+         "" if row["cap_at_horizon"] is None else f"{row['cap_at_horizon']:.12g}"]
+        for row in table])
+    settings = _settings_dict(args, ("p_from", "p_to", "p_step", "rho", "horizon",
+                                     "grid_points", "conv_eps", "exp_band", "rel_tol"))
+    doc = {
+        "command": "sweep",
+        "inputs": {"config": args.config, "settings": settings},
+        "outcome": {"rows": table},
+        "evidence": {"row_count": len(table)},
+        "timings": {"total_s": time.monotonic() - t0},
+    }
+    _emit(args, doc, [])
     return EXIT_OK
 
 
@@ -247,32 +246,20 @@ def cmd_solve(args) -> int:
     psi_closed = np.asarray(sol.profile(rs))
     psi_ode = ode.psi[::per_gap]
     residual = operator_residual(c, args.p, args.rho, args.R, sol)
-    write_stdout_csv = not args.json and args.out is None
-    if args.out is not None or write_stdout_csv:
-        fh = sys.stdout if write_stdout_csv else open(args.out, "w", newline="",
-                                                      encoding="utf-8")
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "psi_closed", "psi_ode", "residual"])
-            for r, pc, po in zip(rs, psi_closed, psi_ode):
-                writer.writerow([f"{r:.12g}", f"{pc:.12g}", f"{po:.12g}",
-                                 f"{residual:.6g}"])
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-    if args.json:
-        settings = _settings_dict(args, ("p", "rho", "R", "samples", "rel_tol"))
-        doc = {
-            "command": "solve",
-            "inputs": {"config": args.config, "settings": settings},
-            "outcome": {"max_abs_diff": float(np.max(np.abs(psi_closed - psi_ode))),
-                        "operator_residual": residual,
-                        "normalizer": sol.normalizer},
-            "evidence": {"samples": int(k)},
-            "timings": {"total_s": time.monotonic() - t0},
-        }
-        json.dump(doc, sys.stdout, indent=2, default=_json_default)
-        sys.stdout.write("\n")
+    _write_csv(args, ["r", "psi_closed", "psi_ode", "residual"],
+               [[f"{r:.12g}", f"{pc:.12g}", f"{po:.12g}", f"{residual:.6g}"]
+                for r, pc, po in zip(rs, psi_closed, psi_ode)])
+    settings = _settings_dict(args, ("p", "rho", "R", "samples", "rel_tol"))
+    doc = {
+        "command": "solve",
+        "inputs": {"config": args.config, "settings": settings},
+        "outcome": {"max_abs_diff": float(np.max(np.abs(psi_closed - psi_ode))),
+                    "operator_residual": residual,
+                    "normalizer": sol.normalizer},
+        "evidence": {"samples": int(k)},
+        "timings": {"total_s": time.monotonic() - t0},
+    }
+    _emit(args, doc, [])
     return EXIT_OK
 
 

@@ -15,7 +15,6 @@ all of ``(0, infinity)``; every verdict carries the certified interval.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,7 +29,6 @@ from .errors import DomainError, RadialCapError
 from .expr import eval_jet2, evaluate
 from .model import validate_warping
 from .quadrature import CumulativeCache, TailClass, TailConfig, classify_tail
-from .runtime import resolve_workers
 
 __all__ = [
     "ClassifyConfig",
@@ -384,12 +382,9 @@ class SweepRow:
 
 
 def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: float,
-          cfg: Optional[ClassifyConfig] = None, workers: Optional[int] = None,
-          cap_horizon_doublings: int = 10) -> list:
-    """Classify across a grid of exponents; one row per p, failures recorded
-    per row without aborting the sweep.  Rows are gathered in input order and
-    the result is deterministic for a fixed config regardless of worker
-    count."""
+          cfg: Optional[ClassifyConfig] = None, cap_horizon_doublings: int = 10) -> list:
+    """Classify across a grid of exponents; one row per p in input order,
+    failures recorded per row without aborting the sweep."""
     if p_step <= 0:
         raise ValueError("p_step must be positive")
     if p_to < p_from:
@@ -416,8 +411,4 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
             return SweepRow(p=p, verdict=None, error=str(exc),
                             alpha_hat=None, cap_at_horizon=None)
 
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(ps) == 1:
-        return [run_one(p) for p in ps]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run_one, ps))
+    return [run_one(p) for p in ps]

@@ -39,7 +39,6 @@ from .errors import ConfigError, DomainError
 from .expr import RadialExpr, c_value_d1, eval_jet2
 from .model import ModelSpace
 from .quadrature import integrate
-from .runtime import resolve_workers
 
 __all__ = ["DiffusionConfig", "HittingStats", "simulate_radial", "exact_hitting_prob"]
 
@@ -52,7 +51,7 @@ _U53 = 1.1102230246251565e-16  # 2**-53
 _BRIDGE_CUT = 18.4
 
 CODE_CENSORED, CODE_INNER, CODE_OUTER = 0, 1, 2
-CODE_FAILED = -1  # C kernel only: the drift was not finite
+CODE_FAILED = -1  # the drift w'/w was not finite
 
 # rational minimax coefficients (Acklam) for the inverse normal CDF;
 # absolute error ~1e-9, far below Monte Carlo resolution
@@ -67,25 +66,8 @@ _ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _ICDF_PLOW = 0.02425
 
 
-def _norm_icdf(p: float) -> float:
-    """Scalar inverse normal CDF (Acklam's rational approximation)."""
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > 1.0 - _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-
-
 def _norm_icdf_np(p: np.ndarray) -> np.ndarray:
-    """Vectorized inverse normal CDF matching :func:`_norm_icdf`."""
+    """Inverse normal CDF (Acklam's rational approximation), vectorized."""
     a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
     p = np.asarray(p)
     out = np.empty_like(p)
@@ -209,11 +191,11 @@ static inline double norm_icdf(double p)
 }
 
 %(drift)s
-/* Path codes into codes[]; returns -1, or the lowest path whose drift was
-   not finite, with the radius where it failed in *bad_r. */
-int64_t simulate(uint64_t seed, int64_t n_paths, double r0, double dt, double coef,
-                 double r_in, double r_out, int64_t max_steps, int threads,
-                 int8_t *codes, double *bad_r)
+/* Path codes into codes[]; the radius where the lowest path whose drift was
+   not finite failed into *bad_r. */
+void simulate(uint64_t seed, int64_t n_paths, double r0, double dt, double coef,
+              double r_in, double r_out, int64_t max_steps, int threads,
+              int8_t *codes, double *bad_r)
 {
     const double sqdt = sqrt(dt), bound = %(cut)r * dt;
     int64_t bad = n_paths;
@@ -255,7 +237,6 @@ int64_t simulate(uint64_t seed, int64_t n_paths, double r0, double dt, double co
         }
         codes[i] = code;
     }
-    return bad < n_paths ? bad : -1;
 }
 """
 
@@ -276,6 +257,17 @@ def _kernel_source(w: RadialExpr) -> str:
         "censored": CODE_CENSORED, "inner": CODE_INNER, "outer": CODE_OUTER,
         "failed": CODE_FAILED,
     }
+
+
+def resolve_workers() -> int:
+    """Kernel thread count: ``RADIALCAP_THREADS``, else a small default,
+    capped by the machine."""
+    env = os.environ.get("RADIALCAP_THREADS")
+    try:
+        wanted = int(env) if env else 4
+    except ValueError:
+        wanted = 4
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _cache_dir() -> Path:
@@ -328,7 +320,7 @@ def _load_kernel(src: str):
         fn = ctypes.CDLL(str(path)).simulate
     except OSError as exc:
         return f"could not load the compiled kernel {path}: {exc}"
-    fn.restype = ctypes.c_int64
+    fn.restype = None
     fn.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                    ctypes.c_double, ctypes.c_double, ctypes.c_double,
                    ctypes.c_int64, ctypes.c_int,
@@ -348,27 +340,22 @@ def _build_kernel(w: RadialExpr):
 
 
 def _simulate_c(kernel, ms: ModelSpace, r0: float, cfg: DiffusionConfig,
-                max_steps: int) -> np.ndarray:
-    """Path codes from the compiled ``kernel``, as :func:`_simulate_numpy`
-    gives them."""
+                max_steps: int):
+    """Path codes from the compiled ``kernel``, and the radius where the
+    lowest failed path failed, as :func:`_simulate_numpy` gives them."""
     codes = np.zeros(cfg.paths, dtype=np.int8)
-    bad_r = np.zeros(1)
-    threads = min(resolve_workers(), os.cpu_count() or 1)
-    bad = kernel(cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.paths, float(r0), cfg.dt,
-                 0.5 * (ms.m - 1), cfg.r_inner, cfg.r_outer, max_steps, threads,
-                 codes, bad_r)
-    if bad >= 0:
-        raise DomainError(f"drift w'/w of w = {ms.w} is not finite (path {bad})",
-                          float(bad_r[0]))
-    return codes
+    bad_r = np.full(1, math.nan)
+    kernel(cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.paths, float(r0), cfg.dt, 0.5 * (ms.m - 1),
+           cfg.r_inner, cfg.r_outer, max_steps, resolve_workers(), codes, bad_r)
+    return codes, float(bad_r[0])
 
 
-def _simulate_numpy(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
-                    max_steps: int) -> np.ndarray:
+def _simulate_numpy(ms: ModelSpace, r0: float, cfg: DiffusionConfig, max_steps: int):
     """Lockstep implementation of the identical recursion (reference and
     fallback; numpy's and the C library's transcendentals may differ in
     the last ulp, so path outcomes agree except with negligible
-    probability)."""
+    probability).  Returns the path codes, and the radius where the lowest
+    failed path failed (NaN if none did)."""
     n = cfg.paths
     codes = np.zeros(n, dtype=np.int8)
     idx = np.arange(n, dtype=np.uint64)
@@ -385,10 +372,13 @@ def _simulate_numpy(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
             break
         noise = _norm_icdf_np(_uniform_np(base[alive], j + 1))
         jw = eval_jet2(ms.w, r[alive])
-        rn = r[alive] + coef * (jw.d1 / jw.value) * cfg.dt + sqdt * noise
-        hit_in = rn <= cfg.r_inner
-        hit_out = rn >= cfg.r_outer
-        open_mask = ~(hit_in | hit_out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = jw.d1 / jw.value
+        ok = np.isfinite(eta)
+        rn = r[alive] + coef * eta * cfg.dt + sqdt * noise
+        hit_in = ok & (rn <= cfg.r_inner)
+        hit_out = ok & (rn >= cfg.r_outer)
+        open_mask = ok & ~(hit_in | hit_out)
         if open_mask.any():
             a_in = (r[alive] - cfg.r_inner) * (rn - cfg.r_inner)
             a_out = (cfg.r_outer - r[alive]) * (cfg.r_outer - rn)
@@ -401,10 +391,12 @@ def _simulate_numpy(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
                     hit_out = hit_out | (near_out & (u3 < np.exp(-2.0 * a_out / cfg.dt)))
         codes[alive[hit_in]] = CODE_INNER
         codes[alive[hit_out]] = CODE_OUTER
-        keep = ~(hit_in | hit_out)
+        codes[alive[~ok]] = CODE_FAILED  # r keeps the radius where it failed
+        keep = ok & ~(hit_in | hit_out)
         r[alive[keep]] = rn[keep]
         alive = alive[keep]
-    return codes
+    failed = np.flatnonzero(codes == CODE_FAILED)
+    return codes, float(r[failed[0]]) if len(failed) else math.nan
 
 
 def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
@@ -420,7 +412,7 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
     no C compiler works), ``"numpy"`` (the reference) or ``"auto"`` (C when
     it can be built, else numpy with a one-time ``RuntimeWarning``).  Both
     give the same path outcomes.  A drift ``w'/w`` that is not finite
-    raises :class:`DomainError` in the C kernel.
+    raises :class:`DomainError` naming the lowest failed path and its radius.
     """
     if not (cfg.r_inner < r0 < cfg.r_outer):
         raise ConfigError(f"need r_inner < r0 < r_outer, got "
@@ -439,9 +431,12 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
         kernel = None
 
     if kernel is not None:
-        codes = _simulate_c(kernel, ms, r0, cfg, max_steps)
+        codes, bad_r = _simulate_c(kernel, ms, r0, cfg, max_steps)
     else:
-        codes = _simulate_numpy(ms, r0, cfg, max_steps)
+        codes, bad_r = _simulate_numpy(ms, r0, cfg, max_steps)
+    failed = np.flatnonzero(codes == CODE_FAILED)
+    if len(failed):
+        raise DomainError(f"drift w'/w of w = {ms.w} is not finite (path {failed[0]})", bad_r)
 
     hits_inner = int(np.count_nonzero(codes == CODE_INNER))
     censored = int(np.count_nonzero(codes == CODE_CENSORED))

@@ -1,12 +1,18 @@
-"""Radial expression language: parsing, printing and order-2 forward-mode
-evaluation of smooth functions of the radial variable ``r > 0``.
+"""Radial expression language: parsing, printing and evaluation of smooth
+functions of the radial variable ``r > 0``.
 
 Expressions are built from numeric literals, the variable ``r``, the unary
 functions sin, cos, sinh, cosh, tanh, coth, exp, log, sqrt, abs and the
-binary operators ``+ - * / ^`` (``^`` right-associative).  Evaluation
-propagates (value, first, second derivative) triplets exactly through the
-chain and product rules, so warping functions and bound functions never go
-through finite differencing.
+binary operators ``+ - * / ^`` (``^`` right-associative).
+
+One walk of the AST (:class:`_CodeGen`) lowers an expression to
+straight-line code in three forms: a numpy value function behind
+:func:`evaluate`, a numpy order-2 jet function behind :func:`eval_jet2`,
+which propagates (value, first, second derivative) triplets exactly through
+the chain and product rules, and the C ``value_d1`` of the Monte Carlo
+kernel (:func:`c_value_d1`).  The numpy functions are compiled once per
+expression.  Warping functions and bound functions never go through finite
+differencing.
 
 Out-of-domain evaluation (log of a non-positive value, division by zero,
 the pole of coth, ...) raises :class:`~radialcap.errors.DomainError`; a NaN
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "Jet2",
     "parse",
     "eval_jet2",
+    "evaluate",
     "FUNCTIONS",
 ]
 
@@ -77,7 +85,9 @@ class RadialExpr:
     """Immutable parsed expression of the radial variable.
 
     ``str()`` yields a canonical form whose re-parse is structurally
-    identical to the original tree.  Safe for unrestricted concurrent use.
+    identical to the original tree.  The numpy functions behind
+    :func:`evaluate` and :func:`eval_jet2` are compiled on first use and
+    kept on the instance.  Safe for unrestricted concurrent use.
     """
 
     root: Node
@@ -91,6 +101,17 @@ class RadialExpr:
 
     def jet(self, r) -> "Jet2":
         return eval_jet2(self, r)
+
+    @cached_property
+    def _value(self):
+        return _numpy_fn(self.root, "value")
+
+    @cached_property
+    def _jet(self):
+        return _numpy_fn(self.root, "jet")
+
+    def __getstate__(self):
+        return {"root": self.root}  # compiled functions are rebuilt on demand
 
 
 @dataclass(frozen=True)
@@ -288,7 +309,7 @@ def _format(node: Node, min_level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jet arithmetic
+# Lowering: one walk of the AST emits straight-line code
 # ---------------------------------------------------------------------------
 
 def _first_bad(mask, r):
@@ -305,86 +326,23 @@ def _check(bad, r, detail):
         raise DomainError(detail, _first_bad(bad, r))
 
 
-def _jadd(a: Jet2, b: Jet2) -> Jet2:
-    return Jet2(a.value + b.value, a.d1 + b.d1, a.d2 + b.d2)
-
-
-def _jsub(a: Jet2, b: Jet2) -> Jet2:
-    return Jet2(a.value - b.value, a.d1 - b.d1, a.d2 - b.d2)
-
-
-def _jneg(a: Jet2) -> Jet2:
-    return Jet2(-a.value, -a.d1, -a.d2)
-
-
-def _jmul(a: Jet2, b: Jet2) -> Jet2:
-    return Jet2(a.value * b.value,
-                a.d1 * b.value + a.value * b.d1,
-                a.d2 * b.value + 2.0 * a.d1 * b.d1 + a.value * b.d2)
-
-
-def _jdiv(a: Jet2, b: Jet2, r) -> Jet2:
-    _check(b.value == 0, r, "division by zero")
-    w = a.value / b.value
-    w1 = (a.d1 - w * b.d1) / b.value
-    w2 = (a.d2 - 2.0 * w1 * b.d1 - w * b.d2) / b.value
-    return Jet2(w, w1, w2)
-
-
-def _chain(u: Jet2, f, fp, fpp) -> Jet2:
-    """Jet of f(u) given f, f' and f'' evaluated at u.value."""
-    return Jet2(f, fp * u.d1, fpp * u.d1 * u.d1 + fp * u.d2)
-
-
-def _jexp(u: Jet2) -> Jet2:
-    e = np.exp(u.value)
-    return _chain(u, e, e, e)
-
-
-def _jlog(u: Jet2, r) -> Jet2:
-    _check(u.value <= 0, r, "log of non-positive value")
-    inv = 1.0 / u.value
-    return _chain(u, np.log(u.value), inv, -inv * inv)
-
-
-def _jsqrt(u: Jet2, r) -> Jet2:
-    _check(u.value <= 0, r, "sqrt of non-positive value (derivative pole at 0)")
-    s = np.sqrt(u.value)
-    fp = 0.5 / s
-    return _chain(u, s, fp, -0.5 * fp / u.value)
-
-
-def _jabs(u: Jet2, r) -> Jet2:
-    _check(u.value == 0, r, "abs is not differentiable at 0")
-    s = np.sign(u.value)
-    return Jet2(np.abs(u.value), s * u.d1, s * u.d2)
-
-
-def _jpow(base: Jet2, expo: Jet2, r) -> Jet2:
-    expo_const = np.all(np.asarray(expo.d1) == 0) and np.all(np.asarray(expo.d2) == 0)
-    if not expo_const:
-        # u^v = exp(v log u); requires a positive base
-        _check(base.value <= 0, r, "power with varying exponent needs positive base")
-        return _jexp(_jmul(expo, _jlog(base, r)))
-
-    a = expo.value
+def _jpow(u, u1, u2, a, r):
+    """Jet of ``u^a`` for an exponent whose derivatives are zero at run
+    time (``a`` is its value; an array exponent counts by its first entry)."""
     if np.ndim(a) != 0:
         a = float(np.asarray(a).flat[0])
     if a == 0.0:
-        one = np.ones_like(np.asarray(base.value, dtype=float))
-        if np.ndim(base.value) == 0:
-            return Jet2(1.0, 0.0, 0.0)
-        return Jet2(one, 0.0 * one, 0.0 * one)
+        if np.ndim(u) == 0:
+            return 1.0, 0.0, 0.0
+        one = np.ones_like(np.asarray(u, dtype=float))
+        return one, 0.0 * one, 0.0 * one
     if a == 1.0:
-        return base
+        return u, u1, u2
     integral = float(a).is_integer()
     if not integral:
-        _check(np.asarray(base.value) < 0, r, "fractional power of negative value")
+        _check(np.asarray(u) < 0, r, "fractional power of negative value")
         if a < 2.0:
-            _check(np.asarray(base.value) == 0, r,
-                   "fractional power at 0 has singular derivatives")
-
-    u, u1, u2 = base.value, base.d1, base.d2
+            _check(np.asarray(u) == 0, r, "fractional power at 0 has singular derivatives")
     if integral and a >= 2.0:
         # exact at u == 0 as well: u^(a-2) with a == 2 gives u^0 == 1
         v = np.power(u, a)
@@ -395,62 +353,236 @@ def _jpow(base: Jet2, expo: Jet2, r) -> Jet2:
         v = np.power(u, a)
         vm1 = v / u
         vm2 = vm1 / u
-    return Jet2(v, a * vm1 * u1, a * (a - 1.0) * vm2 * u1 * u1 + a * vm1 * u2)
+    return v, a * vm1 * u1, a * (a - 1.0) * vm2 * u1 * u1 + a * vm1 * u2
 
 
-def _jet_call(name: str, u: Jet2, r) -> Jet2:
-    if name == "sin":
-        s, c = np.sin(u.value), np.cos(u.value)
-        return _chain(u, s, c, -s)
-    if name == "cos":
-        s, c = np.sin(u.value), np.cos(u.value)
-        return _chain(u, c, -s, -c)
-    if name == "sinh":
-        s, c = np.sinh(u.value), np.cosh(u.value)
-        return _chain(u, s, c, s)
-    if name == "cosh":
-        s, c = np.sinh(u.value), np.cosh(u.value)
-        return _chain(u, c, s, c)
-    if name == "tanh":
-        t = np.tanh(u.value)
-        sech2 = 1.0 - t * t
-        return _chain(u, t, sech2, -2.0 * t * sech2)
-    if name == "coth":
-        _check(np.sinh(u.value) == 0, r, "pole of coth")
-        s, c = np.sinh(u.value), np.cosh(u.value)
-        return _jdiv(_chain(u, c, s, c), _chain(u, s, c, s), r)
-    if name == "exp":
-        return _jexp(u)
-    if name == "log":
-        return _jlog(u, r)
-    if name == "sqrt":
-        return _jsqrt(u, r)
-    if name == "abs":
-        return _jabs(u, r)
-    raise DomainError(f"unknown function {name}")  # pragma: no cover
+def _prod(*factors):
+    """Source of the product of ``factors``, dropping factors 1.0: x*1.0 is
+    exactly x, so this saves work without changing a bit."""
+    return "*".join(str(f) for f in factors if f != "1.0") or "1.0"
 
 
-def _jet_eval(node: Node, rj: Jet2, r) -> Jet2:
-    if isinstance(node, Num):
-        return Jet2(node.value, 0.0, 0.0)
-    if isinstance(node, Var):
-        return rj
-    if isinstance(node, Neg):
-        return _jneg(_jet_eval(node.arg, rj, r))
-    if isinstance(node, Call):
-        return _jet_call(node.name, _jet_eval(node.arg, rj, r), r)
-    op = node.op
-    a = _jet_eval(node.lhs, rj, r)
-    b = _jet_eval(node.rhs, rj, r)
-    if op == "+":
-        return _jadd(a, b)
-    if op == "-":
-        return _jsub(a, b)
-    if op == "*":
-        return _jmul(a, b)
-    if op == "/":
-        return _jdiv(a, b, r)
-    return _jpow(a, b, r)
+class _CodeGen:
+    """Straight-line code for an expression, one temporary per step.
+
+    ``mode`` picks the output: ``"value"`` (numpy, values only, the domain
+    rules of :func:`evaluate`), ``"jet"`` (numpy, value, d1 and d2, the
+    rules of :func:`eval_jet2`) or ``"c"`` (C, value and d1, no checks).
+    A jet is a (value, d1, d2) tuple of source names; the derivatives a
+    mode does not carry are None.
+    """
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.c = mode == "c"
+        self.order = {"value": 0, "c": 1, "jet": 2}[mode]
+        self.lines = []
+        self.depth = 1
+        self.n = 0
+
+    def line(self, src):
+        self.lines.append("    " * self.depth + src)
+
+    def new_name(self):
+        self.n += 1
+        return f"t{self.n - 1}"
+
+    def tmp(self, src):
+        if src.isidentifier():
+            return src
+        name = self.new_name()
+        self.line(f"double {name} = {src};" if self.c else f"{name} = {src}")
+        return name
+
+    def deriv(self, src, order=1):
+        """A temporary needed only for derivatives up to ``order``."""
+        return self.tmp(src) if self.order >= order else None
+
+    def out(self, *srcs):
+        """Temporaries for a value and the derivatives this mode carries."""
+        return tuple(self.tmp(s) if k <= self.order else None for k, s in enumerate(srcs))
+
+    def check(self, bad, detail, modes=("value", "jet")):
+        if self.mode in modes:
+            self.line(f"_check({bad}, r, {detail!r})")
+
+    def fn(self, name, arg):
+        if not self.c:
+            return f"np.{name}({arg})"
+        if name == "sign":
+            return f"(double)(({arg} > 0) - ({arg} < 0))"
+        return f"{ {'abs': 'fabs', 'power': 'pow'}.get(name, name)}({arg})"
+
+    def num(self, v):
+        if math.isnan(v):
+            s = "NAN" if self.c else "np.nan"
+        elif math.isinf(v):
+            s = "INFINITY" if self.c else "np.inf"
+        else:
+            s = repr(abs(v))
+        return f"(-{s})" if math.copysign(1.0, v) < 0 else s
+
+    # -- rules ----------------------------------------------------------------
+    def chain(self, u, f, fp, fpp):
+        """Jet of f(u) from the names of f, f' and f'' at u's value."""
+        return self.out(f, _prod(fp, u[1]), f"{_prod(fpp, u[1], u[1])} + {_prod(fp, u[2])}")
+
+    def mul(self, a, b):
+        return self.out(_prod(a[0], b[0]), f"{_prod(a[1], b[0])} + {_prod(a[0], b[1])}",
+                        f"{_prod(a[2], b[0])} + {_prod('2.0', a[1], b[1])} + "
+                        f"{_prod(a[0], b[2])}")
+
+    def div(self, a, b, checked=False):
+        if not checked:
+            self.check(f"{b[0]} == 0", "division by zero")
+        w = self.tmp(f"{a[0]}/{b[0]}")
+        w1 = self.deriv(f"({a[1]} - {_prod(w, b[1])})/{b[0]}")
+        return self.out(w, w1, f"({a[2]} - {_prod('2.0', w1, b[1])} - {_prod(w, b[2])})/{b[0]}")
+
+    def call(self, name, u):
+        v, fn = u[0], self.fn
+        if name == "sin":
+            s = self.tmp(fn("sin", v))
+            return self.chain(u, s, self.deriv(fn("cos", v)), self.deriv(f"-{s}", 2))
+        if name == "cos":
+            c = self.tmp(fn("cos", v))
+            return self.chain(u, c, self.deriv("-" + fn("sin", v)), self.deriv(f"-{c}", 2))
+        if name == "sinh":
+            s = self.tmp(fn("sinh", v))
+            return self.chain(u, s, self.deriv(fn("cosh", v)), s)
+        if name == "cosh":
+            c = self.tmp(fn("cosh", v))
+            return self.chain(u, c, self.deriv(fn("sinh", v)), c)
+        if name == "tanh":
+            t = self.tmp(fn("tanh", v))
+            sech2 = self.deriv(f"1.0 - {t}*{t}")
+            return self.chain(u, t, sech2, self.deriv(f"-2.0*{t}*{sech2}", 2))
+        if name == "coth":
+            s = self.tmp(fn("sinh", v))
+            self.check(f"{s} == 0", "pole of coth")
+            c = self.tmp(fn("cosh", v))
+            return self.div(self.chain(u, c, s, c), self.chain(u, s, c, s), checked=True)
+        if name == "exp":
+            e = self.tmp(fn("exp", v))
+            return self.chain(u, e, e, e)
+        if name == "log":
+            self.check(f"{v} <= 0", "log of non-positive value")
+            inv = self.deriv(f"1.0/{v}")
+            return self.chain(u, self.tmp(fn("log", v)), inv, self.deriv(f"-{inv}*{inv}", 2))
+        if name == "sqrt":
+            self.check(f"{v} < 0", "sqrt of negative value", ("value",))
+            self.check(f"{v} <= 0", "sqrt of non-positive value (derivative pole at 0)",
+                       ("jet",))
+            s = self.tmp(fn("sqrt", v))
+            fp = self.deriv(f"0.5/{s}")
+            return self.chain(u, s, fp, self.deriv(f"-0.5*{fp}/{v}", 2))
+        if name == "abs":
+            self.check(f"{v} == 0", "abs is not differentiable at 0", ("jet",))
+            sign = self.deriv(fn("sign", v))
+            return self.out(fn("abs", v), _prod(sign, u[1]), _prod(sign, u[2]))
+        raise DomainError(f"unknown function {name}")  # pragma: no cover
+
+    def assign(self, names, srcs):
+        for name, src in zip(names, srcs):
+            if name is not None:
+                self.line(f"{name} = {src};" if self.c else f"{name} = {src}")
+
+    def pow(self, a, b, expo: Node):
+        if self.mode == "value":
+            if not isinstance(expo, Num):
+                self.line(f"if not np.all({b[0]} == np.floor({b[0]})):")
+                self.depth += 1
+                self.check(f"{a[0]} < 0", "fractional power of negative value")
+                self.depth -= 1
+            elif np.floor(expo.value) != expo.value:
+                self.check(f"{a[0]} < 0", "fractional power of negative value")
+            v = self.tmp(self.fn("power", f"{a[0]}, {b[0]}"))
+            self.check(f"np.isnan({v})", "power out of domain")
+            return v, None, None
+        res = tuple(self.new_name() if k <= self.order else None for k in range(3))
+        if self.c:
+            self.line(f"double {', '.join(res[:2])};")
+        if isinstance(expo, Num):  # a literal exponent has zero derivatives
+            self.pow_const(res, a, b[0])
+            return res
+        # exponents whose derivatives vanish at run time take the same rule
+        self.line(f"if ({b[1]} == 0.0) {{" if self.c else
+                  f"if np.all({b[1]} == 0) and np.all({b[2]} == 0):")
+        self.depth += 1
+        self.pow_const(res, a, b[0])
+        self.depth -= 1
+        self.line("} else {" if self.c else "else:  # u^v = exp(v log u); requires a positive base")
+        self.depth += 1
+        self.check(f"{a[0]} <= 0", "power with varying exponent needs positive base")
+        self.assign(res, self.call("exp", self.mul(b, self.call("log", a))))
+        self.depth -= 1
+        if self.c:
+            self.line("}")
+        return res
+
+    def pow_const(self, res, u, a):
+        """Assign to ``res`` the jet of ``u^a`` for an exponent ``a`` whose
+        derivatives are zero: a call of :func:`_jpow`, or its C twin."""
+        if not self.c:
+            self.line(f"{', '.join(res)} = _jpow({u[0]}, {u[1]}, {u[2]}, {a}, r)")
+            return
+        v = self.tmp(f"pow({u[0]}, {a})")
+        vm1 = self.tmp(f"{a} == floor({a}) && {a} >= 2.0 ? pow({u[0]}, {a} - 1.0) : {v}/{u[0]}")
+        self.assign(res, (f"{a} == 1.0 ? {u[0]} : {v}",
+                          f"{a} == 0.0 ? 0.0 : {a} == 1.0 ? {u[1]} : {a}*{vm1}*{u[1]}"))
+
+    def emit(self, node: Node):
+        """The jet of ``node``, as source names."""
+        if isinstance(node, Num):
+            return self.num(node.value), "0.0", "0.0"
+        if isinstance(node, Var):
+            return "r", "1.0", "0.0"
+        if isinstance(node, Neg):
+            return self.out(*(f"-{x}" for x in self.emit(node.arg)))
+        if isinstance(node, Call):
+            return self.call(node.name, self.emit(node.arg))
+        a, b = self.emit(node.lhs), self.emit(node.rhs)
+        if node.op in "+-":
+            return self.out(*(f"{x} {node.op} {y}" for x, y in zip(a, b)))
+        if node.op == "*":
+            return self.mul(a, b)
+        if node.op == "/":
+            return self.div(a, b)
+        return self.pow(a, b, node.rhs)
+
+
+@lru_cache(maxsize=256)
+def _exec(src: str):
+    namespace = {"np": np, "_check": _check, "_jpow": _jpow}
+    exec(src, namespace)  # noqa: S102 - trusted, generated from our own AST
+    return namespace["f"]
+
+
+def _numpy_fn(root: Node, mode: str):
+    """The compiled numpy function of ``mode`` ("value" or "jet")."""
+    gen = _CodeGen(mode)
+    out = gen.emit(root)
+    ret = out[:1] if mode == "value" else out
+    return _exec("\n".join(["def f(r):", *gen.lines, f"    return {', '.join(ret)}", ""]))
+
+
+def _radius(r):
+    """``r`` as a float or a float array, checked to be positive."""
+    rv = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    if np.any(np.asarray(rv) <= 0):
+        raise DomainError("radial variable must be positive",
+                          _first_bad(np.asarray(rv) <= 0, rv))
+    return rv
+
+
+def _owned(x, rv, taken):
+    """``x`` as a float array of ``rv``'s shape that the caller owns: an
+    array the generated code computed is returned as it is, while the input,
+    constants and arrays already in ``taken`` are copied."""
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == rv.shape
+            and x.flags.c_contiguous and x is not rv and all(x is not y for y in taken)):
+        return x
+    return np.broadcast_to(np.asarray(x, dtype=float), rv.shape).copy()
 
 
 def eval_jet2(expr: RadialExpr, r) -> Jet2:
@@ -461,78 +593,20 @@ def eval_jet2(expr: RadialExpr, r) -> Jet2:
     :class:`~radialcap.errors.DomainError` on out-of-domain points (the
     error reports the first offending point), never a silent NaN.
     """
-    scalar = np.ndim(r) == 0
-    rv = float(r) if scalar else np.asarray(r, dtype=float)
-    if np.any(np.asarray(rv) <= 0):
-        raise DomainError("radial variable must be positive", _first_bad(np.asarray(rv) <= 0, rv))
-    if scalar:
-        rj = Jet2(rv, 1.0, 0.0)
-    else:
-        rj = Jet2(rv, np.ones_like(rv), np.zeros_like(rv))
+    rv = _radius(r)
+    scalar = isinstance(rv, float)
     with np.errstate(all="ignore"):
-        out = _jet_eval(expr.root, rj, rv)
+        out = expr._jet(rv)
         # overflow to +/-inf is tolerated (callers rely on it for growth
         # detection); NaN is always a reported domain failure
-        bad = np.isnan(out.value) | np.isnan(out.d1) | np.isnan(out.d2)
+        bad = np.isnan(out[0]) | np.isnan(out[1]) | np.isnan(out[2])
         _check(bad, rv, "evaluation produced NaN")
     if scalar:
-        return Jet2(float(out.value), float(out.d1), float(out.d2))
-    shape = np.shape(rv)
-    return Jet2(np.broadcast_to(np.asarray(out.value, dtype=float), shape).copy(),
-                np.broadcast_to(np.asarray(out.d1, dtype=float), shape).copy(),
-                np.broadcast_to(np.asarray(out.d2, dtype=float), shape).copy())
-
-
-_VALUE_FNS = {
-    "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
-    "tanh": np.tanh, "exp": np.exp,
-}
-
-
-def _value_eval(node: Node, r):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return r
-    if isinstance(node, Neg):
-        return -_value_eval(node.arg, r)
-    if isinstance(node, Call):
-        u = _value_eval(node.arg, r)
-        fn = _VALUE_FNS.get(node.name)
-        if fn is not None:
-            return fn(u)
-        if node.name == "coth":
-            s = np.sinh(u)
-            _check(s == 0, r, "pole of coth")
-            return np.cosh(u) / s
-        if node.name == "log":
-            _check(np.asarray(u) <= 0, r, "log of non-positive value")
-            return np.log(u)
-        if node.name == "sqrt":
-            _check(np.asarray(u) < 0, r, "sqrt of negative value")
-            return np.sqrt(u)
-        return np.abs(u)  # abs
-    a = _value_eval(node.lhs, r)
-    op = node.op
-    if op == "+":
-        return a + _value_eval(node.rhs, r)
-    if op == "-":
-        return a - _value_eval(node.rhs, r)
-    if op == "*":
-        return a * _value_eval(node.rhs, r)
-    if op == "/":
-        b = _value_eval(node.rhs, r)
-        _check(np.asarray(b) == 0, r, "division by zero")
-        return a / b
-    b = _value_eval(node.rhs, r)
-    b_arr = np.asarray(b)
-    integral = np.all(b_arr == np.floor(b_arr))
-    if not integral:
-        _check(np.asarray(a) < 0, r, "fractional power of negative value")
-    with np.errstate(all="ignore"):
-        out = np.power(a, b)
-    _check(np.isnan(out), r, "power out of domain")
-    return out
+        return Jet2(*(float(x) for x in out))
+    arrays = []
+    for x in out:
+        arrays.append(_owned(x, rv, arrays))
+    return Jet2(*arrays)
 
 
 def evaluate(expr: RadialExpr, r):
@@ -543,134 +617,22 @@ def evaluate(expr: RadialExpr, r):
     work, so values near float overflow stay inf instead of turning into
     NaN through ``inf * 0`` derivative terms.
     """
-    scalar = np.ndim(r) == 0
-    rv = float(r) if scalar else np.asarray(r, dtype=float)
-    if np.any(np.asarray(rv) <= 0):
-        raise DomainError("radial variable must be positive",
-                          _first_bad(np.asarray(rv) <= 0, rv))
+    rv = _radius(r)
     with np.errstate(all="ignore"):
-        out = _value_eval(expr.root, rv)
+        out = expr._value(rv)
         _check(np.isnan(out), rv, "evaluation produced NaN")
-    if scalar:
+    if isinstance(rv, float):
         return float(out)
-    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(rv)).copy()
-
-
-# ---------------------------------------------------------------------------
-# Code generation (value and first derivative) for compiled hot loops
-# ---------------------------------------------------------------------------
-
-class _CodeGen:
-    """Straight-line (value, d1) code, one temporary per step, in Python
-    (``math`` calls) or in C (``<math.h>`` calls)."""
-
-    def __init__(self, c: bool = False):
-        self.c = c
-        self.lines = []
-        self.n = 0
-
-    def tmp(self, src):
-        name = f"t{self.n}"
-        self.n += 1
-        self.lines.append(f"    double {name} = {src};" if self.c else f"    {name} = {src}")
-        return name
-
-    def call(self, fn, arg):
-        if fn == "abs":
-            fn = "fabs" if self.c else "abs"
-        elif not self.c:
-            fn = f"math.{fn}"
-        return f"{fn}({arg})"
-
-    def pow(self, base, expo):
-        return f"pow({base}, {expo})" if self.c else f"{base}**{expo}"
-
-    def sign(self, v):
-        return f"({v} >= 0 ? 1.0 : -1.0)" if self.c else f"(1.0 if {v} >= 0 else -1.0)"
-
-    def num(self, v):
-        if math.isinf(v):
-            return ("" if v > 0 else "-") + ("INFINITY" if self.c else "math.inf")
-        return repr(v)
-
-    def emit(self, node: Node):
-        """Return (value_name, d1_name) source names for node."""
-        if isinstance(node, Num):
-            return self.tmp(self.num(node.value)), "0.0"
-        if isinstance(node, Var):
-            return "r", "1.0"
-        if isinstance(node, Neg):
-            v, d = self.emit(node.arg)
-            return self.tmp(f"-{v}"), self.tmp(f"-({d})")
-        if isinstance(node, Call):
-            v, d = self.emit(node.arg)
-            if node.name == "coth":
-                s = self.tmp(self.call("sinh", v))
-                c = self.tmp(self.call("cosh", v))
-                val = self.tmp(f"{c}/{s}")
-                return val, self.tmp(f"(1.0 - {val}*{val})*({d})")
-            if node.name == "tanh":
-                val = self.tmp(self.call("tanh", v))
-                return val, self.tmp(f"(1.0 - {val}*{val})*({d})")
-            val = self.tmp(self.call(node.name, v))
-            deriv = {
-                "sin": self.call("cos", v),
-                "cos": "-" + self.call("sin", v),
-                "sinh": self.call("cosh", v),
-                "cosh": self.call("sinh", v),
-                "exp": val,
-                "log": f"1.0/({v})",
-                "sqrt": f"0.5/({val})",
-                "abs": self.sign(v),
-            }[node.name]
-            return val, self.tmp(f"({deriv})*({d})")
-        av, ad = self.emit(node.lhs)
-        bv, bd = self.emit(node.rhs)
-        op = node.op
-        if op == "+":
-            return self.tmp(f"{av} + {bv}"), self.tmp(f"({ad}) + ({bd})")
-        if op == "-":
-            return self.tmp(f"{av} - {bv}"), self.tmp(f"({ad}) - ({bd})")
-        if op == "*":
-            return (self.tmp(f"{av}*{bv}"),
-                    self.tmp(f"({ad})*{bv} + {av}*({bd})"))
-        if op == "/":
-            val = self.tmp(f"{av}/{bv}")
-            return val, self.tmp(f"(({ad}) - {val}*({bd}))/{bv}")
-        # power: constant integer exponents stay polynomial, rest via exp/log
-        if isinstance(node.rhs, Num) and float(node.rhs.value).is_integer():
-            a = node.rhs.value
-            val = self.tmp(self.pow(av, int(a)))
-            return val, self.tmp(f"{a!r}*({self.pow(av, int(a) - 1)})*({ad})")
-        val = self.tmp(self.pow(av, bv))
-        return val, self.tmp(
-            f"{val}*(({bd})*{self.call('log', av)} + {bv}*({ad})/{av})")
-
-
-def compile_value_d1(expr: RadialExpr):
-    """Compile the expression to a plain ``f(r) -> (value, d1)`` function.
-
-    The generated function uses only ``math`` calls and float arithmetic;
-    :func:`c_value_d1` emits the same straight-line code as C.  Domain
-    checking is skipped; callers must stay inside the expression's domain.
-    """
-    gen = _CodeGen()
-    v, d = gen.emit(expr.root)
-    src = "def _generated(r):\n" + "\n".join(gen.lines) + f"\n    return {v}, {d}\n"
-    namespace = {"math": math}
-    exec(src, namespace)  # noqa: S102 - trusted, generated from our own AST
-    fn = namespace["_generated"]
-    fn.__radialcap_source__ = src
-    return fn
+    return _owned(out, rv, ())
 
 
 def c_value_d1(expr: RadialExpr) -> str:
     """C source of ``static inline void value_d1(double r, double *value,
-    double *d1)``, the C twin of :func:`compile_value_d1` (needs
+    double *d1)``, by the jet rules of :func:`eval_jet2` (needs
     ``<math.h>``).  Out-of-domain points give NaN or inf, never an error;
     callers check the result for finiteness.
     """
-    gen = _CodeGen(c=True)
-    v, d = gen.emit(expr.root)
+    gen = _CodeGen("c")
+    v, d, _ = gen.emit(expr.root)
     return "\n".join(["static inline void value_d1(double r, double *value, double *d1)",
                       "{", *gen.lines, f"    *value = {v};", f"    *d1 = {d};", "}", ""])

@@ -150,12 +150,23 @@ def test_sweep_csv_transition(tmp_path, capsys):
     code = main(["sweep", EUCLID3, "--p-from", "2", "--p-to", "5",
                  "--p-step", "0.5", "--out", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 7
     assert [r["outcome"] for r in rows] == (
         ["inconclusive", "inconclusive"] + ["p_parabolic"] * 5)
     header = out.read_text().splitlines()[0]
     assert header == "p,outcome,alpha_hat,cap_at_horizon"
+
+
+def test_sweep_json_and_out_write_both(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = main(["sweep", EUCLID3, "--p-from", "2", "--p-to", "3", "--p-step", "1",
+                 "--out", str(out), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["outcome"] for r in rows] == [r["outcome"] for r in doc["outcome"]["rows"]]
+    assert out.read_bytes().startswith(b"p,outcome,alpha_hat,cap_at_horizon\r\n")
 
 
 def test_sweep_hyperbolic_all_inconclusive(capsys):
@@ -208,7 +219,7 @@ def test_solve_csv_euclidean_profile(tmp_path):
     code = main(["solve", EUCLID3, "--p", "2", "--rho", "1", "--R", "2",
                  "--samples", "11", "--out", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 11
     for row in rows:
         r = float(row["r"])

@@ -197,8 +197,9 @@ def test_sweep_rejects_empty_range():
         sweep(euclid_self(2), 3.0, 2.0, 0.5, 1.0)
 
 
-def test_sweep_single_worker_matches_parallel():
-    seq = sweep(euclid_self(3), 2.0, 4.0, 1.0, 1.0, workers=1)
-    par = sweep(euclid_self(3), 2.0, 4.0, 1.0, 1.0, workers=4)
-    assert [r.outcome for r in seq] == [r.outcome for r in par]
-    assert [r.cap_at_horizon for r in seq] == [r.cap_at_horizon for r in par]
+def test_sweep_rows_in_input_order_and_repeatable():
+    first = sweep(euclid_self(3), 2.0, 4.0, 1.0, 1.0)
+    again = sweep(euclid_self(3), 2.0, 4.0, 1.0, 1.0)
+    assert [r.p for r in first] == [2.0, 3.0, 4.0]
+    assert [r.outcome for r in first] == [r.outcome for r in again]
+    assert [r.cap_at_horizon for r in first] == [r.cap_at_horizon for r in again]

@@ -8,8 +8,8 @@ import pytest
 
 import radialcap.diffusion as diffusion
 from radialcap.diffusion import (
-    DiffusionConfig, HittingStats, _mix_np, _norm_icdf,
-    _norm_icdf_np, exact_hitting_prob, simulate_radial,
+    DiffusionConfig, HittingStats, _mix_np, _norm_icdf_np, exact_hitting_prob,
+    simulate_radial,
 )
 from radialcap.constellation import Constellation
 from radialcap.dirichlet import solve_dirichlet_closed
@@ -62,9 +62,18 @@ def test_icdf_matches_vectorized_and_is_accurate():
     ps = np.array([1e-6, 0.01, 0.3, 0.5, 0.77, 0.99, 1 - 1e-6])
     vec = _norm_icdf_np(ps)
     for p, x in zip(ps, vec):
-        assert _norm_icdf(float(p)) == pytest.approx(float(x), rel=1e-14)
         # round trip through the normal CDF
         assert 0.5 * (1.0 + erf(x / sqrt(2.0))) == pytest.approx(p, abs=2e-9)
+
+
+@pytest.mark.parametrize("env,threads", [("1", 1), ("0", 1), ("many", None), (None, None)])
+def test_kernel_threads_follow_radialcap_threads(monkeypatch, env, threads):
+    if env is None:
+        monkeypatch.delenv("RADIALCAP_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RADIALCAP_THREADS", env)
+    default = max(1, min(4, os.cpu_count() or 1))
+    assert diffusion.resolve_workers() == (threads or default)
 
 
 def test_mix_is_deterministic_and_spreads():
@@ -104,25 +113,26 @@ def test_backends_statistically_consistent():
 @pytest.mark.parametrize("m,w", [
     (2, "r"), (3, "sinh(r)"), (2, "sinh(r)*tanh(r) + r^2"), (3, "coth(r)/r"),
     (2, "exp(-0.5*r)*sqrt(r)"), (3, "1/(1 + r^2)"), (2, "r^0.5"), (2, "r^r"),
-    (3, "abs(r - 3)*log(r + 1)"), (2, "cosh(r) - cos(r) + -sin(r)"),
+    (3, "abs(r - 3)*log(r + 1)"), (2, "cosh(r) - cos(r) + -sin(r)"), (3, "r^2 + 3*r"),
+    (2, "tanh(r)^2"),
 ])
 def test_c_kernel_matches_numpy_path_for_path(m, w):
     ms = ModelSpace(m, w)
     cfg = DiffusionConfig(dt=1e-2, paths=300, seed=5, r_inner=0.5, r_outer=2.0,
                           max_time=5.0)
     max_steps = int(math.floor(cfg.max_time / cfg.dt))
-    codes = diffusion._simulate_c(diffusion._build_kernel(ms.w), ms, 1.0, cfg, max_steps)
-    ref = diffusion._simulate_numpy(ms, 1.0, cfg, max_steps)
+    codes, _ = diffusion._simulate_c(diffusion._build_kernel(ms.w), ms, 1.0, cfg, max_steps)
+    ref, _ = diffusion._simulate_numpy(ms, 1.0, cfg, max_steps)
     assert np.array_equal(codes, ref)
     assert set(np.unique(codes)) == {diffusion.CODE_INNER, diffusion.CODE_OUTER}
 
 
-@needs_cc
-def test_c_kernel_reports_non_finite_drift():
+@pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_cc), "numpy"])
+def test_c_kernel_reports_non_finite_drift(backend):
     # w = r - 1 vanishes at the start radius: w'/w is infinite there
     cfg = DiffusionConfig(dt=1e-2, paths=50, seed=1, r_inner=0.5, r_outer=2.0)
     with pytest.raises(DomainError) as info:
-        simulate_radial(ModelSpace(2, "r - 1"), 1.0, cfg, backend="c")
+        simulate_radial(ModelSpace(2, "r - 1"), 1.0, cfg, backend=backend)
     assert info.value.r == 1.0 and "path 0" in info.value.detail
 
 

@@ -12,11 +12,16 @@ The balance function combines them as
     (m + p - 2) * w'(r)/w(r) - m*h(r) - (p - 2)*lam(r)
 
 and the decision weight is ``w(r) * exp(-integral_rho^r balance/((p-1) g^2))``.
+When g is a constant (always under upper tangency) the w'/w part of that
+integral is a logarithm, taken exactly; only the h and lam part is left to
+quadrature, and for self-models nothing is.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -110,13 +115,15 @@ class Constellation:
         return bool(np.all(gv == 1.0) and np.all(lv == 0.0) and np.all(hv == 0.0))
 
 
-def _balance_terms(c: Constellation, p: float, r):
-    """Balance value together with the magnitude scale of its terms."""
-    jw = eval_jet2(c.model.w, r)
-    if np.any(np.asarray(jw.value) == 0.0):
-        raise DomainError("warping function vanishes", r)
-    et = jw.d1 / jw.value
-    t1 = (c.m + p - 2.0) * et
+def _balance_terms(c: Constellation, p: float, r, eta: bool = True):
+    """Balance value together with the magnitude scale of its terms;
+    ``eta=False`` leaves out the ``(m + p - 2) w'/w`` term."""
+    t1 = 0.0
+    if eta:
+        jw = eval_jet2(c.model.w, r)
+        if np.any(np.asarray(jw.value) == 0.0):
+            raise DomainError("warping function vanishes", r)
+        t1 = (c.m + p - 2.0) * (jw.d1 / jw.value)
     t2 = c.m * evaluate(c.h, r)
     if p == 2.0:
         # the lam term carries the factor (p - 2) = 0: skip evaluation
@@ -209,11 +216,20 @@ class WeightFunction:
     """Callable ``r -> w(r) * exp(-I(r))`` with
     ``I(r) = integral_rho^r balance(t) / ((p-1) g(t)^2) dt``.
 
-    Evaluations maintain a monotone checkpoint cache of the inner integral,
-    so batched ascending queries (the common access pattern of the tail
-    classifier and the Dirichlet solver) cost one short quadrature per gap.
-    Instances are cheap to build and not safe for concurrent mutation;
-    build one per thread.
+    When g is a constant ``g0 >= 1e-8`` the w'/w part integrates exactly:
+
+        I(r) = kappa * log(w(r)/w(rho)) + R(r),  kappa = (m+p-2)/((p-1) g0^2)
+        R(r) = -integral_rho^r (m h + (p-2) lam) / ((p-1) g0^2) dt
+
+    (the lam term is dropped at p = 2, as in the balance).  Any other g
+    leaves the whole balance in the remainder R, with kappa = 0.  R is
+    integrated numerically only if h, or lam at p != 2, is not the constant
+    0, so a self-model weight runs no quadrature at all.
+
+    R keeps a monotone checkpoint cache, so batched ascending queries (the
+    common access pattern of the tail classifier and the Dirichlet solver)
+    cost one short quadrature per gap.  Instances are cheap to build and
+    not safe for concurrent mutation; build one per thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
@@ -225,35 +241,70 @@ class WeightFunction:
         self.p = p
         self.rho = float(rho)
         self.rel_tol = rel_tol
-        # the inner integral sits in an exponent: absolute errors below
-        # 1e-15 per gap are invisible, and the floor keeps roundoff-noise
-        # integrands (exactly cancelling balances) from endless refinement
-        self._cache = CumulativeCache(self.integrand, self.rho,
-                                      rel_tol=rel_tol, abs_tol=1e-15)
+        g0 = c.g.constant
+        # a constant g below the floor is evaluated pointwise, which raises
+        self._g0 = g0 if g0 is not None and g0 >= _G_FLOOR else None
+        self._kappa = 0.0 if self._g0 is None else (c.m + p - 2.0) / ((p - 1.0) * g0 * g0)
+        self._w_rho = None
+        self._cache = None
+        if self._g0 is None or c.h.constant != 0.0 or (p != 2.0 and c.lam.constant != 0.0):
+            # the remainder sits in an exponent: absolute errors below 1e-15
+            # per gap are invisible, and the floor keeps roundoff-noise
+            # integrands (exactly cancelling balances) from endless
+            # refinement.  The cache reaches the integrand through a weak
+            # reference, so the weight and its cache form no cycle.
+            ref = weakref.ref(self)
+            self._cache = CumulativeCache(lambda t: ref().integrand(t), self.rho,
+                                          rel_tol=rel_tol, abs_tol=1e-15)
 
-    # -- integrand of the inner integral ------------------------------------
+    # -- integrand of the remainder R ------------------------------------------
     def integrand(self, t):
         c = self.constellation
-        value, _ = _balance_terms(c, self.p, t)
-        if c.tangency is Tangency.LOWER:
-            gv = np.asarray(evaluate(c.g, t))
-            if np.any(gv < _G_FLOOR):
-                bad = np.asarray(gv < _G_FLOOR)
-                r_bad = t if np.ndim(t) == 0 else np.asarray(t)[np.argmax(bad)]
-                raise DomainError(f"tangency bound g below {_G_FLOOR:g}", float(r_bad))
-            return value / ((self.p - 1.0) * gv * gv)
-        return value / (self.p - 1.0)
+        value, _ = _balance_terms(c, self.p, t, eta=self._g0 is None)
+        if self._g0 is not None:
+            return value / ((self.p - 1.0) * self._g0 * self._g0)
+        gv = np.asarray(evaluate(c.g, t))
+        if np.any(gv < _G_FLOOR):
+            bad = np.asarray(gv < _G_FLOOR)
+            r_bad = t if np.ndim(t) == 0 else np.asarray(t)[np.argmax(bad)]
+            raise DomainError(f"tangency bound g below {_G_FLOOR:g}", float(r_bad))
+        return value / ((self.p - 1.0) * gv * gv)
 
-    def inner_integral(self, r):
-        """I(r) for scalar or ndarray r >= rho."""
-        try:
-            return self._cache(r)
-        except ValueError:
-            raise ValueError(f"weight is based at rho={self.rho}; query below it") from None
+    def _log_ratio(self, r, wv):
+        """log(w(r)/w(rho)), given ``wv`` = w(r)."""
+        if self._w_rho is None:
+            w_rho = evaluate(self.constellation.model.w, self.rho)
+            _check_warping(w_rho, math.copysign(1.0, w_rho), self.rho)
+            self._w_rho = w_rho
+        _check_warping(wv, math.copysign(1.0, self._w_rho), r)
+        return np.log(wv / self._w_rho)
+
+    def inner_integral(self, r, wv=None):
+        """I(r) for scalar or ndarray r >= rho; ``wv`` is w(r) if known."""
+        lim = self.rho * (1.0 - 1e-15) - 1e-300
+        if r < lim if isinstance(r, float) else (np.asarray(r) < lim).any():
+            raise ValueError(f"weight is based at rho={self.rho}; query below it")
+        total = 0.0 if self._cache is None else self._cache(r)
+        if self._kappa:
+            if wv is None:
+                wv = evaluate(self.constellation.model.w, r)
+            total = self._kappa * self._log_ratio(r, wv) + total
+        return total
 
     def __call__(self, r):
         wv = evaluate(self.constellation.model.w, r)
-        return wv * np.exp(-self.inner_integral(r))
+        return wv * np.exp(-self.inner_integral(r, wv))
+
+
+def _check_warping(wv, sign, r):
+    """Raise unless w(r) is finite with the sign of w(rho): a sign change
+    means w vanishes between rho and r, where w'/w has a pole."""
+    ok = np.logical_and(sign * wv > 0.0, np.isfinite(wv))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = float(np.ravel(wv)[i])
+        raise DomainError("warping function overflows" if math.isinf(bad)
+                          else "warping function vanishes", float(np.ravel(r)[i]))
 
 
 def weight_function(c: Constellation, p: float, rho: float,

@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -103,6 +103,18 @@ class RadialExpr:
         return eval_jet2(self, r)
 
     @cached_property
+    def constant(self) -> Optional[float]:
+        """The value of an expression without ``r``; None when it depends
+        on ``r`` or its value leaves the domain (callers then evaluate it
+        pointwise and meet the error there)."""
+        if _uses_r(self.root):
+            return None
+        try:
+            return evaluate(self, 1.0)
+        except DomainError:
+            return None
+
+    @cached_property
     def _value(self):
         return _numpy_fn(self.root, "value")
 
@@ -125,6 +137,16 @@ class Jet2:
     value: Union[float, np.ndarray]
     d1: Union[float, np.ndarray]
     d2: Union[float, np.ndarray]
+
+
+def _uses_r(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, (Neg, Call)):
+        return _uses_r(node.arg)
+    if isinstance(node, BinOp):
+        return _uses_r(node.lhs) or _uses_r(node.rhs)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +344,9 @@ def _first_bad(mask, r):
 
 
 def _check(bad, r, detail):
-    if np.any(bad):
+    """Raise at the first True entry of ``bad``, a bool or a bool array
+    (``.any()`` and plain truth skip the dispatch cost of ``np.any``)."""
+    if bad.any() if type(bad) is np.ndarray else bad:
         raise DomainError(detail, _first_bad(bad, r))
 
 
@@ -567,11 +591,16 @@ def _numpy_fn(root: Node, mode: str):
 
 
 def _radius(r):
-    """``r`` as a float or a float array, checked to be positive."""
-    rv = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    if np.any(np.asarray(rv) <= 0):
-        raise DomainError("radial variable must be positive",
-                          _first_bad(np.asarray(rv) <= 0, rv))
+    """``r`` as a float or a float array, checked to be positive (NaN
+    passes: evaluation reports it)."""
+    if isinstance(r, float) or np.ndim(r) == 0:
+        rv = float(r)
+        _check(rv <= 0, rv, "radial variable must be positive")
+        return rv
+    rv = np.asarray(r, dtype=float)
+    # fmin skips NaN, so this is any(rv <= 0) in one reduction
+    if rv.size and np.fmin.reduce(rv, axis=None) <= 0:
+        _check(rv <= 0, rv, "radial variable must be positive")
     return rv
 
 
@@ -579,10 +608,13 @@ def _owned(x, rv, taken):
     """``x`` as a float array of ``rv``'s shape that the caller owns: an
     array the generated code computed is returned as it is, while the input,
     constants and arrays already in ``taken`` are copied."""
-    if (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == rv.shape
-            and x.flags.c_contiguous and x is not rv and all(x is not y for y in taken)):
-        return x
-    return np.broadcast_to(np.asarray(x, dtype=float), rv.shape).copy()
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == rv.shape:
+        if x.flags.c_contiguous and x is not rv and all(x is not y for y in taken):
+            return x
+        return x.copy()
+    out = np.empty(rv.shape)
+    out[...] = x
+    return out
 
 
 def eval_jet2(expr: RadialExpr, r) -> Jet2:
@@ -594,15 +626,17 @@ def eval_jet2(expr: RadialExpr, r) -> Jet2:
     error reports the first offending point), never a silent NaN.
     """
     rv = _radius(r)
-    scalar = isinstance(rv, float)
     with np.errstate(all="ignore"):
         out = expr._jet(rv)
-        # overflow to +/-inf is tolerated (callers rely on it for growth
-        # detection); NaN is always a reported domain failure
-        bad = np.isnan(out[0]) | np.isnan(out[1]) | np.isnan(out[2])
-        _check(bad, rv, "evaluation produced NaN")
-    if scalar:
-        return Jet2(*(float(x) for x in out))
+    # overflow to +/-inf is tolerated (callers rely on it for growth
+    # detection); NaN is always a reported domain failure
+    if isinstance(rv, float):
+        jet = Jet2(*(float(x) for x in out))
+        _check(jet.value != jet.value or jet.d1 != jet.d1 or jet.d2 != jet.d2, rv,
+               "evaluation produced NaN")
+        return jet
+    _check(np.isnan(out[0]) | np.isnan(out[1]) | np.isnan(out[2]), rv,
+           "evaluation produced NaN")
     arrays = []
     for x in out:
         arrays.append(_owned(x, rv, arrays))
@@ -620,9 +654,11 @@ def evaluate(expr: RadialExpr, r):
     rv = _radius(r)
     with np.errstate(all="ignore"):
         out = expr._value(rv)
-        _check(np.isnan(out), rv, "evaluation produced NaN")
     if isinstance(rv, float):
-        return float(out)
+        out = float(out)
+        _check(out != out, rv, "evaluation produced NaN")
+        return out
+    _check(np.isnan(out), rv, "evaluation produced NaN")
     return _owned(out, rv, ())
 
 

@@ -1,14 +1,19 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import radialcap.constellation as constellation
+from radialcap.criteria import classify
 from radialcap.errors import DomainError
 from radialcap.constellation import (
-    BalanceProfile, Constellation, Tangency, balance, balance_shift_identity_check,
-    balance_sign, lambda_weight, weight_function,
+    BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, balance,
+    balance_shift_identity_check, balance_sign, lambda_weight, weight_function,
 )
 from radialcap.model import ModelSpace
+from radialcap.quadrature import integrate
 
 
 def euclid_self(m, tangency=Tangency.LOWER):
@@ -169,3 +174,114 @@ def test_self_model_detection():
 def test_constellation_validates_dimensions():
     with pytest.raises(ValueError):
         Constellation.from_functions(2, 3, "r")
+
+
+def lower_family(m=3, w="r + 0.3*r^2"):
+    """A constellation of the criterion-04 lower-tangency family."""
+    return Constellation.from_functions(m + 1, m, w, g="0.8", h="0.150/(1 + r)",
+                                        lam="0.100/(1 + r)")
+
+
+def coth_dominated():
+    """Balance identically zero: h = lam = coth cancel (m + p - 2) w'/w."""
+    return Constellation.from_functions(3, 2, "sinh(r)", lam="coth(r)", h="coth(r)",
+                                        tangency=Tangency.UPPER)
+
+
+SPLIT_CASES = {
+    "euclid3": lambda: euclid_self(3),
+    "hyperbolic2": lambda: hyperbolic_self(2),
+    "lower_polynomial": lambda: lower_family(),
+    "lower_sinh": lambda: lower_family(2, "sinh(r)"),
+    "coth_dominated": coth_dominated,
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5])
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_inner_integral_split_matches_direct_quadrature(name, p):
+    """kappa log(w(r)/w(rho)) + R(r) against one quadrature of the whole
+    balance/((p-1) g0^2), to 1e-12 relative.  In coth_dominated the terms
+    cancel and I is 0, so there the error is measured against the integral
+    of the terms' magnitudes."""
+    c = SPLIT_CASES[name]()
+    g0 = c.g.constant
+    rho = 0.7
+    wf = weight_function(c, p, rho)
+    for r in np.geomspace(1.05 * rho, 40.0, 9):
+        got = wf.inner_integral(float(r))
+        want, _ = integrate(lambda t: balance(c, p, t) / ((p - 1.0) * g0 * g0), rho, r,
+                            rel_tol=1e-13, abs_tol=1e-15)
+        if name == "coth_dominated":
+            scale, _ = integrate(lambda t: _balance_terms(c, p, t)[1] / ((p - 1.0) * g0 * g0),
+                                 rho, r, rel_tol=1e-13)
+            assert abs(got) <= 1e-12 * scale and abs(got - want) <= 1e-12 * scale
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_coth_dominated_weight_is_the_warping():
+    # W = w(r) exp(-kappa log(w(r)/w(rho)) - R(r)) with R = -kappa log(...):
+    # the sign of R is what makes W = sinh (the remainder has rel_tol 1e-10)
+    rs = np.geomspace(1.0, 40.0, 30)
+    for p in (2.0, 3.0, 8.0):
+        wf = weight_function(coth_dominated(), p, 1.0)
+        assert np.max(np.abs(wf(rs) / np.sinh(rs) - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("c", [euclid_self(2), euclid_self(5), hyperbolic_self(3),
+                               hyperbolic_self(2, Tangency.UPPER)])
+def test_self_model_weight_runs_no_quadrature(monkeypatch, c):
+    def fail(*args, **kwargs):
+        raise AssertionError("the remainder integrand was evaluated")
+
+    monkeypatch.setattr(WeightFunction, "integrand", fail)
+    monkeypatch.setattr(constellation, "CumulativeCache", fail)
+    for p in (2.0, 3.0, 6.5):
+        wf = weight_function(c, p, 0.8)
+        assert np.all(np.isfinite(wf(np.geomspace(0.8, 300.0, 50))))
+        assert wf(0.8) == c.model.w(0.8)
+    assert classify(c, 3.0, 1.0).outcome in ("p_parabolic", "inconclusive")
+
+
+def test_p2_lam_free_weight_runs_no_quadrature_and_matches_lam_zero(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(WeightFunction, "integrand", fail)
+    monkeypatch.setattr(constellation, "CumulativeCache", fail)
+    rs = np.geomspace(1.0, 50.0, 41)
+    for g, tangency in (("0.8", Tangency.LOWER), ("1", Tangency.UPPER)):
+        with_lam = Constellation.from_functions(3, 2, "sinh(r)", g=g, lam="exp(r)*coth(r)",
+                                                tangency=tangency)
+        without = Constellation.from_functions(3, 2, "sinh(r)", g=g, lam="0",
+                                               tangency=tangency)
+        a = weight_function(with_lam, 2.0, 1.0)
+        b = weight_function(without, 2.0, 1.0)
+        assert np.array_equal(a(rs), b(rs))
+        assert a(3.0) == b(3.0)
+
+
+def test_weight_with_remainder_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        wf = weight_function(lower_family(), 3.0, 1.0)
+        assert wf._cache is not None
+        wf(np.geomspace(1.0, 10.0, 9))
+        ref = weakref.ref(wf)
+        del wf
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_weight_reports_vanishing_and_overflowing_warping():
+    # w = r - 1.3 changes sign inside [1, 2]: w'/w has a pole there
+    with pytest.raises(DomainError, match="warping function vanishes"):
+        weight_function(Constellation.from_functions(2, 2, "r - 1.3"), 3.0, 1.0)(2.0)
+    # sinh overflows past r ~ 710: an error, never a NaN weight
+    with pytest.raises(DomainError, match="warping function overflows") as exc:
+        weight_function(hyperbolic_self(3), 3.0, 1.0)(np.array([2.0, 700.0, 800.0]))
+    assert exc.value.r == 800.0

@@ -222,3 +222,13 @@ def test_compiled_expression_pickles_without_its_functions():
     j = eval_jet2(e, 2.0)
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and eval_jet2(copy, 2.0) == j
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1.0), ("0.8", 0.8), ("2*3 - 1", 5.0), ("-0", 0.0), ("exp(1000)", math.inf),
+    ("r", None), ("r - r", None), ("sinh(2*r)", None),
+    ("log(0)", None), ("1/0", None), ("sqrt(-1)", None),
+])
+def test_constant_is_the_value_of_an_expression_without_r(text, value):
+    # out-of-domain constants read None: pointwise evaluation raises there
+    assert parse(text).constant == value

@@ -226,10 +226,10 @@ class WeightFunction:
     integrated numerically only if h, or lam at p != 2, is not the constant
     0, so a self-model weight runs no quadrature at all.
 
-    R keeps a monotone checkpoint cache, so batched ascending queries (the
-    common access pattern of the tail classifier and the Dirichlet solver)
-    cost one short quadrature per gap.  Instances are cheap to build and
-    not safe for concurrent mutation; build one per thread.
+    R lives on a :class:`~radialcap.quadrature.CumulativeCache` panel mesh
+    that grows with the largest radius queried, so a query inside it runs
+    no quadrature.  Instances are cheap to build and not safe for
+    concurrent mutation; build one per thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
@@ -249,7 +249,7 @@ class WeightFunction:
         self._cache = None
         if self._g0 is None or c.h.constant != 0.0 or (p != 2.0 and c.lam.constant != 0.0):
             # the remainder sits in an exponent: absolute errors below 1e-15
-            # per gap are invisible, and the floor keeps roundoff-noise
+            # per panel are invisible, and the floor keeps roundoff-noise
             # integrands (exactly cancelling balances) from endless
             # refinement.  The cache reaches the integrand through a weak
             # reference, so the weight and its cache form no cycle.

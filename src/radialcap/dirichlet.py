@@ -70,12 +70,7 @@ class DriftOperator:
         pts = np.atleast_1d(np.asarray(r, dtype=float))
         h = fd_step
         stencil = pts[:, None] + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[None, :]
-        order = np.argsort(stencil.ravel(), kind="stable")
-        flat = stencil.ravel()[order]
-        vals_sorted = prof(flat)
-        vals = np.empty_like(vals_sorted)
-        vals[order] = vals_sorted
-        f = vals.reshape(stencil.shape)
+        f = prof(stencil.ravel()).reshape(stencil.shape)
         d1 = (-f[:, 4] + 8.0 * f[:, 3] - 8.0 * f[:, 1] + f[:, 0]) / (12.0 * h)
         d2 = (-f[:, 4] + 16.0 * f[:, 3] - 30.0 * f[:, 2] + 16.0 * f[:, 1] - f[:, 0]) / (12.0 * h * h)
         out = d2 + np.asarray(self.coeff(pts)) * d1

@@ -7,6 +7,11 @@ are handled by geometric refinement toward the endpoint.  Integrands are
 called with ndarrays of nodes; plain scalar callables are wrapped
 transparently.
 
+Repeated primitives ``r -> integral(base, r)`` live on a panel mesh that
+grows to the right (:class:`CumulativeCache`): each panel holds the
+antiderivative of f's interpolant at the same 15 nodes, so within a panel
+the primitive is one polynomial and a query costs no further quadrature.
+
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
 increments expose it.
@@ -22,8 +27,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["integrate", "batch_integrals", "cumulative_integrals",
-           "CumulativeCache", "TailClass", "TailConfig", "classify_tail"]
+__all__ = ["integrate", "CumulativeCache", "TailClass", "TailConfig", "classify_tail"]
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK dqk15).
@@ -49,6 +53,12 @@ _WGAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
 
 _EPS = np.finfo(float).eps
 
+# values at _NODES -> Chebyshev coefficients of the degree-14 interpolant,
+# and those -> the coefficients of its antiderivative vanishing at -1
+_TO_CHEB = np.linalg.inv(np.polynomial.chebyshev.chebvander(_NODES, 14))
+_TO_PRIM = np.polynomial.chebyshev.chebint(np.eye(15), lbnd=-1.0)
+_MESH_PANELS = 4000     # per extension: the budget integrate gives one interval
+
 
 def _as_array_fn(f: Callable) -> Callable:
     """Adapt f to accept ndarrays (probe once, fall back to elementwise)."""
@@ -71,15 +81,14 @@ def _as_array_fn(f: Callable) -> Callable:
     return wrapper
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates).
+def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """f at the 15 GK nodes of each [lo_i, hi_i]; returns (half-widths, values).
 
-    Raises QuadratureError (with ``nonfinite`` attribute set) if the
-    integrand returns non-finite values.
+    Raises QuadratureError (with ``nonfinite`` attribute set) at the first
+    non-finite value.
     """
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
+    pts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
@@ -89,6 +98,12 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
         err.nonfinite = True
         err.nonfinite_value = float(vals[i, j]) if not np.isnan(vals[i, j]) else math.nan
         raise err
+    return half, vals
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
+    half, vals = _sample(f, lo, hi)
     kron = half * (vals @ _WK)
     gauss = half * (vals @ _WGAUSS)
     resabs = np.abs(half) * (np.abs(vals) @ _WK)
@@ -149,60 +164,22 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         lo, hi = new_lo, new_hi
 
 
-def batch_integrals(f: Callable, los, his, rel_tol: float = 1e-12,
-                    abs_tol: float = 0.0):
-    """Integrals of f over many short intervals in one batched pass.
-
-    All intervals are evaluated with a single Gauss-Kronrod application;
-    intervals whose error estimate misses the tolerance are refined
-    adaptively one by one.  Zero-width intervals contribute exactly 0.
-    ``abs_tol`` puts a floor under the per-interval target so that
-    roundoff-noise integrands (cancellations of order machine epsilon) are
-    not refined indefinitely.
-    """
-    los = np.atleast_1d(np.asarray(los, dtype=float))
-    his = np.atleast_1d(np.asarray(his, dtype=float))
-    if los.shape != his.shape:
-        raise ValueError("lo/hi arrays must have matching shapes")
-    if np.any(his < los):
-        raise ValueError("intervals must satisfy lo <= hi")
-    fv = _as_array_fn(f)
-    seg = np.zeros(len(los))
-    nonzero = his > los
-    if not nonzero.any():
-        return seg
-    vals, errs = _panels(fv, los[nonzero], his[nonzero])
-    scale = float(np.abs(vals).sum()) / max(int(nonzero.sum()), 1)
-    bad = errs > np.maximum(rel_tol * np.maximum(np.abs(vals), scale), abs_tol)
-    if bad.any():
-        nz_idx = np.where(nonzero)[0]
-        for j in np.where(bad)[0]:
-            vals[j], _ = integrate(fv, los[nz_idx[j]], his[nz_idx[j]], rel_tol=rel_tol,
-                                   abs_tol=max(abs_tol, rel_tol * max(scale, 1e-300)))
-    seg[nonzero] = vals
-    return seg
-
-
-def cumulative_integrals(f: Callable, points: np.ndarray, rel_tol: float = 1e-12):
-    """Integrals of f over consecutive gaps of an ascending point array."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 1 or len(points) < 2:
-        raise ValueError("need an ascending 1-d array of at least two points")
-    if np.any(np.diff(points) < 0):
-        raise ValueError("points must be ascending")
-    return batch_integrals(f, points[:-1], points[1:], rel_tol=rel_tol)
-
-
 class CumulativeCache:
-    """Memoized ``r -> integral(base, r)`` for repeated ascending queries.
+    """``r -> integral(base, r)`` on a mesh of panels that grows to the right.
 
-    Every queried point becomes a checkpoint; later queries only integrate
-    across the gaps to their nearest checkpoints, batched into a single
-    Gauss-Kronrod pass.  Differences between nearby queries therefore carry
-    only the error of the short local integral, which is what makes
-    finite-difference probing of profiles built on this cache stable.
+    Each panel samples f once at the 15 GK nodes; within a panel the
+    primitive is one polynomial, the exact antiderivative of f's degree-14
+    interpolant, kept as Chebyshev coefficients.  Panel offsets are a
+    cumulative sum, so a query is one ``searchsorted`` plus one Clenshaw sum,
+    and a query at a panel's left edge returns the stored offset (the base
+    gives exactly 0).
 
-    Not safe for concurrent mutation; build one per thread.
+    A query past the mesh's right end ``reach`` first appends the single
+    panel ``[reach, top]``; panels are bisected in batches until the last
+    three Chebyshev coefficients of f are at most ``rel_tol`` times the
+    largest |f| seen by this cache, or at most ``abs_tol`` once multiplied
+    by the half-width.  Not safe for concurrent mutation; build one per
+    thread.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
@@ -211,36 +188,68 @@ class CumulativeCache:
         self.base = float(base)
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self._rs = np.array([self.base])
-        self._Is = np.array([0.0])
+        self._reach = self.base
+        self._total = 0.0           # integral(base, reach)
+        self._fmax = 0.0
+        self._lo = self._mid = self._half = self._off = np.empty(0)
+        self._coef = np.empty((0, 16))
 
     def __call__(self, r):
-        scalar = np.ndim(r) == 0
-        pts = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(pts < self.base * (1.0 - 1e-15) - 1e-300):
+        pts = np.asarray(r, dtype=float)
+        flat = pts.ravel()
+        if np.any(flat < self.base * (1.0 - 1e-15) - 1e-300):
             raise ValueError(f"cumulative cache is based at {self.base}; query below it")
-        order = np.argsort(pts, kind="stable")
-        sorted_pts = np.maximum(pts[order], self.base)
-        out_sorted = self._eval_sorted(sorted_pts)
-        out = np.empty_like(out_sorted)
-        out[order] = out_sorted
-        return float(out[0]) if scalar else out.reshape(np.shape(r))
+        flat = np.maximum(flat, self.base)
+        out = np.zeros(flat.shape)
+        if flat.size:
+            top = float(flat.max())
+            if not math.isfinite(top):
+                raise ValueError(f"cumulative cache queried at {top}")
+            if top > self._reach:
+                self._extend(top)
+            if len(self._lo):       # an empty mesh is only ever queried at the base
+                i = np.searchsorted(self._lo, flat, side="right") - 1
+                x = np.clip((flat - self._mid[i]) / self._half[i], -1.0, 1.0)
+                inner = np.polynomial.chebyshev.chebval(x, self._coef[i].T, tensor=False)
+                out = self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
+        return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
-    def _eval_sorted(self, pts: np.ndarray) -> np.ndarray:
-        merged = np.unique(np.concatenate([self._rs, pts]))
-        idx = np.searchsorted(self._rs, merged)
-        known = (idx < len(self._rs)) & (self._rs[np.minimum(idx, len(self._rs) - 1)] == merged)
-        vals = np.full(len(merged), np.nan)
-        vals[known] = self._Is[idx[known]]
-        unknown = np.where(~known)[0]
-        if len(unknown):
-            segs = batch_integrals(self.fn, merged[unknown - 1], merged[unknown],
-                                   rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-            for j, seg in zip(unknown, segs):  # consecutive unknowns chain
-                vals[j] = vals[j - 1] + seg
-            self._rs = merged
-            self._Is = vals
-        return vals[np.searchsorted(merged, pts)]
+    def _extend(self, top: float) -> None:
+        lo, hi = np.array([self._reach]), np.array([top])
+        done = []                   # (left edges, antiderivative coefficients)
+        n_done = 0
+        while len(lo):
+            half, vals = _sample(self.fn, lo, hi)
+            self._fmax = max(self._fmax, float(np.abs(vals).max()))
+            cheb = vals @ _TO_CHEB.T
+            tail = np.abs(cheb[:, -3:]).max(axis=1)
+            ok = (tail <= self.rel_tol * self._fmax) | (half * tail <= self.abs_tol)
+            done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
+            n_done += int(ok.sum())
+            lo, hi, err = lo[~ok], hi[~ok], (half * tail)[~ok]
+            if not len(lo):
+                break
+            splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
+            if n_done + 2 * len(lo) > _MESH_PANELS or not splittable.all():
+                worst = int(np.argmax(err))
+                raise QuadratureError(
+                    "subdivision limit reached" if splittable.all()
+                    else "cannot refine further (roundoff-limited)",
+                    worst_interval=(float(lo[worst]), float(hi[worst]), float(err[worst])))
+            mids = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mids]), np.concatenate([mids, hi])
+        new_lo = np.concatenate([d[0] for d in done])
+        order = np.argsort(new_lo)
+        new_lo = new_lo[order]
+        coef = np.concatenate([d[1] for d in done])[order]
+        new_hi = np.append(new_lo[1:], top)
+        edges = np.cumsum(np.concatenate([[self._total], coef.sum(axis=1)]))
+        self._lo = np.concatenate([self._lo, new_lo])
+        self._mid = np.concatenate([self._mid, 0.5 * (new_lo + new_hi)])
+        self._half = np.concatenate([self._half, 0.5 * (new_hi - new_lo)])
+        self._coef = np.concatenate([self._coef, coef])
+        self._off = np.concatenate([self._off, edges[:-1]])
+        self._reach, self._total = top, float(edges[-1])
 
 
 # ---------------------------------------------------------------------------

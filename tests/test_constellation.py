@@ -127,6 +127,14 @@ def test_weight_cache_order_independent():
     assert np.max(np.abs(vals_batch - vals_single)) <= 1e-12 * np.max(np.abs(vals_batch))
 
 
+def test_weight_with_a_remainder_accepts_2d_queries():
+    c = Constellation.from_functions(4, 3, "r", g="0.8", h="0.1/(1+r)")
+    grid = weight_function(c, 3.0, 1.0)(np.array([[2.0, 3.0]]))
+    flat = weight_function(c, 3.0, 1.0)(np.array([2.0, 3.0]))
+    assert grid.shape == (1, 2)
+    assert np.array_equal(grid.ravel(), flat)
+
+
 def test_weight_dominates_w_when_balance_nonpositive():
     # balance = -3 < 0 everywhere on the annulus (exp-warping example)
     c = Constellation.from_functions(2, 2, "exp(r)", h="2", lam="2",

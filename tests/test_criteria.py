@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from radialcap.cli import load_config
 from radialcap.constellation import Constellation, Tangency
 from radialcap.criteria import (
     COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
@@ -203,3 +206,16 @@ def test_sweep_rows_in_input_order_and_repeatable():
     assert [r.p for r in first] == [2.0, 3.0, 4.0]
     assert [r.outcome for r in first] == [r.outcome for r in again]
     assert [r.cap_at_horizon for r in first] == [r.cap_at_horizon for r in again]
+
+
+def test_sweep_reports_the_first_overflowing_node_of_the_capacity_annulus():
+    # the drifted capacity over [1, 512] overflows in exp on the first panel
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "cylinder_bounded.json"))
+    with np.errstate(over="ignore"):
+        rows = sweep(c, 2.0, 8.0, 1.5, 1.0)
+    assert [row.p for row in rows] == [2.0, 3.5, 5.0, 6.5, 8.0]
+    assert [row.error for row in rows[:2]] == [None, None]
+    t_bad = {5.0: "477.473", 6.5: "445.961", 8.0: "445.961"}
+    for row in rows[2:]:
+        assert row.error == (f"integrand not finite (np.float64(inf) at t={t_bad[row.p]}); "
+                             "worst subinterval [1, 512] err=inf")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radialcap.constellation import Constellation, Tangency
+from radialcap.constellation import Constellation, Tangency, WeightFunction
 from radialcap.dirichlet import (
     capacity_upper_bound, drifted_capacity, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
@@ -159,6 +159,36 @@ def test_operator_residual_closed_solution_small():
     c = euclid_self(3)
     sol = solve_dirichlet_closed(c, 2.0, 1.0, 2.0)
     assert operator_residual(c, 2.0, 1.0, 2.0, sol) <= 1e-6
+
+
+def test_closed_solution_samples_the_remainder_once_per_panel(monkeypatch):
+    # the profile's primitive and the weight's remainder are panel meshes:
+    # neither re-integrates per query point
+    c = Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
+                                     h="0.15/(1 + r)")
+    points = []
+    integrand = WeightFunction.integrand
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return integrand(self, t)
+
+    monkeypatch.setattr(WeightFunction, "integrand", counted)
+    sol = solve_dirichlet_closed(c, 2.5, 0.8, 3.0)
+    sol.profile(np.linspace(0.8, 3.0, 1001))
+    assert operator_residual(c, 2.5, 0.8, 3.0, sol) <= 1e-6
+    assert sum(points) < 2000
+
+
+def test_profile_queries_in_any_order_and_shape():
+    sol = solve_dirichlet_closed(Constellation.from_functions(4, 3, "sinh(r)", g="0.9",
+                                                              h="1/(1+r)"), 2.5, 1.0, 4.0)
+    rs = np.linspace(1.0, 4.0, 31)
+    ascending = sol.profile(rs)
+    shuffled = np.random.default_rng(5).permutation(31)
+    assert np.array_equal(sol.profile(rs[shuffled]), ascending[shuffled])
+    assert np.array_equal(sol.profile(rs.reshape(31, 1)).ravel(), ascending)
+    assert sol.profile(1.0) == 0.0 and ascending[0] == 0.0
 
 
 def test_operator_residual_negative_control():

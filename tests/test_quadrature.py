@@ -5,7 +5,7 @@ import pytest
 
 from radialcap.errors import QuadratureError
 from radialcap.quadrature import (
-    TailConfig, classify_tail, cumulative_integrals, integrate,
+    CumulativeCache, TailConfig, classify_tail, integrate,
 )
 
 
@@ -48,15 +48,51 @@ def test_integrate_subdivision_limit_reports_worst_interval():
     assert exc.value.worst_interval is not None
 
 
+def _decay_plus_log(t):
+    return np.exp(-t) + 1.0 / t
+
+
 def test_cumulative_matches_integrate():
     pts = np.array([1.0, 1.3, 2.0, 2.0, 5.5])
-    seg = cumulative_integrals(lambda t: np.exp(-t) + 1.0 / t, pts)
+    prim = CumulativeCache(_decay_plus_log, 1.0)(pts)
     for i in range(len(pts) - 1):
         if pts[i] == pts[i + 1]:
-            assert seg[i] == 0.0
+            assert prim[i + 1] - prim[i] == 0.0
         else:
-            ref, _ = integrate(lambda t: np.exp(-t) + 1.0 / t, pts[i], pts[i + 1])
-            assert seg[i] == pytest.approx(ref, rel=1e-11)
+            ref, _ = integrate(_decay_plus_log, pts[i], pts[i + 1])
+            assert prim[i + 1] - prim[i] == pytest.approx(ref, rel=1e-11)
+
+
+def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
+    cache = CumulativeCache(_decay_plus_log, 1.0)
+    assert cache(1.0) == 0.0
+    cache(7.0)
+    assert cache(1.0) == 0.0
+    assert cache(np.array([1.0, 3.0]))[0] == 0.0
+    with pytest.raises(ValueError):
+        cache(0.5)
+    with pytest.raises(ValueError):
+        cache(np.array([2.0, np.nan]))
+
+
+def test_cumulative_unsorted_repeated_and_shaped_queries_equal_sorted():
+    pts = np.array([4.0, 1.5, 2.0, 9.0, 2.0, 1.0, 6.25])
+    sorted_vals = CumulativeCache(_decay_plus_log, 1.0)(np.sort(pts))
+    unsorted = CumulativeCache(_decay_plus_log, 1.0)(pts)
+    assert np.array_equal(unsorted, sorted_vals[np.searchsorted(np.sort(pts), pts)])
+    grid = CumulativeCache(_decay_plus_log, 1.0)(pts[:6].reshape(2, 3))
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid.ravel(), unsorted[:6])
+
+
+def test_cumulative_piecewise_growth_matches_one_shot():
+    pts = np.geomspace(1.0, 300.0, 200)
+    one_shot = CumulativeCache(_decay_plus_log, 1.0)(pts)
+    grown = CumulativeCache(_decay_plus_log, 1.0)
+    piecewise = np.concatenate([grown(chunk) for chunk in np.array_split(pts, 17)])
+    assert np.max(np.abs(piecewise - one_shot) / np.maximum(one_shot, 1e-300)) <= 1e-12
+    assert piecewise[-1] == pytest.approx(math.exp(-1.0) - math.exp(-300.0) + math.log(300.0),
+                                          rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

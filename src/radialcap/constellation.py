@@ -23,7 +23,7 @@ import enum
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -103,24 +103,21 @@ class Constellation:
         return cls(n=ms.m, m=ms.m, model=ms, g=parse("1"), lam=parse("0"),
                    h=parse("0"), tangency=tangency)
 
-    def is_self_model(self, grid: Optional[np.ndarray] = None) -> bool:
-        """Numerically detect the degenerate submanifold == model case."""
-        rs = grid if grid is not None else np.geomspace(0.1, 10.0, 17)
-        try:
-            gv = np.asarray(evaluate(self.g, rs))
-            lv = np.asarray(evaluate(self.lam, rs))
-            hv = np.asarray(evaluate(self.h, rs))
-        except DomainError:
-            return False
-        return bool(np.all(gv == 1.0) and np.all(lv == 0.0) and np.all(hv == 0.0))
+    def is_self_model(self) -> bool:
+        """The degenerate submanifold == model case: g, lam and h are the
+        constants 1, 0 and 0."""
+        return bool(self.g.constant == 1.0 and self.lam.constant == 0.0
+                    and self.h.constant == 0.0)
 
 
-def _balance_terms(c: Constellation, p: float, r, eta: bool = True):
+def _balance_terms(c: Constellation, p: float, r, eta: bool = True, jw=None):
     """Balance value together with the magnitude scale of its terms;
-    ``eta=False`` leaves out the ``(m + p - 2) w'/w`` term."""
+    ``eta=False`` leaves out the ``(m + p - 2) w'/w`` term, and ``jw`` is
+    the jet of w at r if the caller has it."""
     t1 = 0.0
     if eta:
-        jw = eval_jet2(c.model.w, r)
+        if jw is None:
+            jw = eval_jet2(c.model.w, r)
         if np.any(np.asarray(jw.value) == 0.0):
             raise DomainError("warping function vanishes", r)
         t1 = (c.m + p - 2.0) * (jw.d1 / jw.value)
@@ -251,11 +248,14 @@ class WeightFunction:
             # the remainder sits in an exponent: absolute errors below 1e-15
             # per panel are invisible, and the floor keeps roundoff-noise
             # integrands (exactly cancelling balances) from endless
-            # refinement.  The cache reaches the integrand through a weak
-            # reference, so the weight and its cache form no cycle.
+            # refinement.  A panel's tolerance counts |integrand| only up to
+            # the doubling past its own, so a query far out (the tail ladder
+            # evaluates every doubling at once) cannot loosen the panels near
+            # rho.  The cache reaches the integrand through a weak reference,
+            # so the weight and its cache form no cycle.
             ref = weakref.ref(self)
             self._cache = CumulativeCache(lambda t: ref().integrand(t), self.rho,
-                                          rel_tol=rel_tol, abs_tol=1e-15)
+                                          rel_tol=rel_tol, abs_tol=1e-15, max_growth=2.0)
 
     # -- integrand of the remainder R ------------------------------------------
     def integrand(self, t):

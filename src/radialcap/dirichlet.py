@@ -56,8 +56,8 @@ class DriftOperator:
     def coeff(self, r) -> Union[float, np.ndarray]:
         """c(r) = balance/((p-1) g^2) - w'/w."""
         c = self.constellation
-        value, _ = _balance_terms(c, self.p, r)
         jw = eval_jet2(c.model.w, r)
+        value, _ = _balance_terms(c, self.p, r, jw=jw)
         et = jw.d1 / jw.value
         if c.tangency is Tangency.LOWER:
             gv = np.asarray(eval_jet2(c.g, r).value)

@@ -14,7 +14,9 @@ the primitive is one polynomial and a query costs no further quadrature.
 
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
-increments expose it.
+increments expose it.  One call of the integrand gives every doubling's
+probe and first GK15 panel; only doublings whose panel misses the tolerance
+(all of them, if that call raises) are integrated on their own.
 """
 
 from __future__ import annotations
@@ -81,14 +83,19 @@ def _as_array_fn(f: Callable) -> Callable:
     return wrapper
 
 
+def _nodes(lo: np.ndarray, hi: np.ndarray):
+    """Half-widths of the intervals [lo_i, hi_i] and their 15 GK nodes, one row each."""
+    half = 0.5 * (hi - lo)
+    return half, 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
+
+
 def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """f at the 15 GK nodes of each [lo_i, hi_i]; returns (half-widths, values).
 
     Raises QuadratureError (with ``nonfinite`` attribute set) at the first
     non-finite value.
     """
-    half = 0.5 * (hi - lo)
-    pts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
+    half, pts = _nodes(lo, hi)
     vals = f(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
@@ -101,9 +108,8 @@ def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return half, vals
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
-    half, vals = _sample(f, lo, hi)
+def _gk(lo: np.ndarray, hi: np.ndarray, half: np.ndarray, vals: np.ndarray):
+    """GK15 on each [lo_i, hi_i] from its node values; returns (values, error estimates)."""
     kron = half * (vals @ _WK)
     gauss = half * (vals @ _WGAUSS)
     resabs = np.abs(half) * (np.abs(vals) @ _WK)
@@ -116,6 +122,12 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
                           raw)
     errs = np.maximum(scaled, 50.0 * _EPS * resabs)
     return kron, errs
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
+    half, vals = _sample(f, lo, hi)
+    return _gk(lo, hi, half, vals)
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
@@ -178,16 +190,23 @@ class CumulativeCache:
     panel ``[reach, top]``; panels are bisected in batches until the last
     three Chebyshev coefficients of f are at most ``rel_tol`` times the
     largest |f| seen by this cache, or at most ``abs_tol`` once multiplied
-    by the half-width.  Not safe for concurrent mutation; build one per
-    thread.
+    by the half-width.  With ``max_growth`` set and a positive reach, the
+    extension starts from the steps ``[reach, g*reach], [g*reach,
+    g**2*reach], ...`` (g = ``max_growth``) instead, and a panel counts
+    only the |f| seen up to the end of its step: then one far query, such as
+    a tail ladder evaluated ahead of its stop, cannot loosen the panels near
+    the base.  Not safe for concurrent mutation; build one per thread.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
-                 abs_tol: float = 0.0):
+                 abs_tol: float = 0.0, max_growth: float = math.inf):
+        if not max_growth > 1.0:
+            raise ValueError(f"max_growth must exceed 1, got {max_growth}")
         self.fn = _as_array_fn(fn)
         self.base = float(base)
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
+        self.max_growth = max_growth
         self._reach = self.base
         self._total = 0.0           # integral(base, reach)
         self._fmax = 0.0
@@ -215,18 +234,24 @@ class CumulativeCache:
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
     def _extend(self, top: float) -> None:
-        lo, hi = np.array([self._reach]), np.array([top])
+        steps = [self._reach]
+        while self._reach > 0 and self.max_growth * steps[-1] < top:
+            steps.append(self.max_growth * steps[-1])
+        lo, hi = np.array(steps), np.array(steps[1:] + [top])
+        step = np.arange(len(lo))   # the growth step each panel lies in
+        fmax = np.full(len(lo), self._fmax)     # largest |f| seen up to each step's end
         done = []                   # (left edges, antiderivative coefficients)
         n_done = 0
         while len(lo):
             half, vals = _sample(self.fn, lo, hi)
-            self._fmax = max(self._fmax, float(np.abs(vals).max()))
+            np.maximum.at(fmax, step, np.abs(vals).max(axis=1))
+            fmax = np.maximum.accumulate(fmax)
             cheb = vals @ _TO_CHEB.T
             tail = np.abs(cheb[:, -3:]).max(axis=1)
-            ok = (tail <= self.rel_tol * self._fmax) | (half * tail <= self.abs_tol)
+            ok = (tail <= self.rel_tol * fmax[step]) | (half * tail <= self.abs_tol)
             done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
             n_done += int(ok.sum())
-            lo, hi, err = lo[~ok], hi[~ok], (half * tail)[~ok]
+            lo, hi, step, err = lo[~ok], hi[~ok], step[~ok], (half * tail)[~ok]
             if not len(lo):
                 break
             splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
@@ -238,6 +263,7 @@ class CumulativeCache:
                     worst_interval=(float(lo[worst]), float(hi[worst]), float(err[worst])))
             mids = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mids]), np.concatenate([mids, hi])
+            step = np.concatenate([step, step])
         new_lo = np.concatenate([d[0] for d in done])
         order = np.argsort(new_lo)
         new_lo = new_lo[order]
@@ -249,7 +275,7 @@ class CumulativeCache:
         self._half = np.concatenate([self._half, 0.5 * (new_hi - new_lo)])
         self._coef = np.concatenate([self._coef, coef])
         self._off = np.concatenate([self._off, edges[:-1]])
-        self._reach, self._total = top, float(edges[-1])
+        self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +300,9 @@ class TailClass:
 
     kind is ``"divergent"``, ``"convergent"`` or ``"undetermined"``;
     ``value``/``error`` are set for convergent tails.  Evidence carries the
-    partial integrals at doubling radii, the fitted tail exponent and the
-    fit residual, plus a one-line account of which test decided.
+    partial integrals at doubling radii (``to_dict`` lists them as
+    ``ladder``, pairs ``[R_k, I_k]``), the fitted tail exponent and the fit
+    residual, plus a one-line account of which test decided.
     """
 
     kind: str
@@ -303,6 +330,7 @@ class TailClass:
             "fit_residual": self.fit_residual,
             "detail": self.detail,
             "horizon": self.partial_integrals[-1][0] if self.partial_integrals else None,
+            "ladder": [[r_k, i_k] for r_k, i_k in self.partial_integrals],
         }
 
 
@@ -324,6 +352,35 @@ def _fit_exponent(fv: Callable, rho: float, horizon: float):
     return float(slope), resid
 
 
+def _first_panels(fv: Callable, rho: float, cfg: TailConfig):
+    """Per doubling k = 1..k_max, from one call of fv: (probe values, first
+    GK15 panel's value and error, whether its nodes are finite and it meets
+    the tolerance on which :func:`integrate` stops at once); None if the
+    call raises."""
+    if cfg.k_max < 1:
+        return None
+    ks = np.arange(cfg.k_max)
+    lo = rho * 2.0 ** ks
+    hi = rho * 2.0 ** (ks + 1)
+    half, node_pts = _nodes(lo, hi)
+    probe_pts = np.geomspace(lo, hi, 7, axis=-1)    # bit-equal to one call per doubling
+    try:
+        with np.errstate(all="ignore"):
+            vals = fv(np.concatenate([probe_pts.ravel(), node_pts.ravel()]))
+    except Exception:
+        # the call reaches past where the ladder may stop, so its error need
+        # not be the ladder's; evaluated doubling by doubling, the ladder
+        # meets any real one where, and with the text that, it always did
+        return None
+    probe = vals[:probe_pts.size].reshape(probe_pts.shape)
+    node_vals = vals[probe_pts.size:].reshape(node_pts.shape)
+    with np.errstate(all="ignore"):
+        kron, err = _gk(lo, hi, half, node_vals)
+        accepted = np.isfinite(node_vals).all(axis=1) & (
+            err <= np.maximum(cfg.rel_tol * np.abs(kron), 1e-305))
+    return probe, kron, err, accepted
+
+
 def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> TailClass:
     """Classify ``integral(f, rho, infinity)`` for a nonnegative integrand.
 
@@ -338,11 +395,21 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
       the critical ``-1`` by more than ``exp_band``,
     * undetermined in the ``|alpha_hat + 1| < exp_band`` borderline
       (e.g. ``1/(t*log(t))`` tails) -- never guessed.
+
+    Before the walk, one call of f covers the 7-point probe and the 15 GK
+    nodes of all ``k_max`` doublings.  The walk then tests each doubling in
+    turn: a probe with a NaN raises, one with an inf or a value past
+    ``blowup`` stops the ladder, and a first panel that meets ``rel_tol``
+    is the doubling's integral.  Other doublings run :func:`integrate`.  If
+    the one call raises (it reaches past where the walk may stop), every
+    doubling probes and integrates on its own, so an error surfaces at the
+    same doubling as in a walk that never looks ahead.
     """
     cfg = cfg or TailConfig()
     if rho <= 0:
         raise ValueError("rho must be positive")
     fv = _as_array_fn(f)
+    first = _first_panels(fv, rho, cfg)
     horizons = [rho]
     partials = []          # (R_k, I_k)
     increments = []
@@ -352,22 +419,29 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     for k in range(1, cfg.k_max + 1):
         lo_r = rho * 2.0 ** (k - 1)
         hi_r = rho * 2.0 ** k
-        with np.errstate(all="ignore"):
-            probe = fv(np.geomspace(lo_r, hi_r, 7))
+        if first is not None:
+            probe, seg, seg_err, accepted = (a[k - 1] for a in first)
+        else:
+            with np.errstate(all="ignore"):
+                probe = fv(np.geomspace(lo_r, hi_r, 7))
+            accepted = False
         if np.any(np.isnan(probe)):
             raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
                                   worst_interval=(lo_r, hi_r, math.inf))
         if np.any(probe > cfg.blowup) or np.any(np.isinf(probe)):
             overflow = True
             break
-        try:
-            seg, seg_err = integrate(fv, lo_r, hi_r, rel_tol=cfg.rel_tol)
-        except QuadratureError as exc:
-            if getattr(exc, "nonfinite", False) and not math.isnan(
-                    getattr(exc, "nonfinite_value", math.nan)):
-                overflow = True
-                break
-            raise
+        if accepted:
+            seg, seg_err = float(seg), float(seg_err)
+        else:
+            try:
+                seg, seg_err = integrate(fv, lo_r, hi_r, rel_tol=cfg.rel_tol)
+            except QuadratureError as exc:
+                if getattr(exc, "nonfinite", False) and not math.isnan(
+                        getattr(exc, "nonfinite_value", math.nan)):
+                    overflow = True
+                    break
+                raise
         total += seg
         quad_err += seg_err
         horizons.append(hi_r)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from radialcap.cli import (
     EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main,
 )
 from radialcap.constellation import Tangency
+from radialcap.criteria import classify
 from radialcap.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -112,6 +114,18 @@ def test_classify_json_schema(capsys):
     assert doc["outcome"]["verdict"] == "p_parabolic"
     assert doc["evidence"]["tail"]["kind"] == "divergent"
     assert "total_s" in doc["timings"]
+
+
+def test_classify_json_tail_ladder(capsys):
+    code = main(["classify", EUCLID3, "--p", "3", "--rho", "0.5", "--json"])
+    tail = json.loads(capsys.readouterr().out)["evidence"]["tail"]
+    ladder = tail["ladder"]
+    doublings = len(classify(load_config(EUCLID3), 3.0, 0.5).tail.partial_integrals)
+    assert code == EXIT_OK
+    assert len(ladder) == doublings > 1
+    assert [r for r, _ in ladder] == [0.5 * 2.0 ** k for k in range(1, doublings + 1)]
+    assert ladder[-1][0] == tail["horizon"]
+    assert all(b > a for (_, a), (_, b) in zip(ladder, ladder[1:]))
 
 
 GOLDEN_CLASSIFY = {
@@ -263,8 +277,11 @@ def test_simulate_bad_geometry_exit_2(capsys):
 # ---------------------------------------------------------------------------
 
 def test_module_entry_point_runs():
+    # the child imports radialcap from this checkout, as this process does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "radialcap", "classify", EUCLID3, "--p", "3"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == EXIT_OK
     assert "p-parabolic" in proc.stdout

@@ -177,6 +177,7 @@ def test_upper_tangency_forces_g_to_one():
 def test_self_model_detection():
     assert euclid_self(3).is_self_model()
     assert not Constellation.from_functions(3, 3, "r", h="0.1").is_self_model()
+    assert Constellation.from_functions(3, 3, "r", h="0.0").is_self_model()
 
 
 def test_constellation_validates_dimensions():

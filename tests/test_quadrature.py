@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from radialcap.errors import QuadratureError
+from radialcap.cli import load_config
+from radialcap.constellation import Constellation, WeightFunction
+from radialcap.criteria import classify
+from radialcap.errors import DomainError, QuadratureError
 from radialcap.quadrature import (
     CumulativeCache, TailConfig, classify_tail, integrate,
 )
@@ -73,6 +77,8 @@ def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
         cache(0.5)
     with pytest.raises(ValueError):
         cache(np.array([2.0, np.nan]))
+    with pytest.raises(ValueError):
+        CumulativeCache(_decay_plus_log, 1.0, max_growth=1.0)
 
 
 def test_cumulative_unsorted_repeated_and_shaped_queries_equal_sorted():
@@ -93,6 +99,20 @@ def test_cumulative_piecewise_growth_matches_one_shot():
     assert np.max(np.abs(piecewise - one_shot) / np.maximum(one_shot, 1e-300)) <= 1e-12
     assert piecewise[-1] == pytest.approx(math.exp(-1.0) - math.exp(-300.0) + math.log(300.0),
                                           rel=1e-12)
+
+
+def test_cumulative_far_query_with_max_growth_keeps_panels_near_base_tight():
+    # |f| grows, so a panel's tolerance, relative to the largest |f| seen,
+    # would loosen near the base if one query sampled f far out first (one
+    # unbounded extension here is a single panel that misses the bump)
+    def f(t):
+        return t + 1.0 / (1.0 + 100.0 * (t - 1.5) ** 2)
+
+    pts = np.geomspace(1.0, 2.0 ** 40, 300)[1:]
+    exact = (pts * pts - 1.0) / 2.0 + (np.arctan(10.0 * (pts - 1.5)) - np.arctan(-5.0)) / 10.0
+    far = CumulativeCache(f, 1.0, rel_tol=1e-10, max_growth=2.0)
+    far(2.0 ** 40)
+    assert np.max(np.abs(far(pts) - exact) / exact) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +191,119 @@ def test_partial_integrals_recorded():
     assert all(b == 2 * a for a, b in zip(radii, radii[1:]))
     totals = [ik for _, ik in tc.partial_integrals]
     assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+def _per_doubling_ladder(f, rho, n):
+    """(R_k, I_k), k = 1..n, from one integrate call per doubling."""
+    total, out = 0.0, []
+    for k in range(1, n + 1):
+        total += integrate(f, rho * 2.0 ** (k - 1), rho * 2.0 ** k,
+                           rel_tol=TailConfig().rel_tol)[0]
+        out.append((rho * 2.0 ** k, total))
+    return out
+
+
+def _one_doubling_at_a_time(f):
+    """f, refusing its first call: classify_tail's one call over the whole
+    ladder fails, so every doubling evaluates on its own."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        if len(calls) == 1:
+            raise RuntimeError("first call refused")
+        return f(t)
+    return g
+
+
+LADDER_TAILS = {
+    "t^-3": (lambda t: t ** -3.0, 1.0),
+    "t^-1.5": (lambda t: t ** -1.5, 1.0),
+    "t^-1": (lambda t: t ** -1.0, 1.0),
+    "t^0": (lambda t: t ** 0.0, 1.0),
+    "t^1": (lambda t: t ** 1.0, 1.0),
+    "exp(-t)": (lambda t: np.exp(-t), 1.0),
+    "cosh(t)": (lambda t: np.cosh(t), 1.0),
+    "1/(t log t)": (lambda t: 1.0 / (t * np.log(t)), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_TAILS))
+def test_one_call_ladder_matches_per_doubling_integrals(name):
+    f, rho = LADDER_TAILS[name]
+    tc = classify_tail(f, rho)
+    ref = classify_tail(_one_doubling_at_a_time(f), rho)
+    assert (tc.kind, tc.detail) == (ref.kind, ref.detail)
+    assert len(tc.partial_integrals) == len(ref.partial_integrals) > 0
+    expect = _per_doubling_ladder(f, rho, len(tc.partial_integrals))
+    for (r_k, i_k), (r_ref, i_ref) in zip(tc.partial_integrals, expect):
+        assert r_k == r_ref
+        assert i_k == pytest.approx(i_ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("beyond", ["raise", "nan"])
+def test_failures_past_the_stop_leave_the_ladder_alone(beyond):
+    # exp(-t) converges by r = 256; only the one call over all 40 doublings
+    # reaches t > 1e3
+    def f(t):
+        t = np.asarray(t)
+        if beyond == "raise" and np.any(t > 1e3):
+            raise DomainError("outside the test function's domain", float(t.max()))
+        return np.where(t > 1e3, np.nan, np.exp(-t))
+
+    tc = classify_tail(f, 1.0)
+    ref = classify_tail(lambda t: np.exp(-t), 1.0)
+    assert tc.kind == ref.kind == "convergent"
+    assert tc.detail == ref.detail
+    assert [r for r, _ in tc.partial_integrals] == [r for r, _ in ref.partial_integrals]
+    assert [i for _, i in tc.partial_integrals] == pytest.approx(
+        [i for _, i in ref.partial_integrals], rel=1e-14)
+    assert tc.value == pytest.approx(ref.value, rel=1e-14)
+
+
+def test_nan_inside_a_doubling_raises_there():
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 5.0) & (t < 6.0), np.nan, t ** -2.0)
+
+    with pytest.raises(QuadratureError, match=r"^integrand is NaN inside \[4, 8\]"):
+        classify_tail(f, 1.0)
+
+
+def test_overflow_at_a_doubling_stops_the_ladder_before_it():
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 20.0, np.inf, t ** -2.0)
+
+    tc = classify_tail(f, 1.0)
+    assert tc.is_divergent
+    assert tc.detail == "integrand overflow at finite horizon"
+    assert [r for r, _ in tc.partial_integrals] == [2.0, 4.0, 8.0, 16.0]
+
+
+def test_growing_remainder_verdict_survives_the_one_call_ladder():
+    # h ~ -r log r makes the remainder integrand grow; evaluating the whole
+    # ladder at once must not coarsen the remainder mesh near rho
+    c = Constellation.from_functions(4, 3, "r", h="-0.01*r*log(1+r)")
+    for p, rho in [(2.0, 1.0), (3.0, 0.5), (6.0, 2.0)]:
+        tc = classify_tail(WeightFunction(c, p, rho), rho)
+        ref = classify_tail(_one_doubling_at_a_time(WeightFunction(c, p, rho)), rho)
+        assert tc.kind == ref.kind == "convergent"
+        assert tc.detail == ref.detail
+        assert [r for r, _ in tc.partial_integrals] == [r for r, _ in ref.partial_integrals]
+        assert [i for _, i in tc.partial_integrals] == pytest.approx(
+            [i for _, i in ref.partial_integrals], rel=1e-14)
+
+
+def test_classify_self_model_calls_the_weight_a_few_times(monkeypatch):
+    calls = []
+    call = WeightFunction.__call__
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return call(self, r)
+    monkeypatch.setattr(WeightFunction, "__call__", counted)
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "euclid3.json"))
+    verdict = classify(c, 3.0, 1.0)
+    assert verdict.is_parabolic
+    assert len(calls) <= 10

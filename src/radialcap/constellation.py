@@ -119,7 +119,8 @@ def _balance_terms(c: Constellation, p: float, r, eta: bool = True, jw=None):
         if jw is None:
             jw = eval_jet2(c.model.w, r)
         if np.any(np.asarray(jw.value) == 0.0):
-            raise DomainError("warping function vanishes", r)
+            raise DomainError("warping function vanishes",
+                              float(np.min(np.where(np.asarray(jw.value) == 0.0, r, np.inf))))
         t1 = (c.m + p - 2.0) * (jw.d1 / jw.value)
     t2 = c.m * evaluate(c.h, r)
     if p == 2.0:

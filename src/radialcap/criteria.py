@@ -221,7 +221,7 @@ def classify(c: Constellation, p: float, rho: float,
                                     message="weight integral converges; criterion silent")
     else:
         reason = InconclusiveReason("tail_undetermined",
-                                    message="tail at the critical exponent; not guessed")
+                                    message=f"tail undetermined ({tail.detail}); not guessed")
     return Verdict("inconclusive", p=p, rho=rho, balance=prof, tail=tail,
                    certified_interval=interval, warnings=warnings, reason=reason)
 
@@ -358,7 +358,7 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
                                     message=f"q={q} weight integral converges")
     else:
         reason = InconclusiveReason("tail_undetermined",
-                                    message=f"q={q} weight tail at the critical exponent")
+                                    message=f"q={q} weight tail undetermined ({tail.detail})")
     return Verdict("inconclusive", p=p, rho=rho, balance=prof_q, tail=tail,
                    certified_interval=interval, warnings=warnings,
                    checks=tuple(checks), reason=reason)

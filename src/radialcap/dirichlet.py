@@ -13,7 +13,10 @@ primitive of the decision weight:
 
 The module provides the closed form, an independent Runge-Kutta solution of
 the same boundary problem, the flux ("drifted") capacity of the annulus and
-the induced capacity upper bound for the submanifold.
+the induced capacity upper bound for the submanifold.  The Runge-Kutta
+solution steps RK4 on c(r) alone, all steps at once as per-step factors on
+psi' multiplied out in log space; it shares no weight, mesh or primitive
+with the closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .constellation import Constellation, Tangency, WeightFunction, _balance_terms, weight_function
-from .errors import RadialCapError
+from .errors import DomainError, RadialCapError
 from .expr import eval_jet2
 from .model import sphere_volume
 from .quadrature import CumulativeCache, _as_array_fn
@@ -148,50 +151,42 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
     """Integrate ``psi'' = -c(r) psi'`` from ``(psi, psi') = (0, 1)`` at rho
     with classical 4th-order Runge-Kutta, then rescale by ``psi(R)``.
 
-    Instead of erroring out when the raw solution grows past float range,
-    the linear system is renormalized on the fly (a per-node log-scale is
-    carried and cancels in the final rescaling).
+    The system is linear in ``v = psi'``, so one RK4 step is ``v[i+1] =
+    G[i] v[i]``, ``psi[i+1] = psi[i] + K[i] v[i]``, with G (RK4's stability
+    function) and K polynomials in h times c at the node, midpoint and next
+    node (stage factors a2, a3, a4 below).  ``log|v|`` is a cumsum of
+    ``log|G|`` with a cumprod of signs, v is scaled by its largest value and
+    ``psi = cumsum(K v)``; the scale cancels in the division by ``psi(R)``,
+    so growth past float range stays finite.  A non-finite c(r) at a node
+    or midpoint raises :class:`DomainError` at the first such r.
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
     if step_count < 100:
         raise ValueError("step_count must be at least 100")
-    op = DriftOperator(c, p)
     n = int(step_count)
     h = (R - rho) / n
     nodes = rho + h * np.arange(n + 1)
-    mids = rho + h * (np.arange(n) + 0.5)
-    c_all = np.asarray(op.coeff(np.concatenate([nodes, mids])))
-    c_nodes, c_mids = c_all[:n + 1], c_all[n + 1:]
-
-    psi_hat = np.empty(n + 1)
-    v_hat = np.empty(n + 1)
-    log_scale = np.empty(n + 1)
-    psi, v, ls = 0.0, 1.0, 0.0
-    psi_hat[0], v_hat[0], log_scale[0] = psi, v, ls
-    for i in range(n):
-        c0, cm, c1 = c_nodes[i], c_mids[i], c_nodes[i + 1]
-        k1p, k1v = v, -c0 * v
-        y = v + 0.5 * h * k1v
-        k2p, k2v = y, -cm * y
-        y = v + 0.5 * h * k2v
-        k3p, k3v = y, -cm * y
-        y = v + h * k3v
-        k4p, k4v = y, -c1 * y
-        psi += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        m = max(abs(psi), abs(v))
-        if m > 1e100:
-            psi /= m
-            v /= m
-            ls += math.log(m)
-        psi_hat[i + 1], v_hat[i + 1], log_scale[i + 1] = psi, v, ls
-
-    if psi_hat[-1] == 0.0:
-        raise RadialCapError("degenerate profile: psi(R) vanished")
-    rescale = np.exp(log_scale - log_scale[-1]) / psi_hat[-1]
-    return OdeSolution(rho=rho, R=R, p=p, nodes=nodes,
-                       psi=psi_hat * rescale, dpsi=v_hat * rescale)
+    pts = np.concatenate([nodes, rho + h * (np.arange(n) + 0.5)])
+    with np.errstate(all="ignore"):
+        c_all = np.asarray(DriftOperator(c, p).coeff(pts))
+    bad = ~np.isfinite(c_all)
+    if bad.any():
+        raise DomainError("drift coefficient is not finite", float(pts[bad].min()))
+    c0, c1, cm = c_all[:n], c_all[1:n + 1], c_all[n + 1:]
+    a2 = 1.0 - 0.5 * h * c0
+    a3 = 1.0 - 0.5 * h * cm * a2
+    a4 = 1.0 - h * cm * a3
+    G = 1.0 - h / 6.0 * (c0 + 2.0 * cm * (a2 + a3) + c1 * a4)
+    K = h / 6.0 * (1.0 + 2.0 * (a2 + a3) + a4)
+    with np.errstate(divide="ignore"):
+        log_v = np.concatenate([[0.0], np.cumsum(np.log(np.abs(G)))])
+    v = np.concatenate([[1.0], np.cumprod(np.sign(G))]) * np.exp(log_v - log_v.max())
+    psi = np.concatenate([[0.0], np.cumsum(K * v[:-1])])
+    end = psi[-1]
+    if end == 0.0 or not math.isfinite(end):
+        raise RadialCapError(f"degenerate profile: psi(R) {'vanished' if end == 0.0 else end}")
+    return OdeSolution(rho=rho, R=R, p=p, nodes=nodes, psi=psi / end, dpsi=v / end)
 
 
 def drifted_capacity(c: Constellation, p: float, rho: float, R: float,

@@ -469,6 +469,9 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         return TailClass("divergent", partial_integrals=tuple(partials),
                          detail="integrand overflow at finite horizon")
 
+    if len(increments) < 3:
+        return TailClass("undetermined", partial_integrals=tuple(partials),
+                         detail=f"ladder too short: {len(increments)} of 3 doublings needed")
     horizon = horizons[-1]
     ratios = [increments[i] / increments[i - 1]
               for i in range(len(increments) - 2, len(increments))

@@ -105,6 +105,18 @@ def test_classify_numeric_failure_exit_3(tmp_path, capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("rho", ["3", "5", "7"])
+def test_classify_short_ladder_exit_10(tmp_path, capsys, rho):
+    # the balance of exp(r^3) overflows past r ~ 8, which caps the tail
+    # ladder at fewer than 3 doublings: undetermined, not a traceback
+    cfg = write_config(tmp_path, n=4, w="exp(r^3)")
+    code = main(["classify", cfg, "--p", "3", "--rho", rho, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["outcome"]["reason"]["code"] == "tail_undetermined"
+    assert doc["evidence"]["tail"]["detail"].startswith("ladder too short")
+
+
 def test_classify_json_schema(capsys):
     code = main(["classify", EUCLID3, "--p", "3", "--json"])
     doc = json.loads(capsys.readouterr().out)

@@ -5,9 +5,10 @@ import pytest
 
 from radialcap.constellation import Constellation, Tangency, WeightFunction
 from radialcap.dirichlet import (
-    capacity_upper_bound, drifted_capacity, operator_residual,
+    DriftOperator, capacity_upper_bound, drifted_capacity, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
+from radialcap.errors import DomainError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
 
 
@@ -85,6 +86,83 @@ def test_ode_handles_blowup_weights_via_renormalization():
     sol = solve_dirichlet_closed(c, 3.0, 1.0, 4.0)
     ode = solve_dirichlet_ode(c, 3.0, 1.0, 4.0, step_count=4000)
     assert np.max(np.abs(ode.psi - sol.profile(ode.nodes))) <= 1e-6
+
+
+def rk4_loop(c, p, rho, R, n):
+    """Reference: classical RK4 on (psi, psi') stepped one node at a time,
+    renormalized whenever the state passes 1e100, then scaled to psi(R) = 1."""
+    h = (R - rho) / n
+    nodes = rho + h * np.arange(n + 1)
+    coeff = DriftOperator(c, p).coeff
+    psi_hat, v_hat, log_scale = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    psi, v, ls = 0.0, 1.0, 0.0
+    psi_hat[0], v_hat[0], log_scale[0] = psi, v, ls
+    for i in range(n):
+        c0, cm, c1 = (float(coeff(r)) for r in (nodes[i], nodes[i] + 0.5 * h, nodes[i + 1]))
+        k1v = -c0 * v
+        y2 = v + 0.5 * h * k1v
+        k2v = -cm * y2
+        y3 = v + 0.5 * h * k2v
+        k3v = -cm * y3
+        y4 = v + h * k3v
+        k4v = -c1 * y4
+        psi += h / 6.0 * (v + 2.0 * y2 + 2.0 * y3 + y4)
+        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        m = max(abs(psi), abs(v))
+        if m > 1e100:
+            psi, v, ls = psi / m, v / m, ls + math.log(m)
+        psi_hat[i + 1], v_hat[i + 1], log_scale[i + 1] = psi, v, ls
+    rescale = np.exp(log_scale - log_scale[-1]) / psi_hat[-1]
+    return psi_hat * rescale, v_hat * rescale
+
+
+@pytest.mark.parametrize("name, c, p, rho, R, n", [
+    ("euclid3", euclid_self(3), 2.0, 1.0, 2.0, 1000),
+    ("hyperbolic2", Constellation.self_model(ModelSpace.hyperbolic(2)), 2.0, 1.0, 3.0, 1000),
+    ("lower", Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
+                                           h="0.15/(1 + r)"), 2.5, 0.8, 3.0, 1000),
+    ("blowup_e2r", Constellation.from_functions(2, 2, "exp(r)", h="2", lam="2",
+                                                tangency=Tangency.UPPER), 3.0, 1.0, 4.0, 4000),
+    # psi' grows by e^626 over [1, 8]: the loop renormalizes past 1e100
+    ("blowup_h60", Constellation.from_functions(2, 2, "exp(r)", h="60", lam="60",
+                                                tangency=Tangency.UPPER), 3.0, 1.0, 8.0, 1000),
+])
+def test_ode_matches_per_step_rk4(name, c, p, rho, R, n):
+    ode = solve_dirichlet_ode(c, p, rho, R, step_count=n)
+    psi, dpsi = rk4_loop(c, p, rho, R, n)
+    assert np.max(np.abs(ode.psi - psi)) <= 1e-12
+    # psi' spans up to e^626 here, so it is compared on the scale of its
+    # peak; far below the peak log|psi'| carries the rounding of a cumsum
+    assert np.max(np.abs(ode.dpsi - dpsi)) <= 1e-12 * np.max(np.abs(dpsi))
+    assert ode.psi[0] == 0.0 and ode.psi[-1] == 1.0
+    assert np.all(np.isfinite(ode.dpsi))
+
+
+def test_ode_boundary_values_exact():
+    for c, p, rho, R in [(euclid_self(4), 3.5, 0.7, 2.9), (zero_balance_constellation(), 3.0, 1.0, 2.0),
+                         (Constellation.from_functions(3, 3, "sinh(r)", h="1/(1+r^2)"), 2.5, 0.5, 5.0)]:
+        ode = solve_dirichlet_ode(c, p, rho, R, step_count=777)
+        assert ode.psi[0] == 0.0
+        assert ode.psi[-1] == 1.0
+
+
+def test_ode_rejects_nonfinite_drift():
+    # g = r - 1.5 vanishes at the node r = 1.5, where c(r) = balance/((p-1) g^2)
+    # is infinite: an error there, not a profile of NaN
+    c = Constellation.from_functions(3, 2, "r", g="r - 1.5", h="0.1", tangency=Tangency.LOWER)
+    with pytest.raises(DomainError, match="drift coefficient is not finite") as exc:
+        solve_dirichlet_ode(c, 3.0, 1.0, 2.0)
+    assert exc.value.r == 1.5
+    with pytest.raises(DomainError):
+        solve_dirichlet_closed(c, 3.0, 1.0, 2.0)
+
+
+def test_vanishing_warping_reports_its_radius():
+    c = Constellation.from_functions(2, 2, "r - 1.5", tangency=Tangency.UPPER)
+    with pytest.raises(DomainError, match="warping function vanishes") as exc:
+        solve_dirichlet_ode(c, 3.0, 1.0, 2.0)
+    assert exc.value.r == 1.5
+    assert isinstance(exc.value.r, float)
 
 
 def test_monotone_profile_and_derivative_nonnegative():

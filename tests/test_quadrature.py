@@ -176,6 +176,22 @@ def test_log_borderline_is_undetermined():
     assert tc.kind == "undetermined"
 
 
+@pytest.mark.parametrize("k_max", [0, 1, 2])
+def test_short_ladder_is_undetermined(k_max):
+    # fewer than 3 doublings give fewer than the two increment ratios the
+    # final tests compare; with k_max = 2 the ratio used to wrap around
+    tc = classify_tail(lambda t: 1.0 / t, 1.0, TailConfig(k_max=k_max))
+    assert tc.kind == "undetermined"
+    assert tc.detail.startswith("ladder too short")
+    assert len(tc.partial_integrals) == k_max
+
+
+def test_three_doublings_suffice_for_the_ratio_test():
+    tc = classify_tail(lambda t: 1.0 / t, 1.0, TailConfig(k_max=3))
+    assert tc.is_divergent
+    assert "increments" in tc.detail
+
+
 def test_scale_invariance_of_kind():
     for alpha in (-2.0, -1.0, -0.5):
         base = classify_tail(lambda t: t ** alpha, 1.0)

@@ -27,7 +27,7 @@ from .dirichlet import (
     capacity_upper_bound, drifted_capacity, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
-from .errors import ConfigError, DomainError, ParseError, QuadratureError, RadialCapError
+from .errors import ConfigError, ParseError, RadialCapError
 from .expr import parse
 from .model import exact_annulus_p_capacity, sphere_volume
 from .quadrature import TailConfig
@@ -94,19 +94,6 @@ def _classify_config(args) -> ClassifyConfig:
                           weight_rel_tol=args.rel_tol)
 
 
-def _settings_dict(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
-
-
-def _emit(args, document: dict, human_lines) -> None:
-    if getattr(args, "json", False):
-        json.dump(document, sys.stdout, indent=2, default=_json_default)
-        sys.stdout.write("\n")
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _write_csv(args, header, rows) -> None:
     """CSV to the ``--out`` file, else to stdout unless ``--json`` is given."""
     if args.out is None and args.json:
@@ -128,21 +115,14 @@ def _json_default(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    t0 = time.monotonic()
-    c = load_config(args.config)
-    cfg = _classify_config(args)
-    verdict = classify(c, args.p, args.rho, cfg)
-    settings = _settings_dict(args, ("p", "rho", "horizon", "grid_points",
-                                     "conv_eps", "exp_band", "rel_tol"))
-    doc = {
-        "command": "classify",
-        "inputs": {"config": args.config, "settings": settings},
-        "outcome": {"verdict": verdict.outcome, "by": verdict.by,
-                    "reason": verdict.reason.to_dict() if verdict.reason else None},
-        "evidence": verdict.to_dict(),
-        "timings": {"total_s": time.monotonic() - t0},
-    }
+# Each command takes the parsed flags and the loaded constellation and returns
+# its outcome, its evidence, its human-readable lines and its exit code.
+# Commands that print a CSV table return no lines.
+
+def cmd_classify(args, c: Constellation) -> tuple:
+    verdict = classify(c, args.p, args.rho, _classify_config(args))
+    outcome = {"verdict": verdict.outcome, "by": verdict.by,
+               "reason": verdict.reason.to_dict() if verdict.reason else None}
     lines = [f"verdict: {verdict.summary()}"]
     if verdict.balance is not None:
         b = verdict.balance.to_dict()
@@ -160,16 +140,12 @@ def cmd_classify(args) -> int:
                      f"{verdict.certified_interval[1]:.5g}]")
     for warning in verdict.warnings:
         lines.append(f"warning: {warning}")
-    lines.append("settings: " + " ".join(f"{k}={v}" for k, v in settings.items()))
-    _emit(args, doc, lines)
-    return EXIT_OK if verdict.is_parabolic else EXIT_INCONCLUSIVE
+    return (outcome, verdict.to_dict(), lines,
+            EXIT_OK if verdict.is_parabolic else EXIT_INCONCLUSIVE)
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
-    c = load_config(args.config)
-    cfg = _classify_config(args)
-    rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, cfg)
+def cmd_sweep(args, c: Constellation) -> tuple:
+    rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:
         table.append({
@@ -184,57 +160,33 @@ def cmd_sweep(args) -> int:
          "" if row["alpha_hat"] is None else f"{row['alpha_hat']:.6f}",
          "" if row["cap_at_horizon"] is None else f"{row['cap_at_horizon']:.12g}"]
         for row in table])
-    settings = _settings_dict(args, ("p_from", "p_to", "p_step", "rho", "horizon",
-                                     "grid_points", "conv_eps", "exp_band", "rel_tol"))
-    doc = {
-        "command": "sweep",
-        "inputs": {"config": args.config, "settings": settings},
-        "outcome": {"rows": table},
-        "evidence": {"row_count": len(table)},
-        "timings": {"total_s": time.monotonic() - t0},
-    }
-    _emit(args, doc, [])
-    return EXIT_OK
+    return {"rows": table}, {"row_count": len(table)}, [], EXIT_OK
 
 
-def cmd_capacity(args) -> int:
-    t0 = time.monotonic()
-    c = load_config(args.config)
-    if args.flux is not None and args.flux <= 0:
+def cmd_capacity(args, c: Constellation) -> tuple:
+    if args.flux <= 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
-    flux = args.flux if args.flux is not None else 1.0
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     bound = capacity_upper_bound(c, args.p, args.rho, args.R,
-                                 boundary_flux=flux, rel_tol=args.rel_tol)
+                                 boundary_flux=args.flux, rel_tol=args.rel_tol)
     exact = None
     if c.is_self_model():
         exact = exact_annulus_p_capacity(c.model, args.rho, args.R, args.p)
-    settings = _settings_dict(args, ("p", "rho", "R", "rel_tol")) | {"flux": flux}
-    doc = {
-        "command": "capacity",
-        "inputs": {"config": args.config, "settings": settings},
-        "outcome": {"drifted_capacity": cap,
-                    "exact_model_capacity": exact,
-                    "submanifold_upper_bound": bound},
-        "evidence": {"sphere_volume": float(sphere_volume(c.model, args.rho)),
-                     "self_constellation": exact is not None},
-        "timings": {"total_s": time.monotonic() - t0},
-    }
+    outcome = {"drifted_capacity": cap, "exact_model_capacity": exact,
+               "submanifold_upper_bound": bound}
+    evidence = {"sphere_volume": float(sphere_volume(c.model, args.rho)),
+                "self_constellation": exact is not None}
     lines = [f"drifted capacity Cap_L(annulus {args.rho:g}..{args.R:g}) = {cap:.10g}"]
     if exact is not None:
         lines.append(f"exact model p-capacity (self-constellation) = {exact:.10g}")
         lines.append(f"relative difference at p=2 collapse: "
                      f"{abs(cap - exact) / exact:.3e}" if args.p == 2 else
                      f"(direct equality only holds at p=2; chain bound below)")
-    lines.append(f"submanifold capacity upper bound (flux={flux:g}) = {bound:.10g}")
-    lines.append("settings: " + " ".join(f"{k}={v}" for k, v in settings.items()))
-    _emit(args, doc, lines)
-    return EXIT_OK
+    lines.append(f"submanifold capacity upper bound (flux={args.flux:g}) = {bound:.10g}")
+    return outcome, evidence, lines, EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    t0 = time.monotonic()
-    c = load_config(args.config)
+def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
     if k < 2:
         raise ConfigError("--samples must be at least 2")
@@ -249,23 +201,12 @@ def cmd_solve(args) -> int:
     _write_csv(args, ["r", "psi_closed", "psi_ode", "residual"],
                [[f"{r:.12g}", f"{pc:.12g}", f"{po:.12g}", f"{residual:.6g}"]
                 for r, pc, po in zip(rs, psi_closed, psi_ode)])
-    settings = _settings_dict(args, ("p", "rho", "R", "samples", "rel_tol"))
-    doc = {
-        "command": "solve",
-        "inputs": {"config": args.config, "settings": settings},
-        "outcome": {"max_abs_diff": float(np.max(np.abs(psi_closed - psi_ode))),
-                    "operator_residual": residual,
-                    "normalizer": sol.normalizer},
-        "evidence": {"samples": int(k)},
-        "timings": {"total_s": time.monotonic() - t0},
-    }
-    _emit(args, doc, [])
-    return EXIT_OK
+    outcome = {"max_abs_diff": float(np.max(np.abs(psi_closed - psi_ode))),
+               "operator_residual": residual, "normalizer": sol.normalizer}
+    return outcome, {"samples": int(k)}, [], EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.monotonic()
-    c = load_config(args.config)
+def cmd_simulate(args, c: Constellation) -> tuple:
     cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
                           r_inner=args.rin, r_outer=args.rout,
                           max_time=args.max_time)
@@ -273,25 +214,15 @@ def cmd_simulate(args) -> int:
     exact = None
     if c.is_self_model():
         exact = exact_hitting_prob(c.model, args.r0, args.rin, args.rout)
-    settings = _settings_dict(args, ("r0", "rin", "rout", "paths", "dt", "seed",
-                                     "max_time"))
-    doc = {
-        "command": "simulate",
-        "inputs": {"config": args.config, "settings": settings},
-        "outcome": stats.to_dict() | {"exact_hitting_prob": exact},
-        "evidence": {"self_constellation": exact is not None,
-                     "deviation_sigma": None if exact is None or stats.stderr == 0
-                     else (stats.p_inner - exact) / stats.stderr},
-        "timings": {"total_s": time.monotonic() - t0},
-    }
+    evidence = {"self_constellation": exact is not None,
+                "deviation_sigma": None if exact is None or stats.stderr == 0
+                else (stats.p_inner - exact) / stats.stderr}
     lines = [f"p_inner = {stats.p_inner:.6f} +- {stats.stderr:.6f} "
              f"(paths={stats.paths}, censored={stats.censored})"]
     if exact is not None:
         dev = "inf" if stats.stderr == 0 else f"{(stats.p_inner - exact) / stats.stderr:+.2f}"
         lines.append(f"exact hitting probability = {exact:.6f} (deviation {dev} sigma)")
-    lines.append("settings: " + " ".join(f"{k}={v}" for k, v in settings.items()))
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return stats.to_dict() | {"exact_hitting_prob": exact}, evidence, lines, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--flux", type=float, default=None,
-                   help="boundary flux of the tangency power (default 1.0)")
     p.add_argument("--rel-tol", type=float, default=1e-11)
+    p.add_argument("--flux", type=float, default=1.0,
+                   help="boundary flux of the tangency power (default 1.0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_capacity)
 
@@ -374,17 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        t0 = time.monotonic()
+        outcome, evidence, lines, code = args.fn(args, load_config(args.config))
+        # every flag but the output switches, in the order the parser declares them
+        settings = {key: value for key, value in vars(args).items()
+                    if key not in ("command", "config", "out", "json", "fn")}
+        if args.json:
+            json.dump({"command": args.command,
+                       "inputs": {"config": args.config, "settings": settings},
+                       "outcome": outcome, "evidence": evidence,
+                       "timings": {"total_s": time.monotonic() - t0}},
+                      sys.stdout, indent=2, default=_json_default)
+            sys.stdout.write("\n")
+        elif lines:
+            for line in lines:
+                print(line)
+            print("settings: " + " ".join(f"{k}={v}" for k, v in settings.items()))
+        return code
     except (ConfigError, ParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, QuadratureError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RadialCapError as exc:
+    except (RadialCapError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

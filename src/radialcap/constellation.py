@@ -264,11 +264,7 @@ class WeightFunction:
         value, _ = _balance_terms(c, self.p, t, eta=self._g0 is None)
         if self._g0 is not None:
             return value / ((self.p - 1.0) * self._g0 * self._g0)
-        gv = np.asarray(evaluate(c.g, t))
-        if np.any(gv < _G_FLOOR):
-            bad = np.asarray(gv < _G_FLOOR)
-            r_bad = t if np.ndim(t) == 0 else np.asarray(t)[np.argmax(bad)]
-            raise DomainError(f"tangency bound g below {_G_FLOOR:g}", float(r_bad))
+        gv = _tangency_bound(c, t)
         return value / ((self.p - 1.0) * gv * gv)
 
     def _log_ratio(self, r, wv):
@@ -295,6 +291,17 @@ class WeightFunction:
     def __call__(self, r):
         wv = evaluate(self.constellation.model.w, r)
         return wv * np.exp(-self.inner_integral(r, wv))
+
+
+def _tangency_bound(c: Constellation, t) -> np.ndarray:
+    """g(t), the divisor of the balance in the weight and the drift; raises
+    :class:`DomainError` at the first t where g drops below the floor 1e-8."""
+    gv = np.asarray(evaluate(c.g, t))
+    bad = gv < _G_FLOOR
+    if np.any(bad):
+        r_bad = np.ravel(t)[np.argmax(bad)]
+        raise DomainError(f"tangency bound g below {_G_FLOOR:g}", float(r_bad))
+    return gv
 
 
 def _check_warping(wv, sign, r):

@@ -11,17 +11,27 @@ sufficient only: the engine never claims hyperbolicity, it answers
 Hypotheses are certified numerically on a geometric grid from
 ``min(rho, 1e-3)`` out to the tail horizon plus the tail-fit window, not on
 all of ``(0, infinity)``; every verdict carries the certified interval.
+
+All three criteria run one pipeline: the p >= 2 guard, the certified
+horizon, the model warnings, then the criterion's ordered stages (sandwich,
+balance sign, the monotone comparisons, bounded warping, tail).  Each stage
+adds one ``(name, passed, detail)`` row to ``Verdict.checks`` and the first
+that fails ends the run with its reason::
+
+    classify(Constellation.from_functions(3, 3, "r"), 3.0, 1.0).checks
+    # (('balance_non_negative', True, 'certified on grid'),
+    #  ('weight_integral_diverges', True, 'per-doubling increments non-decreasing'))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .constellation import (
-    BalanceProfile, Constellation, Tangency, _balance_terms, balance_sign,
+    BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, balance_sign,
     weight_function,
 )
 from .dirichlet import drifted_capacity
@@ -45,6 +55,9 @@ THEOREM_LOWER = "theorem_lower_tangency"
 THEOREM_UPPER = "theorem_upper_tangency"
 COR_BOUNDED_W = "corollary_bounded_warping"
 COR_MONOTONE = "corollary_monotone_in_p"
+
+# sweep rows take the drifted capacity out to rho * 2**10 at most
+SWEEP_CAP_DOUBLINGS = 10
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,142 @@ def _balance_violations(prof: BalanceProfile, want: str) -> tuple:
     return tuple(float(r) for r in prof.rs[bad][:5])
 
 
+# ---------------------------------------------------------------------------
+# the staged pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Run:
+    """What the stages of one criterion share: the exponent q the
+    hypotheses are certified at (p except in the monotone corollary), the
+    certified interval, the capped tail settings and the evidence so far."""
+
+    c: Constellation
+    q: float
+    rho: float
+    cfg: ClassifyConfig
+    interval: tuple
+    tail_cfg: TailConfig
+    balance: Optional[BalanceProfile] = None
+    tail: Optional[TailClass] = None
+    _weight: Optional[WeightFunction] = None
+
+    def weight(self) -> WeightFunction:
+        """The q-weight, built on first use and then shared."""
+        if self._weight is None:
+            self._weight = weight_function(self.c, self.q, self.rho,
+                                           rel_tol=self.cfg.weight_rel_tol)
+        return self._weight
+
+
+def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig],
+            by: str, stages: list, q: Optional[float] = None) -> Verdict:
+    """Run a criterion: certify the horizon at q (default p), then each
+    ``(stage, *args)`` of ``stages`` in order.  ``stage(run, *args)``
+    returns its check row's name and detail plus the reason the criterion
+    stops there, or None to go on; when every stage passes the verdict is
+    ``p_parabolic`` ``by`` the given result."""
+    cfg = cfg or ClassifyConfig()
+    letter, q = ("p", p) if q is None else ("q", q)
+    if q < 2:
+        return Verdict("inconclusive", p=p, rho=rho,
+                       reason=InconclusiveReason("p_below_2",
+                                                 message=f"criteria assume {letter} >= 2"))
+    hi, k_cert, horizon_warnings = _certified_horizon(c, q, rho, cfg)
+    warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
+    run = _Run(c, q, rho, cfg, interval=(cfg.lo(rho), hi),
+               tail_cfg=replace(cfg.tail, k_max=min(cfg.tail.k_max, k_cert)))
+    checks, reason = [], None
+    for stage, *args in stages:
+        name, detail, reason = stage(run, *args)
+        checks.append((name, reason is None, detail))
+        if reason is not None:
+            break
+    return Verdict("inconclusive" if reason else "p_parabolic", p=p, rho=rho,
+                   by=None if reason else by, reason=reason, balance=run.balance,
+                   tail=run.tail, certified_interval=run.interval, warnings=warnings,
+                   checks=tuple(checks))
+
+
+def _balance_stage(run: _Run, name: str, want: str, message: str) -> tuple:
+    """The balance at q is ``want`` ("non_negative" or "non_positive") on
+    the certified grid."""
+    prof = run.balance = balance_sign(run.c, run.q, run.interval, run.cfg.grid_points)
+    if getattr(prof, f"is_{want}"):
+        return name, "certified on grid", None
+    return name, message, InconclusiveReason(
+        "balance_fails", message=message, witnesses=_balance_violations(prof, want))
+
+
+def _tail_stage(run: _Run, name: str, convergent: str, undetermined: Callable) -> tuple:
+    """The q-weight integral diverges; ``undetermined`` words the reason
+    from the tail's detail."""
+    tail = run.tail = classify_tail(run.weight(), run.rho, run.tail_cfg)
+    if tail.is_divergent:
+        return name, tail.detail, None
+    if tail.is_convergent:
+        reason = InconclusiveReason("tail_convergent", value=tail.value, message=convergent)
+    else:
+        reason = InconclusiveReason("tail_undetermined", message=undetermined(tail.detail))
+    return name, tail.detail, reason
+
+
+def _warping_stage(run: _Run, r0: float, lower_const: float) -> tuple:
+    """w >= lower_const on [r0, horizon]."""
+    top = max(run.interval[1], 2.0 * r0)
+    grid = np.geomspace(r0, top, 1024)
+    wv = np.asarray(evaluate(run.c.model.w, grid))
+    low = wv >= lower_const
+    if np.all(low):
+        return "warping_bounded_below", f"w >= {lower_const:g} on [{r0:g}, {top:.3g}]", None
+    i = int(np.argmax(~low))
+    message = f"warping drops below {lower_const:g} (w({grid[i]:.6g}) = {wv[i]:.6g})"
+    return "warping_bounded_below", message, InconclusiveReason(
+        "balance_fails", message=message, witnesses=(float(grid[i]),))
+
+
+def _sandwich_stage(run: _Run) -> tuple:
+    """h <= w'/w <= lam on the certified grid."""
+    rs = np.geomspace(run.interval[0], run.interval[1], run.cfg.grid_points)
+    jw = eval_jet2(run.c.model.w, rs)
+    et = np.asarray(jw.d1 / jw.value)
+    hv = np.asarray(evaluate(run.c.h, rs))
+    lv = np.asarray(evaluate(run.c.lam, rs))
+    tol = 1e-12 * np.maximum(1.0, np.abs(et) + np.abs(hv) + np.abs(lv))
+    ok = (hv <= et + tol) & (et <= lv + tol)
+    detail = "h <= w'/w <= lam on certified grid"
+    if np.all(ok):
+        return "sandwich_h_eta_lam", detail, None
+    return "sandwich_h_eta_lam", detail, InconclusiveReason(
+        "balance_fails", message="sandwich h <= w'/w <= lam fails on the grid",
+        witnesses=tuple(float(r) for r in rs[~ok][:5]))
+
+
+def _balance_monotone_stage(run: _Run, p: float) -> tuple:
+    """Proof-level comparison, asserted: balance_p <= balance_q pointwise."""
+    prof_q = run.balance
+    prof_p = balance_sign(run.c, p, run.interval, run.cfg.grid_points)
+    mono_tol = 1e-10 * np.maximum(1.0, np.abs(prof_q.values))
+    if not np.all(prof_p.values <= prof_q.values + mono_tol):
+        raise RadialCapError("internal assertion failed: balance not monotone in p")
+    return "balance_monotone_p_vs_q", "pointwise on grid", None
+
+
+def _weight_monotone_stage(run: _Run, p: float) -> tuple:
+    """Proof-level comparison, asserted: the p-weight integral dominates the
+    q-weight integral at 8 and 64 times rho."""
+    rel_tol = run.cfg.weight_rel_tol
+    weight_q = run.weight()
+    weight_p = weight_function(run.c, p, run.rho, rel_tol=rel_tol)
+    prim_q = CumulativeCache(weight_q, run.rho, rel_tol=rel_tol)
+    prim_p = CumulativeCache(weight_p, run.rho, rel_tol=rel_tol)
+    for k in (3, 6):
+        horizon_k = run.rho * 2.0 ** k
+        if prim_p(horizon_k) < prim_q(horizon_k) * (1.0 - 1e-9):
+            raise RadialCapError("internal assertion failed: weight integral not monotone in p")
+    return "weight_integral_monotone", "finite horizons 8x and 64x rho", None
+
+
 def classify(c: Constellation, p: float, rho: float,
              cfg: Optional[ClassifyConfig] = None) -> Verdict:
     """Apply the tangency-matching main criterion at exponent p.
@@ -186,44 +335,14 @@ def classify(c: Constellation, p: float, rho: float,
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    cfg = cfg or ClassifyConfig()
-    if p < 2:
-        return Verdict("inconclusive", p=p, rho=rho,
-                       reason=InconclusiveReason(
-                           "p_below_2", message="criteria assume p >= 2"))
-    hi, k_cert, horizon_warnings = _certified_horizon(c, p, rho, cfg)
-    warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
-    interval = (cfg.lo(rho), hi)
-    tail_cfg = replace(cfg.tail, k_max=min(cfg.tail.k_max, k_cert))
-    prof = balance_sign(c, p, interval, cfg.grid_points)
-
-    if c.tangency is Tangency.LOWER:
-        needed, by = "non_negative", THEOREM_LOWER
-        ok = prof.is_non_negative
-    else:
-        needed, by = "non_positive", THEOREM_UPPER
-        ok = prof.is_non_positive
-    if not ok:
-        return Verdict("inconclusive", p=p, rho=rho, balance=prof,
-                       certified_interval=interval, warnings=warnings,
-                       reason=InconclusiveReason(
-                           "balance_fails",
-                           message=f"balance is not {needed} on the certified grid",
-                           witnesses=_balance_violations(prof, needed)))
-
-    weight = weight_function(c, p, rho, rel_tol=cfg.weight_rel_tol)
-    tail = classify_tail(weight, rho, tail_cfg)
-    if tail.is_divergent:
-        return Verdict("p_parabolic", p=p, rho=rho, by=by, balance=prof, tail=tail,
-                       certified_interval=interval, warnings=warnings)
-    if tail.is_convergent:
-        reason = InconclusiveReason("tail_convergent", value=tail.value,
-                                    message="weight integral converges; criterion silent")
-    else:
-        reason = InconclusiveReason("tail_undetermined",
-                                    message=f"tail undetermined ({tail.detail}); not guessed")
-    return Verdict("inconclusive", p=p, rho=rho, balance=prof, tail=tail,
-                   certified_interval=interval, warnings=warnings, reason=reason)
+    lower = c.tangency is Tangency.LOWER
+    want = "non_negative" if lower else "non_positive"
+    return _decide(c, p, rho, cfg, THEOREM_LOWER if lower else THEOREM_UPPER, [
+        (_balance_stage, f"balance_{want}", want,
+         f"balance is not {want} on the certified grid"),
+        (_tail_stage, "weight_integral_diverges", "weight integral converges; criterion silent",
+         lambda detail: f"tail undetermined ({detail}); not guessed"),
+    ])
 
 
 def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
@@ -238,42 +357,11 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
         raise ValueError("lower_const must be positive")
     if rho <= 0 or r0 <= 0:
         raise ValueError("rho and r0 must be positive")
-    cfg = cfg or ClassifyConfig()
-    if p < 2:
-        return Verdict("inconclusive", p=p, rho=rho,
-                       reason=InconclusiveReason("p_below_2",
-                                                 message="criteria assume p >= 2"))
-    hi, _, horizon_warnings = _certified_horizon(c, p, rho, cfg)
-    warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
-    interval = (cfg.lo(rho), hi)
-    prof = balance_sign(c, p, interval, cfg.grid_points)
-    checks = []
-    if not prof.is_non_positive:
-        return Verdict("inconclusive", p=p, rho=rho, balance=prof,
-                       certified_interval=interval, warnings=warnings,
-                       reason=InconclusiveReason(
-                           "balance_fails",
-                           message="balance is not non-positive on the certified grid",
-                           witnesses=_balance_violations(prof, "non_positive")))
-    checks.append(("balance_non_positive", True, "certified on grid"))
-
-    grid = np.geomspace(r0, max(hi, 2.0 * r0), 1024)
-    wv = np.asarray(evaluate(c.model.w, grid))
-    low = wv >= lower_const
-    if not np.all(low):
-        i = int(np.argmax(~low))
-        return Verdict("inconclusive", p=p, rho=rho, balance=prof,
-                       certified_interval=interval, warnings=warnings,
-                       checks=tuple(checks),
-                       reason=InconclusiveReason(
-                           "balance_fails",
-                           message=f"warping drops below {lower_const:g} "
-                                   f"(w({grid[i]:.6g}) = {wv[i]:.6g})",
-                           witnesses=(float(grid[i]),)))
-    checks.append(("warping_bounded_below", True,
-                   f"w >= {lower_const:g} on [{r0:g}, {max(hi, 2.0 * r0):.3g}]"))
-    return Verdict("p_parabolic", p=p, rho=rho, by=COR_BOUNDED_W, balance=prof,
-                   certified_interval=interval, warnings=warnings, checks=tuple(checks))
+    return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
+        (_balance_stage, "balance_non_positive", "non_positive",
+         "balance is not non-positive on the certified grid"),
+        (_warping_stage, r0, lower_const),
+    ])
 
 
 def classify_monotone(c: Constellation, q: float, p: float, rho: float,
@@ -290,78 +378,15 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
         raise ValueError(f"need q <= p, got q={q}, p={p}")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    cfg = cfg or ClassifyConfig()
-    if q < 2:
-        return Verdict("inconclusive", p=p, rho=rho,
-                       reason=InconclusiveReason("p_below_2",
-                                                 message="criteria assume q >= 2"))
-    hi, k_cert, horizon_warnings = _certified_horizon(c, q, rho, cfg)
-    warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
-    interval = (cfg.lo(rho), hi)
-    tail_cfg = replace(cfg.tail, k_max=min(cfg.tail.k_max, k_cert))
-    rs = np.geomspace(interval[0], interval[1], cfg.grid_points)
-    jw = eval_jet2(c.model.w, rs)
-    et = np.asarray(jw.d1 / jw.value)
-    hv = np.asarray(evaluate(c.h, rs))
-    lv = np.asarray(evaluate(c.lam, rs))
-    tol = 1e-12 * np.maximum(1.0, np.abs(et) + np.abs(hv) + np.abs(lv))
-    sandwich_ok = np.all(hv <= et + tol) and np.all(et <= lv + tol)
-    checks = [("sandwich_h_eta_lam", bool(sandwich_ok),
-               "h <= w'/w <= lam on certified grid")]
-    if not sandwich_ok:
-        bad = ~((hv <= et + tol) & (et <= lv + tol))
-        return Verdict("inconclusive", p=p, rho=rho, certified_interval=interval,
-                       warnings=warnings, checks=tuple(checks),
-                       reason=InconclusiveReason(
-                           "balance_fails",
-                           message="sandwich h <= w'/w <= lam fails on the grid",
-                           witnesses=tuple(float(r) for r in rs[bad][:5])))
-
-    prof_q = balance_sign(c, q, interval, cfg.grid_points)
-    if not prof_q.is_non_positive:
-        return Verdict("inconclusive", p=p, rho=rho, balance=prof_q,
-                       certified_interval=interval, warnings=warnings,
-                       checks=tuple(checks),
-                       reason=InconclusiveReason(
-                           "balance_fails",
-                           message=f"balance at q={q} is not non-positive",
-                           witnesses=_balance_violations(prof_q, "non_positive")))
-    checks.append((f"balance_non_positive_at_q={q:g}", True, "certified on grid"))
-
-    # proof-level comparisons, asserted numerically
-    prof_p = balance_sign(c, p, interval, cfg.grid_points)
-    mono_tol = 1e-10 * np.maximum(1.0, np.abs(prof_q.values))
-    if not np.all(prof_p.values <= prof_q.values + mono_tol):
-        raise RadialCapError("internal assertion failed: balance not monotone in p")
-    checks.append(("balance_monotone_p_vs_q", True, "pointwise on grid"))
-
-    weight_q = weight_function(c, q, rho, rel_tol=cfg.weight_rel_tol)
-    if p > q:
-        weight_p = weight_function(c, p, rho, rel_tol=cfg.weight_rel_tol)
-        prim_q = CumulativeCache(weight_q, rho, rel_tol=cfg.weight_rel_tol)
-        prim_p = CumulativeCache(weight_p, rho, rel_tol=cfg.weight_rel_tol)
-        for k in (3, 6):
-            horizon_k = rho * 2.0 ** k
-            if prim_p(horizon_k) < prim_q(horizon_k) * (1.0 - 1e-9):
-                raise RadialCapError(
-                    "internal assertion failed: weight integral not monotone in p")
-        checks.append(("weight_integral_monotone", True,
-                       "finite horizons 8x and 64x rho"))
-
-    tail = classify_tail(weight_q, rho, tail_cfg)
-    if tail.is_divergent:
-        return Verdict("p_parabolic", p=p, rho=rho, by=COR_MONOTONE, balance=prof_q,
-                       tail=tail, certified_interval=interval, warnings=warnings,
-                       checks=tuple(checks))
-    if tail.is_convergent:
-        reason = InconclusiveReason("tail_convergent", value=tail.value,
-                                    message=f"q={q} weight integral converges")
-    else:
-        reason = InconclusiveReason("tail_undetermined",
-                                    message=f"q={q} weight tail undetermined ({tail.detail})")
-    return Verdict("inconclusive", p=p, rho=rho, balance=prof_q, tail=tail,
-                   certified_interval=interval, warnings=warnings,
-                   checks=tuple(checks), reason=reason)
+    return _decide(c, p, rho, cfg, COR_MONOTONE, [
+        (_sandwich_stage,),
+        (_balance_stage, f"balance_non_positive_at_q={q:g}", "non_positive",
+         f"balance at q={q} is not non-positive"),
+        (_balance_monotone_stage, p),
+        *([(_weight_monotone_stage, p)] if p > q else []),
+        (_tail_stage, f"weight_integral_diverges_at_q={q:g}", f"q={q} weight integral converges",
+         lambda detail: f"q={q} weight tail undetermined ({detail})"),
+    ], q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,7 @@ class SweepRow:
 
 
 def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: float,
-          cfg: Optional[ClassifyConfig] = None, cap_horizon_doublings: int = 10) -> list:
+          cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
     failures recorded per row without aborting the sweep."""
     if p_step <= 0:
@@ -392,7 +417,7 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
     cfg = cfg or ClassifyConfig()
     ps = [round(p_from + i * p_step, 12)
           for i in range(int(np.floor((p_to - p_from) / p_step + 1e-9)) + 1)]
-    r_cap = rho * 2.0 ** cap_horizon_doublings
+    r_cap = rho * 2.0 ** SWEEP_CAP_DOUBLINGS
 
     def run_one(p: float) -> SweepRow:
         try:

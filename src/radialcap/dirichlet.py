@@ -27,7 +27,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constellation import Constellation, Tangency, WeightFunction, _balance_terms, weight_function
+from .constellation import (
+    Constellation, Tangency, WeightFunction, _balance_terms, _tangency_bound, weight_function,
+)
 from .errors import DomainError, RadialCapError
 from .expr import eval_jet2
 from .model import sphere_volume
@@ -63,7 +65,7 @@ class DriftOperator:
         value, _ = _balance_terms(c, self.p, r, jw=jw)
         et = jw.d1 / jw.value
         if c.tangency is Tangency.LOWER:
-            gv = np.asarray(eval_jet2(c.g, r).value)
+            gv = _tangency_bound(c, r)
             return value / ((self.p - 1.0) * gv * gv) - et
         return value / (self.p - 1.0) - et
 

@@ -117,15 +117,40 @@ def test_classify_short_ladder_exit_10(tmp_path, capsys, rho):
     assert doc["evidence"]["tail"]["detail"].startswith("ladder too short")
 
 
-def test_classify_json_schema(capsys):
-    code = main(["classify", EUCLID3, "--p", "3", "--json"])
+# per subcommand: its flags and the settings they must echo, in flag order
+ENVELOPE_CASES = {
+    "classify": (["--p", "3", "--horizon", "30", "--exp-band", "0.04"],
+                 {"p": 3.0, "rho": 1.0, "horizon": 30, "grid_points": 512,
+                  "conv_eps": 1e-08, "exp_band": 0.04, "rel_tol": 1e-10}),
+    "sweep": (["--p-from", "2", "--p-to", "3", "--p-step", "1", "--grid-points", "256"],
+              {"p_from": 2.0, "p_to": 3.0, "p_step": 1.0, "rho": 1.0, "horizon": 40,
+               "grid_points": 256, "conv_eps": 1e-08, "exp_band": 0.05, "rel_tol": 1e-10}),
+    "capacity": (["--p", "2", "--R", "2", "--flux", "3"],
+                 {"p": 2.0, "rho": 1.0, "R": 2.0, "rel_tol": 1e-11, "flux": 3.0}),
+    "solve": (["--p", "2", "--R", "2", "--samples", "5", "--rho", "0.5"],
+              {"p": 2.0, "rho": 0.5, "R": 2.0, "samples": 5, "rel_tol": 1e-11}),
+    "simulate": (["--r0", "1", "--paths", "200", "--dt", "1e-3", "--seed", "9"],
+                 {"r0": 1.0, "rin": 0.5, "rout": 8.0, "paths": 200, "dt": 1e-3,
+                  "seed": 9, "max_time": 100.0}),
+}
+
+
+@pytest.mark.parametrize("command", list(ENVELOPE_CASES))
+def test_classify_json_schema(capsys, command):
+    flags, settings = ENVELOPE_CASES[command]
+    code = main([command, EUCLID3, *flags, "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert sorted(doc) == ["command", "evidence", "inputs", "outcome", "timings"]
-    assert doc["command"] == "classify"
-    assert doc["outcome"]["verdict"] == "p_parabolic"
-    assert doc["evidence"]["tail"]["kind"] == "divergent"
+    assert doc["command"] == command
+    assert doc["inputs"] == {"config": EUCLID3, "settings": settings}
+    assert list(doc["inputs"]["settings"]) == list(settings)
     assert "total_s" in doc["timings"]
+    if command == "classify":
+        assert doc["outcome"]["verdict"] == "p_parabolic"
+        assert doc["evidence"]["tail"]["kind"] == "divergent"
+        assert [c["name"] for c in doc["evidence"]["checks"]] == [
+            "balance_non_negative", "weight_integral_diverges"]
 
 
 def test_classify_json_tail_ladder(capsys):

@@ -163,6 +163,69 @@ def test_monotone_degenerate_p_equals_q_matches_main_criterion():
     assert via_cor.outcome == via_main.outcome == "p_parabolic"
 
 
+def monotone_convergent():
+    """h = w'/w cancels the q = 2 balance, so the weight is w = r exp(-r),
+    whose integral converges."""
+    return Constellation.from_functions(2, 2, "r*exp(-r)", h="1/r - 1", lam="1/r",
+                                        tangency=Tangency.UPPER)
+
+
+# per criterion: a passing and a failing call, each with its check rows
+STAGE_CASES = {
+    "classify": (
+        (lambda: classify(euclid_self(3), 3.0, 1.0),
+         ["balance_non_negative", "weight_integral_diverges"]),
+        (lambda: classify(euclid_self(3, Tangency.UPPER), 3.0, 1.0),
+         ["balance_non_positive"])),
+    "bounded_w": (
+        (lambda: classify_bounded_w(cylinder_like(), 5.0, 1.0, 1.0, 0.5),
+         ["balance_non_positive", "warping_bounded_below"]),
+        (lambda: classify_bounded_w(Constellation.from_functions(
+            2, 2, "r*exp(-r)", h="1/r", lam="1/r", tangency=Tangency.UPPER), 3.0, 1.0, 1.0, 0.5),
+         ["balance_non_positive", "warping_bounded_below"])),
+    "monotone": (
+        (lambda: classify_monotone(coth_dominated(), 2.0, 3.0, 1.0),
+         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2", "balance_monotone_p_vs_q",
+          "weight_integral_monotone", "weight_integral_diverges_at_q=2"]),
+        (lambda: classify_monotone(monotone_convergent(), 2.0, 3.0, 1.0),
+         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2", "balance_monotone_p_vs_q",
+          "weight_integral_monotone", "weight_integral_diverges_at_q=2"])),
+}
+
+
+@pytest.mark.parametrize("criterion", list(STAGE_CASES))
+def test_checks_list_every_stage_that_ran(criterion):
+    (passing, pass_names), (failing, fail_names) = STAGE_CASES[criterion]
+    v = passing()
+    assert v.is_parabolic
+    assert [name for name, _, _ in v.checks] == pass_names
+    assert all(ok for _, ok, _ in v.checks)
+    v = failing()
+    assert not v.is_parabolic and v.reason.code in ("balance_fails", "tail_convergent")
+    assert [name for name, _, _ in v.checks] == fail_names
+    assert [ok for _, ok, _ in v.checks] == [True] * (len(fail_names) - 1) + [False]
+
+
+BELOW_2 = {
+    "classify": (lambda rho: classify(coth_dominated(), 1.5, rho), "p"),
+    "bounded_w": (lambda rho: classify_bounded_w(coth_dominated(), 1.5, rho, 1.0, 0.5), "p"),
+    "monotone": (lambda rho: classify_monotone(coth_dominated(), 1.5, 3.0, rho), "q"),
+}
+
+
+@pytest.mark.parametrize("criterion", list(BELOW_2))
+def test_criteria_share_the_p_below_2_verdict_and_rho_check(criterion):
+    decide, letter = BELOW_2[criterion]
+    v = decide(1.0)
+    assert (v.outcome, v.by, v.balance, v.tail, v.certified_interval, v.warnings,
+            v.checks) == ("inconclusive", None, None, None, None, (), ())
+    assert v.reason.to_dict() == {"code": "p_below_2", "message": f"criteria assume {letter} >= 2",
+                                  "witnesses": [], "value": None}
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rho"):
+            decide(rho)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

@@ -147,14 +147,27 @@ def test_ode_boundary_values_exact():
 
 
 def test_ode_rejects_nonfinite_drift():
-    # g = r - 1.5 vanishes at the node r = 1.5, where c(r) = balance/((p-1) g^2)
-    # is infinite: an error there, not a profile of NaN
-    c = Constellation.from_functions(3, 2, "r", g="r - 1.5", h="0.1", tangency=Tangency.LOWER)
+    # m h = 2 exp(r^3) overflows to inf between r = 8.914 and 8.921, so
+    # c(r) = balance/((p-1) g^2) is infinite there: an error at the first
+    # such node or midpoint, not a profile of NaN
+    c = Constellation.from_functions(3, 2, "r", h="exp(r^3)", tangency=Tangency.LOWER)
     with pytest.raises(DomainError, match="drift coefficient is not finite") as exc:
-        solve_dirichlet_ode(c, 3.0, 1.0, 2.0)
-    assert exc.value.r == 1.5
-    with pytest.raises(DomainError):
-        solve_dirichlet_closed(c, 3.0, 1.0, 2.0)
+        solve_dirichlet_ode(c, 3.0, 1.0, 10.0)
+    assert 8.914 < exc.value.r < 8.921
+
+
+def test_both_solvers_apply_the_tangency_floor():
+    # g = r - 1.5 is negative on [1, 1.4]: the closed form, the RK4 solve and
+    # the residual's drift all stop at the floor g >= 1e-8
+    c = Constellation.from_functions(3, 2, "r", g="r - 1.5", h="0.1", tangency=Tangency.LOWER)
+    floor = "tangency bound g below 1e-08"
+    with pytest.raises(DomainError, match=floor) as exc:
+        solve_dirichlet_ode(c, 3.0, 1.0, 1.4)
+    assert exc.value.r == 1.0
+    with pytest.raises(DomainError, match=floor):
+        solve_dirichlet_closed(c, 3.0, 1.0, 1.4)
+    with pytest.raises(DomainError, match=floor):
+        operator_residual(c, 3.0, 1.0, 1.4, lambda r: r - 1.0)
 
 
 def test_vanishing_warping_reports_its_radius():

@@ -156,8 +156,9 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
 
 
 def _certified_horizon(c: Constellation, p: float, rho: float,
-                       cfg: ClassifyConfig):
-    """Largest doubling radius at which the balance is still evaluable.
+                       cfg: ClassifyConfig, lam: bool):
+    """Largest doubling radius at which the balance, and lam too if ``lam``
+    is set, is still evaluable.
 
     Hyperbolic-type expressions overflow float range near r ~ 700 (inf/inf
     ratios); the hypothesis grid and the tail ladder are then capped there
@@ -168,7 +169,7 @@ def _certified_horizon(c: Constellation, p: float, rho: float,
         hi = rho * 2.0 ** k
         try:
             value, _ = _balance_terms(c, p, hi)
-            if np.isfinite(value):
+            if np.isfinite(value) and (not lam or np.isfinite(evaluate(c.lam, hi))):
                 warning = () if k == cfg.tail.k_max else (
                     f"balance evaluable only up to r={hi:.4g} "
                     f"(float overflow beyond); hypotheses certified there",)
@@ -224,12 +225,15 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     stops there, or None to go on; when every stage passes the verdict is
     ``p_parabolic`` ``by`` the given result."""
     cfg = cfg or ClassifyConfig()
-    letter, q = ("p", p) if q is None else ("q", q)
+    monotone = q is not None
+    letter, q = ("q", q) if monotone else ("p", p)
     if q < 2:
         return Verdict("inconclusive", p=p, rho=rho,
                        reason=InconclusiveReason("p_below_2",
                                                  message=f"criteria assume {letter} >= 2"))
-    hi, k_cert, horizon_warnings = _certified_horizon(c, q, rho, cfg)
+    # the monotone corollary's sandwich evaluates lam, which the balance at
+    # q = 2 leaves out
+    hi, k_cert, horizon_warnings = _certified_horizon(c, q, rho, cfg, lam=monotone)
     warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
     run = _Run(c, q, rho, cfg, interval=(cfg.lo(rho), hi),
                tail_cfg=replace(cfg.tail, k_max=min(cfg.tail.k_max, k_cert)))

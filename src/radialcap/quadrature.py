@@ -14,9 +14,9 @@ the primitive is one polynomial and a query costs no further quadrature.
 
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
-increments expose it.  One call of the integrand gives every doubling's
-probe and first GK15 panel; only doublings whose panel misses the tolerance
-(all of them, if that call raises) are integrated on their own.
+increments expose it.  It reads them off one :class:`CumulativeCache` of the
+integrand, queried at every doubling radius at once, or one doubling at a
+time if that query raises.
 """
 
 from __future__ import annotations
@@ -83,33 +83,25 @@ def _as_array_fn(f: Callable) -> Callable:
     return wrapper
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray):
-    """Half-widths of the intervals [lo_i, hi_i] and their 15 GK nodes, one row each."""
-    half = 0.5 * (hi - lo)
-    return half, 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
-
-
 def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """f at the 15 GK nodes of each [lo_i, hi_i]; returns (half-widths, values).
 
-    Raises QuadratureError (with ``nonfinite`` attribute set) at the first
-    non-finite value.
+    Raises QuadratureError at the first non-finite value.
     """
-    half, pts = _nodes(lo, hi)
+    half = 0.5 * (hi - lo)
+    pts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
-        err = QuadratureError(
+        raise QuadratureError(
             f"integrand not finite ({vals[i, j]!r} at t={pts[i, j]:.6g})",
             worst_interval=(float(lo[i]), float(hi[i]), math.inf))
-        err.nonfinite = True
-        err.nonfinite_value = float(vals[i, j]) if not np.isnan(vals[i, j]) else math.nan
-        raise err
     return half, vals
 
 
-def _gk(lo: np.ndarray, hi: np.ndarray, half: np.ndarray, vals: np.ndarray):
-    """GK15 on each [lo_i, hi_i] from its node values; returns (values, error estimates)."""
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
+    half, vals = _sample(f, lo, hi)
     kron = half * (vals @ _WK)
     gauss = half * (vals @ _WGAUSS)
     resabs = np.abs(half) * (np.abs(vals) @ _WK)
@@ -122,12 +114,6 @@ def _gk(lo: np.ndarray, hi: np.ndarray, half: np.ndarray, vals: np.ndarray):
                           raw)
     errs = np.maximum(scaled, 50.0 * _EPS * resabs)
     return kron, errs
-
-
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
-    half, vals = _sample(f, lo, hi)
-    return _gk(lo, hi, half, vals)
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
@@ -282,6 +268,14 @@ class CumulativeCache:
 # tail classification
 # ---------------------------------------------------------------------------
 
+# an integrand value past this stops the ladder as an overflow
+_BLOWUP = 1e250
+
+
+class _Overflow(Exception):
+    """The tail integrand is infinite or past ``_BLOWUP``."""
+
+
 @dataclass(frozen=True)
 class TailConfig:
     """Knobs of the doubling-horizon divergence classifier."""
@@ -291,7 +285,6 @@ class TailConfig:
     exp_band: float = 0.05
     rel_tol: float = 1e-9
     growth_factor: float = 1e12
-    blowup: float = 1e250
 
 
 @dataclass(frozen=True)
@@ -299,7 +292,11 @@ class TailClass:
     """Outcome of classifying ``integral(f, rho, infinity)``.
 
     kind is ``"divergent"``, ``"convergent"`` or ``"undetermined"``;
-    ``value``/``error`` are set for convergent tails.  Evidence carries the
+    ``value``/``error`` are set for convergent tails.  ``error`` is
+    ``rel_tol * I`` at the last partial integral I, the tolerance its mesh
+    is built to, plus the tail terms: the last increment after a Cauchy
+    stop, or a quarter of the geometric tail estimate plus 1e-6 of the last
+    increment after an exponent fit.  Evidence carries the
     partial integrals at doubling radii (``to_dict`` lists them as
     ``ladder``, pairs ``[R_k, I_k]``), the fitted tail exponent and the fit
     residual, plus a one-line account of which test decided.
@@ -352,35 +349,6 @@ def _fit_exponent(fv: Callable, rho: float, horizon: float):
     return float(slope), resid
 
 
-def _first_panels(fv: Callable, rho: float, cfg: TailConfig):
-    """Per doubling k = 1..k_max, from one call of fv: (probe values, first
-    GK15 panel's value and error, whether its nodes are finite and it meets
-    the tolerance on which :func:`integrate` stops at once); None if the
-    call raises."""
-    if cfg.k_max < 1:
-        return None
-    ks = np.arange(cfg.k_max)
-    lo = rho * 2.0 ** ks
-    hi = rho * 2.0 ** (ks + 1)
-    half, node_pts = _nodes(lo, hi)
-    probe_pts = np.geomspace(lo, hi, 7, axis=-1)    # bit-equal to one call per doubling
-    try:
-        with np.errstate(all="ignore"):
-            vals = fv(np.concatenate([probe_pts.ravel(), node_pts.ravel()]))
-    except Exception:
-        # the call reaches past where the ladder may stop, so its error need
-        # not be the ladder's; evaluated doubling by doubling, the ladder
-        # meets any real one where, and with the text that, it always did
-        return None
-    probe = vals[:probe_pts.size].reshape(probe_pts.shape)
-    node_vals = vals[probe_pts.size:].reshape(node_pts.shape)
-    with np.errstate(all="ignore"):
-        kron, err = _gk(lo, hi, half, node_vals)
-        accepted = np.isfinite(node_vals).all(axis=1) & (
-            err <= np.maximum(cfg.rel_tol * np.abs(kron), 1e-305))
-    return probe, kron, err, accepted
-
-
 def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> TailClass:
     """Classify ``integral(f, rho, infinity)`` for a nonnegative integrand.
 
@@ -396,56 +364,56 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     * undetermined in the ``|alpha_hat + 1| < exp_band`` borderline
       (e.g. ``1/(t*log(t))`` tails) -- never guessed.
 
-    Before the walk, one call of f covers the 7-point probe and the 15 GK
-    nodes of all ``k_max`` doublings.  The walk then tests each doubling in
-    turn: a probe with a NaN raises, one with an inf or a value past
-    ``blowup`` stops the ladder, and a first panel that meets ``rel_tol``
-    is the doubling's integral.  Other doublings run :func:`integrate`.  If
-    the one call raises (it reaches past where the walk may stop), every
-    doubling probes and integrates on its own, so an error surfaces at the
-    same doubling as in a walk that never looks ahead.
+    The partial integrals are read off one :class:`CumulativeCache` of f
+    based at rho, with ``max_growth=2`` so that its growth steps are the
+    doublings.  One query at every doubling radius meshes the whole ladder
+    at once; if it raises (it reaches past where the walk may stop), the
+    walk queries the same cache one doubling at a time, so an error
+    surfaces at the doubling where a walk that never looks ahead meets it.
+    A NaN of f raises there; an inf, or a value past ``1e250``, stops the
+    ladder as an overflow.
     """
     cfg = cfg or TailConfig()
     if rho <= 0:
         raise ValueError("rho must be positive")
     fv = _as_array_fn(f)
-    first = _first_panels(fv, rho, cfg)
-    horizons = [rho]
+    walking = [rho, 2.0 * rho]  # the doubling being walked, named by a NaN
+
+    def guarded(t):
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(t), dtype=float)
+        if np.isnan(vals).any():
+            lo_r, hi_r = walking
+            raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
+                                  worst_interval=(lo_r, hi_r, math.inf))
+        if np.any(vals > _BLOWUP) or np.isinf(vals).any():
+            raise _Overflow
+        return vals
+
+    prim = CumulativeCache(guarded, rho, rel_tol=cfg.rel_tol, max_growth=2.0)
+    radii = [rho * 2.0 ** k for k in range(cfg.k_max + 1)]
+    try:
+        ladder = prim(radii)
+    except Exception:
+        # the query reaches past where the walk may stop, so its error need
+        # not be the walk's; the failed extension left the cache empty
+        ladder = None
     partials = []          # (R_k, I_k)
     increments = []
     total = 0.0
-    quad_err = 0.0
-    overflow = False
     for k in range(1, cfg.k_max + 1):
-        lo_r = rho * 2.0 ** (k - 1)
-        hi_r = rho * 2.0 ** k
-        if first is not None:
-            probe, seg, seg_err, accepted = (a[k - 1] for a in first)
-        else:
-            with np.errstate(all="ignore"):
-                probe = fv(np.geomspace(lo_r, hi_r, 7))
-            accepted = False
-        if np.any(np.isnan(probe)):
-            raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
-                                  worst_interval=(lo_r, hi_r, math.inf))
-        if np.any(probe > cfg.blowup) or np.any(np.isinf(probe)):
-            overflow = True
-            break
-        if accepted:
-            seg, seg_err = float(seg), float(seg_err)
+        hi_r = radii[k]
+        walking[:] = radii[k - 1], hi_r
+        prev = total
+        if ladder is not None:
+            total = float(ladder[k])
         else:
             try:
-                seg, seg_err = integrate(fv, lo_r, hi_r, rel_tol=cfg.rel_tol)
-            except QuadratureError as exc:
-                if getattr(exc, "nonfinite", False) and not math.isnan(
-                        getattr(exc, "nonfinite_value", math.nan)):
-                    overflow = True
-                    break
-                raise
-        total += seg
-        quad_err += seg_err
-        horizons.append(hi_r)
-        increments.append(seg)
+                total = prim(hi_r)
+            except _Overflow:
+                return TailClass("divergent", partial_integrals=tuple(partials),
+                                 detail="integrand overflow at finite horizon")
+        increments.append(total - prev)
         partials.append((hi_r, total))
 
         i_first = partials[0][1]
@@ -460,19 +428,16 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
             if all(rv < cfg.conv_eps for rv in rel):
                 alpha, resid = _fit_exponent(fv, rho, hi_r)
                 tail_guard = increments[-1]
-                return TailClass("convergent", value=total, error=quad_err + tail_guard,
+                return TailClass("convergent", value=total,
+                                 error=cfg.rel_tol * total + tail_guard,
                                  partial_integrals=tuple(partials), alpha_hat=alpha,
                                  fit_residual=resid,
                                  detail="Cauchy increments below conv_eps")
 
-    if overflow:
-        return TailClass("divergent", partial_integrals=tuple(partials),
-                         detail="integrand overflow at finite horizon")
-
     if len(increments) < 3:
         return TailClass("undetermined", partial_integrals=tuple(partials),
                          detail=f"ladder too short: {len(increments)} of 3 doublings needed")
-    horizon = horizons[-1]
+    horizon = partials[-1][0]
     ratios = [increments[i] / increments[i - 1]
               for i in range(len(increments) - 2, len(increments))
               if increments[i - 1] > 0.0]
@@ -492,7 +457,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         q = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
         tail_est = increments[-1] * q / (1.0 - q) if q < 1.0 else 0.0
         return TailClass("convergent", value=total + tail_est,
-                         error=quad_err + 0.25 * tail_est + increments[-1] * 1e-6,
+                         error=cfg.rel_tol * total + 0.25 * tail_est + increments[-1] * 1e-6,
                          partial_integrals=tuple(partials), alpha_hat=alpha,
                          fit_residual=resid,
                          detail=f"fitted exponent {alpha:.4f} <= -1 - band; geometric tail added")

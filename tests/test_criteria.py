@@ -156,6 +156,18 @@ def test_monotone_corollary_rejects_broken_sandwich():
     assert "sandwich" in v.reason.message
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_monotone_horizon_is_certified_where_lam_is_evaluable(p):
+    # the balance at q = 2 leaves lam = 2*cosh/sinh out, but the sandwich
+    # evaluates it, and it is inf/inf past r ~ 710
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "cylinder_bounded.json"))
+    v = classify_monotone(c, 2.0, p, 1.0)
+    assert v.summary() == "inconclusive (balance_fails)"
+    assert v.certified_interval == (1e-3, 512.0)
+    assert v.warnings == ("balance evaluable only up to r=512 (float overflow beyond); "
+                          "hypotheses certified there",)
+
+
 def test_monotone_degenerate_p_equals_q_matches_main_criterion():
     c = coth_dominated()
     via_cor = classify_monotone(c, 2.0, 2.0, 1.0)

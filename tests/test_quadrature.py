@@ -152,12 +152,14 @@ def test_convergent_values_match_closed_forms():
         tc = classify_tail(lambda t: t ** alpha, 1.0)
         assert tc.is_convergent
         assert tc.value == pytest.approx(exact, rel=1e-6)
+        assert abs(tc.value - exact) <= tc.error
 
 
 def test_exponential_decay_converges_fast():
     tc = classify_tail(lambda t: np.exp(-t), 1.0)
     assert tc.is_convergent
     assert tc.value == pytest.approx(math.exp(-1.0), rel=1e-6)
+    assert abs(tc.value - math.exp(-1.0)) <= tc.error
 
 
 def test_exponential_growth_divergent_before_overflow():
@@ -220,7 +222,7 @@ def _per_doubling_ladder(f, rho, n):
 
 
 def _one_doubling_at_a_time(f):
-    """f, refusing its first call: classify_tail's one call over the whole
+    """f, refusing its first call: classify_tail's query over the whole
     ladder fails, so every doubling evaluates on its own."""
     calls = []
 
@@ -257,15 +259,15 @@ def test_one_call_ladder_matches_per_doubling_integrals(name):
         assert i_k == pytest.approx(i_ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("beyond", ["raise", "nan"])
+@pytest.mark.parametrize("beyond", ["raise", "nan", "inf"])
 def test_failures_past_the_stop_leave_the_ladder_alone(beyond):
-    # exp(-t) converges by r = 256; only the one call over all 40 doublings
+    # exp(-t) converges by r = 256; only the query over all 40 doublings
     # reaches t > 1e3
     def f(t):
         t = np.asarray(t)
         if beyond == "raise" and np.any(t > 1e3):
             raise DomainError("outside the test function's domain", float(t.max()))
-        return np.where(t > 1e3, np.nan, np.exp(-t))
+        return np.where(t > 1e3, np.inf if beyond == "inf" else np.nan, np.exp(-t))
 
     tc = classify_tail(f, 1.0)
     ref = classify_tail(lambda t: np.exp(-t), 1.0)

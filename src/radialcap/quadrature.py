@@ -59,6 +59,9 @@ _EPS = np.finfo(float).eps
 # and those -> the coefficients of its antiderivative vanishing at -1
 _TO_CHEB = np.linalg.inv(np.polynomial.chebyshev.chebvander(_NODES, 14))
 _TO_PRIM = np.polynomial.chebyshev.chebint(np.eye(15), lbnd=-1.0)
+# and back: the antiderivative's derivative at _NODES is f there
+_FROM_PRIM = (np.polynomial.chebyshev.chebvander(_NODES, 14)
+              @ np.polynomial.chebyshev.chebder(np.eye(16)))
 _MESH_PANELS = 4000     # per extension: the budget integrate gives one interval
 
 
@@ -99,13 +102,13 @@ def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return half, vals
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate GK15 on each [lo_i, hi_i]; returns (values, error estimates)."""
-    half, vals = _sample(f, lo, hi)
+def _gk(half: np.ndarray, vals: np.ndarray):
+    """GK15 on panels of half-widths ``half`` from their node values;
+    returns (values, error estimates)."""
     kron = half * (vals @ _WK)
     gauss = half * (vals @ _WGAUSS)
     resabs = np.abs(half) * (np.abs(vals) @ _WK)
-    mean = kron / np.where(hi != lo, hi - lo, 1.0)
+    mean = kron / np.where(half != 0.0, 2.0 * half, 1.0)
     resasc = np.abs(half) * (np.abs(vals - mean[:, None]) @ _WK)
     raw = np.abs(kron - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,7 +133,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     fv = _as_array_fn(f)
     lo = np.array([float(a)])
     hi = np.array([float(b)])
-    vals, errs = _panels(fv, lo, hi)
+    vals, errs = _gk(*_sample(fv, lo, hi))
     while True:
         total = float(vals.sum())
         err_total = float(errs.sum())
@@ -155,8 +158,8 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         mids = 0.5 * (lo[idx] + hi[idx])
         new_lo = np.concatenate([lo[keep], lo[idx], mids])
         new_hi = np.concatenate([hi[keep], mids, hi[idx]])
-        new_vals, new_errs = _panels(fv, np.concatenate([lo[idx], mids]),
-                                     np.concatenate([mids, hi[idx]]))
+        new_vals, new_errs = _gk(*_sample(fv, np.concatenate([lo[idx], mids]),
+                                          np.concatenate([mids, hi[idx]])))
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
         lo, hi = new_lo, new_hi
@@ -181,7 +184,9 @@ class CumulativeCache:
     g**2*reach], ...`` (g = ``max_growth``) instead, and a panel counts
     only the |f| seen up to the end of its step: then one far query, such as
     a tail ladder evaluated ahead of its stop, cannot loosen the panels near
-    the base.  Not safe for concurrent mutation; build one per thread.
+    the base.  :meth:`error` sums the panels' GK15 error estimates, from
+    f's values at the nodes that the antiderivative gives back.  Not safe
+    for concurrent mutation; build one per thread.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
@@ -218,6 +223,14 @@ class CumulativeCache:
                 inner = np.polynomial.chebyshev.chebval(x, self._coef[i].T, tensor=False)
                 out = self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+    def error(self, r: float) -> float:
+        """Summed GK15 error estimate of the panels meeting ``[base, r]``:
+        the error estimate of ``self(r)`` when r is a panel edge."""
+        self(r)
+        n = np.searchsorted(self._lo, r, side="left")
+        half = self._half[:n]
+        return float(_gk(half, self._coef[:n] @ _FROM_PRIM.T / half[:, None])[1].sum())
 
     def _extend(self, top: float) -> None:
         steps = [self._reach]
@@ -276,6 +289,10 @@ class _Overflow(Exception):
     """The tail integrand is infinite or past ``_BLOWUP``."""
 
 
+class _NaN(Exception):
+    """The tail integrand is NaN."""
+
+
 @dataclass(frozen=True)
 class TailConfig:
     """Knobs of the doubling-horizon divergence classifier."""
@@ -292,11 +309,14 @@ class TailClass:
     """Outcome of classifying ``integral(f, rho, infinity)``.
 
     kind is ``"divergent"``, ``"convergent"`` or ``"undetermined"``;
-    ``value``/``error`` are set for convergent tails.  ``error`` is
-    ``rel_tol * I`` at the last partial integral I, the tolerance its mesh
-    is built to, plus the tail terms: the last increment after a Cauchy
-    stop, or a quarter of the geometric tail estimate plus 1e-6 of the last
-    increment after an exponent fit.  Evidence carries the
+    ``value``/``error`` are set for convergent tails.  ``error`` is the
+    summed GK15 error estimate of the mesh up to the last partial integral
+    (:meth:`CumulativeCache.error`) plus the tail terms: the last increment
+    after a Cauchy stop, or a quarter of the geometric tail estimate plus
+    1e-6 of the last increment after an exponent fit.  The mesh meets
+    ``rel_tol`` relative to the largest |f|, not to the integral, so a
+    ripple that falls below that far out is left unresolved and shows in
+    ``error`` rather than being refined.  Evidence carries the
     partial integrals at doubling radii (``to_dict`` lists them as
     ``ladder``, pairs ``[R_k, I_k]``), the fitted tail exponent and the fit
     residual, plus a one-line account of which test decided.
@@ -377,15 +397,12 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     if rho <= 0:
         raise ValueError("rho must be positive")
     fv = _as_array_fn(f)
-    walking = [rho, 2.0 * rho]  # the doubling being walked, named by a NaN
 
     def guarded(t):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(t), dtype=float)
         if np.isnan(vals).any():
-            lo_r, hi_r = walking
-            raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
-                                  worst_interval=(lo_r, hi_r, math.inf))
+            raise _NaN
         if np.any(vals > _BLOWUP) or np.isinf(vals).any():
             raise _Overflow
         return vals
@@ -402,8 +419,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     increments = []
     total = 0.0
     for k in range(1, cfg.k_max + 1):
-        hi_r = radii[k]
-        walking[:] = radii[k - 1], hi_r
+        lo_r, hi_r = radii[k - 1], radii[k]
         prev = total
         if ladder is not None:
             total = float(ladder[k])
@@ -413,6 +429,9 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
             except _Overflow:
                 return TailClass("divergent", partial_integrals=tuple(partials),
                                  detail="integrand overflow at finite horizon")
+            except _NaN:
+                raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
+                                      worst_interval=(lo_r, hi_r, math.inf)) from None
         increments.append(total - prev)
         partials.append((hi_r, total))
 
@@ -429,7 +448,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
                 alpha, resid = _fit_exponent(fv, rho, hi_r)
                 tail_guard = increments[-1]
                 return TailClass("convergent", value=total,
-                                 error=cfg.rel_tol * total + tail_guard,
+                                 error=prim.error(hi_r) + tail_guard,
                                  partial_integrals=tuple(partials), alpha_hat=alpha,
                                  fit_residual=resid,
                                  detail="Cauchy increments below conv_eps")
@@ -457,7 +476,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         q = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
         tail_est = increments[-1] * q / (1.0 - q) if q < 1.0 else 0.0
         return TailClass("convergent", value=total + tail_est,
-                         error=cfg.rel_tol * total + 0.25 * tail_est + increments[-1] * 1e-6,
+                         error=prim.error(horizon) + 0.25 * tail_est + increments[-1] * 1e-6,
                          partial_integrals=tuple(partials), alpha_hat=alpha,
                          fit_residual=resid,
                          detail=f"fitted exponent {alpha:.4f} <= -1 - band; geometric tail added")

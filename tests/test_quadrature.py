@@ -67,6 +67,14 @@ def test_cumulative_matches_integrate():
             assert prim[i + 1] - prim[i] == pytest.approx(ref, rel=1e-11)
 
 
+def test_cumulative_error_sums_the_panels_and_covers_the_true_error():
+    cache = CumulativeCache(_decay_plus_log, 1.0)
+    assert cache.error(1.0) == 0.0
+    exact = math.exp(-1.0) - math.exp(-5.5) + math.log(5.5)
+    assert abs(cache(5.5) - exact) <= cache.error(5.5)
+    assert 0.0 < cache.error(2.0) <= cache.error(5.5)
+
+
 def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
     cache = CumulativeCache(_decay_plus_log, 1.0)
     assert cache(1.0) == 0.0
@@ -160,6 +168,20 @@ def test_exponential_decay_converges_fast():
     assert tc.is_convergent
     assert tc.value == pytest.approx(math.exp(-1.0), rel=1e-6)
     assert abs(tc.value - math.exp(-1.0)) <= tc.error
+
+
+_COSINE_INTEGRAL = {1.0: 0.33740392290096813, 3.0: 0.11962978600800033}
+
+
+@pytest.mark.parametrize("rho", sorted(_COSINE_INTEGRAL))
+def test_unresolved_far_oscillation_stays_inside_the_error(rho):
+    # far out the sin(t)/t**2 ripple falls below the mesh tolerance, which is
+    # relative to the largest |f|, so it is left unresolved there; the error
+    # must still cover it.  Exact: 2/rho + sin(rho)/rho - Ci(rho).
+    exact = 2.0 / rho + math.sin(rho) / rho - _COSINE_INTEGRAL[rho]
+    tc = classify_tail(lambda t: (2.0 + np.sin(t)) / t ** 2, rho)
+    assert tc.is_convergent
+    assert abs(tc.value - exact) <= tc.error
 
 
 def test_exponential_growth_divergent_before_overflow():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .constellation import Constellation
 from .criteria import ClassifyConfig, classify, sweep
 from .diffusion import DiffusionConfig, exact_hitting_prob, simulate_radial
 from .dirichlet import (
-    capacity_upper_bound, drifted_capacity, operator_residual,
+    drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from .errors import ConfigError, ParseError, RadialCapError
@@ -164,17 +165,17 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 
 
 def cmd_capacity(args, c: Constellation) -> tuple:
-    if args.flux <= 0:
+    if not args.flux > 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
-    bound = capacity_upper_bound(c, args.p, args.rho, args.R,
-                                 boundary_flux=args.flux, rel_tol=args.rel_tol)
+    vol = float(sphere_volume(c.model, args.rho))
+    bound = flux_bound(cap, vol, args.p, args.flux)
     exact = None
     if c.is_self_model():
         exact = exact_annulus_p_capacity(c.model, args.rho, args.R, args.p)
     outcome = {"drifted_capacity": cap, "exact_model_capacity": exact,
                "submanifold_upper_bound": bound}
-    evidence = {"sphere_volume": float(sphere_volume(c.model, args.rho)),
+    evidence = {"sphere_volume": vol,
                 "self_constellation": exact is not None}
     lines = [f"drifted capacity Cap_L(annulus {args.rho:g}..{args.R:g}) = {cap:.10g}"]
     if exact is not None:
@@ -304,8 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser as it was, so one process builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         t0 = time.monotonic()
         outcome, evidence, lines, code = args.fn(args, load_config(args.config))

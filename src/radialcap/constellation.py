@@ -199,15 +199,11 @@ def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> 
     values = np.asarray(values, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.asarray(scale, dtype=float))
     sign = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
-    witnesses = []
-    nonzero = np.nonzero(sign)[0]
-    for a, b in zip(nonzero, nonzero[1:]):
-        if sign[a] != sign[b]:
-            witnesses.append(float(np.sqrt(rs[a] * rs[b])))
-            if len(witnesses) >= 5:
-                break
+    nonzero = np.flatnonzero(sign)
+    flips = np.flatnonzero(np.diff(sign[nonzero]))[:5]
+    a, b = nonzero[flips], nonzero[flips + 1]
     return BalanceProfile(p=p, rs=rs, values=values, zero_tol=tol,
-                          witnesses=tuple(witnesses))
+                          witnesses=tuple(float(w) for w in np.sqrt(rs[a] * rs[b])))
 
 
 class WeightFunction:
@@ -266,6 +262,11 @@ class WeightFunction:
             return value / ((self.p - 1.0) * self._g0 * self._g0)
         gv = _tangency_bound(c, t)
         return value / ((self.p - 1.0) * gv * gv)
+
+    def mesh_remainder(self, r: float) -> None:
+        """Grow the remainder mesh to r in one extension (w is not evaluated)."""
+        if self._cache is not None:
+            self._cache(r)
 
     def _log_ratio(self, r, wv):
         """log(w(r)/w(rho)), given ``wv`` = w(r)."""

@@ -43,6 +43,7 @@ __all__ = [
     "solve_dirichlet_ode",
     "drifted_capacity",
     "capacity_upper_bound",
+    "flux_bound",
     "operator_residual",
 ]
 
@@ -87,6 +88,9 @@ class RadialSolution:
 
     ``profile(r)`` is exact 0 at rho and exact 1 at R by construction;
     ``derivative(r)`` is the weight over the normalizer, hence nonnegative.
+    The weight's remainder mesh is grown to R first, in one extension, so
+    that meshing the primitive only reads it (w itself is not evaluated
+    there, so a radius where w fails is met where the primitive samples).
     """
 
     def __init__(self, weight: WeightFunction, rho: float, R: float,
@@ -95,6 +99,7 @@ class RadialSolution:
         self.rho = float(rho)
         self.R = float(R)
         self.p = weight.p
+        weight.mesh_remainder(self.R)
         self._primitive = CumulativeCache(weight, self.rho, rel_tol=rel_tol)
         self.normalizer = float(self._primitive(self.R))
         if not (self.normalizer > 0.0) or not math.isfinite(self.normalizer):
@@ -217,7 +222,12 @@ def capacity_upper_bound(c: Constellation, p: float, rho: float, R: float,
     if not (boundary_flux > 0):
         raise ValueError(f"boundary_flux must be positive, got {boundary_flux}")
     cap = drifted_capacity(c, p, rho, R, rel_tol=rel_tol)
-    vol = float(sphere_volume(c.model, rho))
+    return flux_bound(cap, float(sphere_volume(c.model, rho)), p, boundary_flux)
+
+
+def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
+    """:func:`capacity_upper_bound` from a drifted capacity ``cap`` and the
+    inner sphere's volume ``vol``."""
     return boundary_flux * (cap / vol) ** (p - 1.0)
 
 

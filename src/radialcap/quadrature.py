@@ -175,18 +175,22 @@ class CumulativeCache:
     and a query at a panel's left edge returns the stored offset (the base
     gives exactly 0).
 
-    A query past the mesh's right end ``reach`` first appends the single
-    panel ``[reach, top]``; panels are bisected in batches until the last
-    three Chebyshev coefficients of f are at most ``rel_tol`` times the
-    largest |f| seen by this cache, or at most ``abs_tol`` once multiplied
-    by the half-width.  With ``max_growth`` set and a positive reach, the
-    extension starts from the steps ``[reach, g*reach], [g*reach,
-    g**2*reach], ...`` (g = ``max_growth``) instead, and a panel counts
-    only the |f| seen up to the end of its step: then one far query, such as
+    A query past the mesh's right end ``reach`` meshes ``[reach, top]``
+    (top: the query's largest point) from the steps ``[reach, g*reach],
+    [g*reach, g**2*reach], ..., [., top]`` (g = ``max_growth``, 2 if it is
+    not set; a single step if reach is 0).  Panels are bisected in batches
+    until the last three Chebyshev coefficients of f are at most ``rel_tol``
+    times the largest |f| seen up to the end of the panel's step, or at most
+    ``abs_tol`` once multiplied by the half-width, so one far query, such as
     a tail ladder evaluated ahead of its stop, cannot loosen the panels near
-    the base.  :meth:`error` sums the panels' GK15 error estimates, from
-    f's values at the nodes that the antiderivative gives back.  Not safe
-    for concurrent mutation; build one per thread.
+    the base.  Without ``max_growth`` the first round also samples the probe
+    panel ``[reach, top]``, ahead of the steps in the same call of f (a
+    non-finite value on it is the one reported); a probe that passes on its
+    own |f| is the whole extension, else refinement goes on from the steps.
+    Either way an extension takes one or a few calls of f, not one per
+    halving of ``[reach, top]``.  :meth:`error` sums the panels' GK15
+    error estimates, from f's values at the nodes that the antiderivative
+    gives back.  Not safe for concurrent mutation; build one per thread.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
@@ -233,10 +237,17 @@ class CumulativeCache:
         return float(_gk(half, self._coef[:n] @ _FROM_PRIM.T / half[:, None])[1].sum())
 
     def _extend(self, top: float) -> None:
+        growth = 2.0 if self.max_growth == math.inf else self.max_growth
         steps = [self._reach]
-        while self._reach > 0 and self.max_growth * steps[-1] < top:
-            steps.append(self.max_growth * steps[-1])
+        while self._reach > 0 and growth * steps[-1] < top:
+            steps.append(growth * steps[-1])
         lo, hi = np.array(steps), np.array(steps[1:] + [top])
+        # without max_growth the probe [reach, top] leads the steps, as a
+        # step of its own whose |f| the steps do not count
+        probe = self.max_growth == math.inf and len(lo) > 1
+        if probe:
+            lo, hi = np.append(self._reach, lo), np.append(top, hi)
+        first = int(probe)
         step = np.arange(len(lo))   # the growth step each panel lies in
         fmax = np.full(len(lo), self._fmax)     # largest |f| seen up to each step's end
         done = []                   # (left edges, antiderivative coefficients)
@@ -244,13 +255,18 @@ class CumulativeCache:
         while len(lo):
             half, vals = _sample(self.fn, lo, hi)
             np.maximum.at(fmax, step, np.abs(vals).max(axis=1))
-            fmax = np.maximum.accumulate(fmax)
+            fmax[first:] = np.maximum.accumulate(fmax[first:])
             cheb = vals @ _TO_CHEB.T
             tail = np.abs(cheb[:, -3:]).max(axis=1)
             ok = (tail <= self.rel_tol * fmax[step]) | (half * tail <= self.abs_tol)
+            todo = ~ok
+            if probe:               # the probe alone, or the steps without it
+                probe = False
+                keep = step == 0 if ok[0] else step > 0
+                ok, todo = ok & keep, todo & keep
             done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
             n_done += int(ok.sum())
-            lo, hi, step, err = lo[~ok], hi[~ok], step[~ok], (half * tail)[~ok]
+            lo, hi, step, err = lo[todo], hi[todo], step[todo], (half * tail)[todo]
             if not len(lo):
                 break
             splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
@@ -274,7 +290,7 @@ class CumulativeCache:
         self._half = np.concatenate([self._half, 0.5 * (new_hi - new_lo)])
         self._coef = np.concatenate([self._coef, coef])
         self._off = np.concatenate([self._off, edges[:-1]])
-        self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax[-1])
+        self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax.max())
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +403,12 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     The partial integrals are read off one :class:`CumulativeCache` of f
     based at rho, with ``max_growth=2`` so that its growth steps are the
     doublings.  One query at every doubling radius meshes the whole ladder
-    at once; if it raises (it reaches past where the walk may stop), the
-    walk queries the same cache one doubling at a time, so an error
-    surfaces at the doubling where a walk that never looks ahead meets it.
+    at once.  It is preceded by one evaluation of f at the top radius, so
+    that a mesh f keeps of its own (a weight's remainder) grows there in
+    one extension instead of by a sliver per refinement round.  If either
+    raises (they reach past where the walk may stop), the walk queries the
+    same cache one doubling at a time, so an error surfaces at the doubling
+    where a walk that never looks ahead meets it.
     A NaN of f raises there; an inf, or a value past ``1e250``, stops the
     ladder as an overflow.
     """
@@ -410,6 +429,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     prim = CumulativeCache(guarded, rho, rel_tol=cfg.rel_tol, max_growth=2.0)
     radii = [rho * 2.0 ** k for k in range(cfg.k_max + 1)]
     try:
+        guarded(np.array([radii[-1]]))
         ladder = prim(radii)
     except Exception:
         # the query reaches past where the walk may stop, so its error need

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import radialcap.dirichlet as dirichlet
 from radialcap.cli import (
     EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main,
 )
@@ -261,6 +263,13 @@ def test_capacity_zero_flux_exit_2(capsys):
     assert code == EXIT_INPUT
 
 
+def test_capacity_nan_flux_is_an_input_error(capsys):
+    code = main(["capacity", EUCLID3, "--p", "2", "--rho", "1", "--R", "2",
+                 "--flux", "nan"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: --flux must be positive, got nan\n"
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -322,3 +331,38 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == EXIT_OK
     assert "p-parabolic" in proc.stdout
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["classify", EUCLID3, "--p", "3"]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["classify", EUCLID3, "--p", "2"]) == EXIT_INCONCLUSIVE
+    with pytest.raises(SystemExit):
+        main(["classify", EUCLID3])
+    assert built == []
+
+
+def test_capacity_solves_the_closed_form_once(monkeypatch, capsys):
+    solves = []
+    solve = dirichlet.solve_dirichlet_closed
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "solve_dirichlet_closed", counted)
+    assert main(["capacity", EUCLID3, "--p", "3", "--R", "10", "--flux", "2", "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert len(solves) == 1
+    cap = doc["outcome"]["drifted_capacity"]
+    assert doc["outcome"]["submanifold_upper_bound"] == dirichlet.capacity_upper_bound(
+        load_config(EUCLID3), 3.0, 1.0, 10.0, boundary_flux=2.0)
+    assert doc["outcome"]["submanifold_upper_bound"] == pytest.approx(
+        2.0 * (cap / (4 * math.pi)) ** 2, rel=1e-14)

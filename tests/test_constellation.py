@@ -70,6 +70,30 @@ def test_balance_sign_mixed_with_witness():
     assert prof.witnesses[0] == pytest.approx(1.0, rel=0.05)
 
 
+def _witnesses_by_pairwise_walk(prof):
+    """The first five sign changes among nonzero samples, found pair by pair."""
+    sign = np.where(prof.values > prof.zero_tol, 1, np.where(prof.values < -prof.zero_tol, -1, 0))
+    witnesses = []
+    nonzero = np.nonzero(sign)[0]
+    for a, b in zip(nonzero, nonzero[1:]):
+        if sign[a] != sign[b]:
+            witnesses.append(float(np.sqrt(prof.rs[a] * prof.rs[b])))
+            if len(witnesses) >= 5:
+                break
+    return tuple(witnesses)
+
+
+@pytest.mark.parametrize("interval", [(0.1, 20.0), (2.0, 8.0), (0.1, 5.0), (3.0, 4.0)])
+def test_balance_sign_witnesses_match_the_pairwise_walk(interval):
+    # balance = 2 sin(r) (|sin 3r| - sin 3r): exactly zero wherever
+    # sin 3r >= 0, with both signs in between
+    c = Constellation.from_functions(2, 2, "r", h="1/r - sin(r)*(abs(sin(3*r)) - sin(3*r))")
+    prof = balance_sign(c, 2.0, interval)
+    assert np.any(np.abs(prof.values) <= prof.zero_tol)
+    assert prof.witnesses == _witnesses_by_pairwise_walk(prof)
+    assert all(type(w) is float for w in prof.witnesses)
+
+
 def test_balance_sign_identically_zero_counts_both_ways():
     c = Constellation.from_functions(2, 2, "sinh(r)", h="coth(r)", lam="coth(r)",
                                      tangency=Tangency.UPPER)

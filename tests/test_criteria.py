@@ -294,3 +294,12 @@ def test_sweep_reports_the_first_overflowing_node_of_the_capacity_annulus():
     for row in rows[2:]:
         assert row.error == (f"integrand not finite (np.float64(inf) at t={t_bad[row.p]}); "
                              "worst subinterval [1, 512] err=inf")
+
+
+def test_tail_look_ahead_grows_the_remainder_mesh_once(remainder_extensions):
+    # the look-ahead meshes the ladder out to r = 512 at once; the weight's
+    # remainder mesh gets there in one extension, not one per refinement round
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "coth_dominated.json"))
+    v = classify(c, 3.0, 1.0)
+    assert v.is_parabolic
+    assert remainder_extensions == [512.0]

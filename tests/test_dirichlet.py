@@ -271,6 +271,30 @@ def test_closed_solution_samples_the_remainder_once_per_panel(monkeypatch):
     assert sum(points) < 2000
 
 
+def test_closed_solution_grows_the_remainder_mesh_once(remainder_extensions):
+    c = Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
+                                     h="0.15/(1 + r)")
+    sol = solve_dirichlet_closed(c, 2.5, 0.8, 3.0)
+    sol.profile(np.linspace(0.8, 3.0, 1001))
+    assert remainder_extensions == [3.0]
+
+
+def test_closed_solution_samples_the_weight_in_a_few_rounds(monkeypatch):
+    # the probe [1, 1024] and its ten doublings are sampled in one call,
+    # and refinement starts from the doublings instead of halving the probe
+    calls = []
+    call = WeightFunction.__call__
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return call(self, r)
+
+    monkeypatch.setattr(WeightFunction, "__call__", counted)
+    sol = solve_dirichlet_closed(euclid_self(3), 3.0, 1.0, 1024.0)
+    assert len(calls) <= 3
+    assert sol.normalizer == pytest.approx(math.log(1024.0), rel=1e-12)
+
+
 def test_profile_queries_in_any_order_and_shape():
     sol = solve_dirichlet_closed(Constellation.from_functions(4, 3, "sinh(r)", g="0.9",
                                                               h="1/(1+r)"), 2.5, 1.0, 4.0)

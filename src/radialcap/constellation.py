@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import RadialExpr, eval_jet2, evaluate, parse
-from .model import ModelSpace
+from .model import ModelSpace, _as_expr
 from .quadrature import CumulativeCache
 
 __all__ = [
@@ -52,10 +52,6 @@ class Tangency(enum.Enum):
 
     LOWER = "lower"
     UPPER = "upper"
-
-
-def _as_expr(e: Union[str, RadialExpr]) -> RadialExpr:
-    return e if isinstance(e, RadialExpr) else parse(e)
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,10 @@ class WeightFunction:
 
     R lives on a :class:`~radialcap.quadrature.CumulativeCache` panel mesh
     that grows with the largest radius queried, so a query inside it runs
-    no quadrature.  Instances are cheap to build and not safe for
-    concurrent mutation; build one per thread.
+    no quadrature.  :meth:`integral` is the weight's own primitive, which
+    the Dirichlet solution and the monotone corollary share.  Instances are
+    cheap to build and not safe for concurrent mutation; build one per
+    thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
@@ -240,7 +238,7 @@ class WeightFunction:
         self._g0 = g0 if g0 is not None and g0 >= _G_FLOOR else None
         self._kappa = 0.0 if self._g0 is None else (c.m + p - 2.0) / ((p - 1.0) * g0 * g0)
         self._w_rho = None
-        self._cache = None
+        self._cache = self._primitive = None
         if self._g0 is None or c.h.constant != 0.0 or (p != 2.0 and c.lam.constant != 0.0):
             # the remainder sits in an exponent: absolute errors below 1e-15
             # per panel are invisible, and the floor keeps roundoff-noise
@@ -263,10 +261,17 @@ class WeightFunction:
         gv = _tangency_bound(c, t)
         return value / ((self.p - 1.0) * gv * gv)
 
-    def mesh_remainder(self, r: float) -> None:
-        """Grow the remainder mesh to r in one extension (w is not evaluated)."""
+    def integral(self, r):
+        """integral_rho^r of the weight for scalar or ndarray r >= rho, read
+        off one CumulativeCache over the weight at its ``rel_tol``, built on
+        first use.  The remainder mesh first grows to the largest r in one
+        extension (w is not evaluated there), so the primitive only reads it."""
         if self._cache is not None:
-            self._cache(r)
+            self._cache(np.max(r, initial=self.rho))
+        if self._primitive is None:
+            ref = weakref.ref(self)
+            self._primitive = CumulativeCache(lambda t: ref()(t), self.rho, rel_tol=self.rel_tol)
+        return self._primitive(r)
 
     def _log_ratio(self, r, wv):
         """log(w(r)/w(rho)), given ``wv`` = w(r)."""

@@ -25,6 +25,7 @@ that fails ends the run with its reason::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -35,10 +36,10 @@ from .constellation import (
     weight_function,
 )
 from .dirichlet import drifted_capacity
-from .errors import DomainError, RadialCapError
+from .errors import ConfigError, DomainError, RadialCapError
 from .expr import eval_jet2, evaluate
 from .model import validate_warping
-from .quadrature import CumulativeCache, TailClass, TailConfig, classify_tail
+from .quadrature import TailClass, TailConfig, classify_tail
 
 __all__ = [
     "ClassifyConfig",
@@ -70,11 +71,22 @@ class ClassifyConfig:
     weight_rel_tol: float = 1e-10
     validate_model: bool = True
 
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not self.weight_rel_tol >= 0:
+            raise ConfigError(f"weight_rel_tol must be >= 0, got {self.weight_rel_tol}")
+
     def lo(self, rho: float) -> float:
         return self.grid_min if self.grid_min is not None else min(rho, 1e-3)
 
     def horizon(self, rho: float) -> float:
-        return rho * 2.0 ** self.tail.k_max
+        """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""
+        top = rho * 2.0 ** self.tail.k_max if self.tail.k_max < 1024 else math.inf
+        if not math.isfinite(top):
+            raise ConfigError(f"horizon rho * 2**k_max is not a finite float "
+                              f"(rho={rho}, k_max={self.tail.k_max})")
+        return top
 
 
 @dataclass(frozen=True)
@@ -227,6 +239,10 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     cfg = cfg or ClassifyConfig()
     monotone = q is not None
     letter, q = ("q", q) if monotone else ("p", p)
+    for name, value in {"p": p, letter: q}.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    cfg.horizon(rho)
     if q < 2:
         return Verdict("inconclusive", p=p, rho=rho,
                        reason=InconclusiveReason("p_below_2",
@@ -316,15 +332,10 @@ def _balance_monotone_stage(run: _Run, p: float) -> tuple:
 def _weight_monotone_stage(run: _Run, p: float) -> tuple:
     """Proof-level comparison, asserted: the p-weight integral dominates the
     q-weight integral at 8 and 64 times rho."""
-    rel_tol = run.cfg.weight_rel_tol
-    weight_q = run.weight()
-    weight_p = weight_function(run.c, p, run.rho, rel_tol=rel_tol)
-    prim_q = CumulativeCache(weight_q, run.rho, rel_tol=rel_tol)
-    prim_p = CumulativeCache(weight_p, run.rho, rel_tol=rel_tol)
-    for k in (3, 6):
-        horizon_k = run.rho * 2.0 ** k
-        if prim_p(horizon_k) < prim_q(horizon_k) * (1.0 - 1e-9):
-            raise RadialCapError("internal assertion failed: weight integral not monotone in p")
+    horizons = run.rho * np.array([8.0, 64.0])
+    weight_p = weight_function(run.c, p, run.rho, rel_tol=run.cfg.weight_rel_tol)
+    if np.any(weight_p.integral(horizons) < run.weight().integral(horizons) * (1.0 - 1e-9)):
+        raise RadialCapError("internal assertion failed: weight integral not monotone in p")
     return "weight_integral_monotone", "finite horizons 8x and 64x rho", None
 
 
@@ -416,9 +427,12 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
     failures recorded per row without aborting the sweep."""
     if p_step <= 0:
         raise ValueError("p_step must be positive")
+    if not (math.isfinite(p_from) and math.isfinite(p_to)):
+        raise ConfigError(f"sweep range must be finite, got [{p_from}, {p_to}]")
     if p_to < p_from:
         raise ValueError("empty sweep range")
     cfg = cfg or ClassifyConfig()
+    cfg.horizon(rho)
     ps = [round(p_from + i * p_step, 12)
           for i in range(int(np.floor((p_to - p_from) / p_step + 1e-9)) + 1)]
     r_cap = rho * 2.0 ** SWEEP_CAP_DOUBLINGS

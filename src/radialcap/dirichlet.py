@@ -11,7 +11,8 @@ primitive of the decision weight:
 
     psi(r) = integral_rho^r weight / integral_rho^R weight
 
-The module provides the closed form, an independent Runge-Kutta solution of
+read off the weight's own primitive (``WeightFunction.integral``).  The
+module provides the closed form, an independent Runge-Kutta solution of
 the same boundary problem, the flux ("drifted") capacity of the annulus and
 the induced capacity upper bound for the submanifold.  The Runge-Kutta
 solution steps RK4 on c(r) alone, all steps at once as per-step factors on
@@ -33,7 +34,7 @@ from .constellation import (
 from .errors import DomainError, RadialCapError
 from .expr import eval_jet2
 from .model import sphere_volume
-from .quadrature import CumulativeCache, _as_array_fn
+from .quadrature import _as_array_fn
 
 __all__ = [
     "DriftOperator",
@@ -84,31 +85,26 @@ class DriftOperator:
 
 
 class RadialSolution:
-    """Closed-form Dirichlet solution on the annulus ``[rho, R]``.
+    """Closed-form Dirichlet solution on the annulus ``[weight.rho, R]``.
 
     ``profile(r)`` is exact 0 at rho and exact 1 at R by construction;
     ``derivative(r)`` is the weight over the normalizer, hence nonnegative.
-    The weight's remainder mesh is grown to R first, in one extension, so
-    that meshing the primitive only reads it (w itself is not evaluated
-    there, so a radius where w fails is met where the primitive samples).
+    Both read the weight's primitive, meshed at the weight's ``rel_tol``,
+    so solutions on one weight share it.
     """
 
-    def __init__(self, weight: WeightFunction, rho: float, R: float,
-                 rel_tol: float = 1e-11):
+    def __init__(self, weight: WeightFunction, R: float):
         self.weight = weight
-        self.rho = float(rho)
+        self.rho = weight.rho
         self.R = float(R)
         self.p = weight.p
-        weight.mesh_remainder(self.R)
-        self._primitive = CumulativeCache(weight, self.rho, rel_tol=rel_tol)
-        self.normalizer = float(self._primitive(self.R))
+        self.normalizer = float(weight.integral(self.R))
         if not (self.normalizer > 0.0) or not math.isfinite(self.normalizer):
             raise RadialCapError(
-                f"weight integral over [{rho}, {R}] is {self.normalizer}; no solution")
+                f"weight integral over [{self.rho}, {R}] is {self.normalizer}; no solution")
 
     def profile(self, r):
-        vals = self._primitive(r) / self.normalizer
-        return vals
+        return self.weight.integral(r) / self.normalizer
 
     def derivative(self, r):
         return self.weight(r) / self.normalizer
@@ -123,8 +119,7 @@ def solve_dirichlet_closed(c: Constellation, p: float, rho: float, R: float,
     """Explicit Dirichlet solution: normalized primitive of the weight."""
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    wf = weight_function(c, p, rho, rel_tol=rel_tol)
-    return RadialSolution(wf, rho, R, rel_tol=rel_tol)
+    return RadialSolution(weight_function(c, p, rho, rel_tol=rel_tol), R)
 
 
 @dataclass(frozen=True)
@@ -232,21 +227,18 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
 
 
 def operator_residual(c: Constellation, p: float, rho: float, R: float,
-                      solution, probe_points: Optional[np.ndarray] = None,
-                      fd_step: Optional[float] = None) -> float:
-    """Max |psi'' + c psi'| over probe points, via finite differences on the
-    profile (independent of how the profile was produced).
-
-    Defaults to 257 Chebyshev-distributed nodes pulled slightly inside the
-    annulus so the 5-point stencil stays in range.
+                      solution, fd_step: Optional[float] = None) -> float:
+    """Max |psi'' + c psi'| via finite differences on the profile
+    (independent of how the profile was produced), at 257
+    Chebyshev-distributed nodes pulled slightly inside the annulus so the
+    5-point stencil stays in range.
     """
     profile = solution.profile if hasattr(solution, "profile") else solution
     h = fd_step if fd_step is not None else min(2e-4 * (R - rho), 0.02 * rho)
-    if probe_points is None:
-        k = np.arange(257)
-        cheb = np.cos(math.pi * k / 256.0)  # [-1, 1]
-        lo, hi = rho + 2.5 * h, R - 2.5 * h
-        probe_points = (lo + hi) / 2.0 + (hi - lo) / 2.0 * cheb[::-1]
+    k = np.arange(257)
+    cheb = np.cos(math.pi * k / 256.0)  # [-1, 1]
+    lo, hi = rho + 2.5 * h, R - 2.5 * h
+    probe_points = (lo + hi) / 2.0 + (hi - lo) / 2.0 * cheb[::-1]
     op = DriftOperator(c, p)
-    res = op.apply(profile, np.asarray(probe_points, dtype=float), h)
+    res = op.apply(profile, probe_points, h)
     return float(np.max(np.abs(res)))

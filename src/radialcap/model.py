@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .expr import RadialExpr, eval_jet2, parse
+from .expr import RadialExpr, _check, eval_jet2, parse
 from .quadrature import integrate
 
 __all__ = [
@@ -104,16 +104,14 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
 def eta(ms: ModelSpace, r) -> Union[float, np.ndarray]:
     """Mean curvature ``w'(r)/w(r)`` of the distance sphere of radius r."""
     j = eval_jet2(ms.w, r)
-    if np.any(np.asarray(j.value) == 0.0):
-        raise DomainError("warping function vanishes", r)
+    _check(np.asarray(j.value) == 0.0, r, "warping function vanishes")
     return j.d1 / j.value
 
 
 def radial_curvature(ms: ModelSpace, r) -> Union[float, np.ndarray]:
     """Radial sectional curvature ``-w''(r)/w(r)`` at distance r."""
     j = eval_jet2(ms.w, r)
-    if np.any(np.asarray(j.value) == 0.0):
-        raise DomainError("warping function vanishes", r)
+    _check(np.asarray(j.value) == 0.0, r, "warping function vanishes")
     return -j.d2 / j.value
 
 
@@ -125,8 +123,7 @@ def unit_sphere_volume(m: int) -> float:
 
 def sphere_volume(ms: ModelSpace, r) -> Union[float, np.ndarray]:
     """Volume of the distance sphere: ``omega_{m-1} * w(r)**(m-1)``."""
-    if np.any(np.asarray(r) <= 0):
-        raise DomainError("radius must be positive", r)
+    _check(np.asarray(r) <= 0, r, "radius must be positive")
     wv = eval_jet2(ms.w, r).value
     return unit_sphere_volume(ms.m) * np.power(wv, ms.m - 1)
 
@@ -169,8 +166,7 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float,
 
     def integrand(t):
         wv = np.asarray(eval_jet2(ms.w, t).value)
-        if np.any(wv <= 0.0):
-            raise DomainError("warping function must be positive on [rho, R]", t)
+        _check(wv <= 0.0, t, "warping function must be positive on [rho, R]")
         return np.power(wv, expo)
 
     total, _ = integrate(integrand, rho, R, rel_tol=rel_tol)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = ["integrate", "CumulativeCache", "TailClass", "TailConfig", "classify_tail"]
 
@@ -318,6 +318,11 @@ class TailConfig:
     exp_band: float = 0.05
     rel_tol: float = 1e-9
     growth_factor: float = 1e12
+
+    def __post_init__(self):
+        for name in ("k_max", "conv_eps", "exp_band", "rel_tol"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,35 @@ def test_sweep_empty_range_exit_2(capsys):
     assert code == EXIT_INPUT
 
 
+BAD_HYPOTHESIS_FLAGS = [["--grid-points", "0"], ["--grid-points", "1"], ["--horizon", "-1"],
+                        ["--horizon", "2000"], ["--rho", "1e300"], ["--conv-eps", "nan"],
+                        ["--exp-band", "-1"], ["--rel-tol", "nan"], ["--rel-tol=-1e-10"]]
+
+
+@pytest.mark.parametrize("flags", BAD_HYPOTHESIS_FLAGS + [["--p", "nan"], ["--p", "inf"]],
+                         ids=" ".join)
+def test_classify_settings_that_certify_nothing_exit_2(capsys, flags):
+    # a zero-point grid used to certify any balance: p_parabolic on h = 2/r
+    code = main(["classify", EUCLID3, "--p", "3", *flags])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("flags", BAD_HYPOTHESIS_FLAGS + [["--p-to", "inf"]], ids=" ".join)
+def test_sweep_settings_that_certify_nothing_exit_2(tmp_path, capsys, flags):
+    path = write_config(tmp_path, h="2/r")
+    code = main(["sweep", path, "--p-from", "2", "--p-to", "4", "--p-step", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err.startswith("input error: ")
+    assert "p_parabolic" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [["--horizon", "0"], ["--rel-tol", "0"]], ids=" ".join)
+def test_zero_horizon_and_zero_tolerance_are_valid_flags(capsys, flags):
+    assert main(["classify", EUCLID3, "--p", "3", *flags]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------

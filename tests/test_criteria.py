@@ -9,7 +9,9 @@ from radialcap.criteria import (
     COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
     ClassifyConfig, classify, classify_bounded_w, classify_monotone, sweep,
 )
+from radialcap.errors import ConfigError
 from radialcap.model import ModelSpace
+from radialcap.quadrature import TailConfig
 
 
 def euclid_self(m, tangency=Tangency.LOWER):
@@ -303,3 +305,51 @@ def test_tail_look_ahead_grows_the_remainder_mesh_once(remainder_extensions):
     v = classify(c, 3.0, 1.0)
     assert v.is_parabolic
     assert remainder_extensions == [512.0]
+
+
+def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions):
+    # both weights' primitives are queried at 8 and 64 rho at once, so each
+    # remainder grows to 64 in one extension; the tail then takes q's to 512
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "coth_dominated.json"))
+    v = classify_monotone(c, 2.0, 3.0, 1.0)
+    assert ("weight_integral_monotone", True, "finite horizons 8x and 64x rho") in v.checks
+    assert remainder_extensions == [64.0, 64.0, 512.0]
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (ClassifyConfig, {"grid_points": 0}),
+    (ClassifyConfig, {"grid_points": 1}),
+    (ClassifyConfig, {"weight_rel_tol": float("nan")}),
+    (ClassifyConfig, {"weight_rel_tol": -1e-10}),
+    (TailConfig, {"k_max": -1}),
+    (TailConfig, {"conv_eps": float("nan")}),
+    (TailConfig, {"exp_band": -0.05}),
+    (TailConfig, {"rel_tol": -1e-9}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={x}" for k, x in v.items()))
+def test_configs_that_certify_nothing_are_rejected(make, kwargs):
+    with pytest.raises(ConfigError):
+        make(**kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda c: classify(c, float("nan"), 1.0), id="p=nan"),
+    pytest.param(lambda c: classify(c, float("inf"), 1.0), id="p=inf"),
+    pytest.param(lambda c: classify_monotone(c, float("nan"), 3.0, 1.0), id="q=nan"),
+    pytest.param(lambda c: classify(c, 3.0, 1.0, ClassifyConfig(tail=TailConfig(k_max=2000))),
+                 id="k_max=2000"),
+    pytest.param(lambda c: classify(c, 3.0, 1e300), id="rho=1e300"),
+    pytest.param(lambda c: sweep(c, 2.0, float("inf"), 1.0, 1.0), id="sweep p_to=inf"),
+    pytest.param(lambda c: sweep(c, 2.0, 3.0, 1.0, 1.0,
+                                 ClassifyConfig(tail=TailConfig(k_max=1100))),
+                 id="sweep k_max=1100"),
+])
+def test_non_finite_exponents_and_horizons_are_rejected(call):
+    with pytest.raises(ConfigError):
+        call(euclid_self(3, Tangency.UPPER))
+
+
+def test_zero_horizon_and_zero_tolerance_stay_valid():
+    cfg = ClassifyConfig(tail=TailConfig(k_max=0), weight_rel_tol=0.0)
+    v = classify(euclid_self(3), 3.0, 1.0, cfg)
+    assert v.reason.code == "tail_undetermined"
+    assert classify(euclid_self(3), 3.0, 1.0, ClassifyConfig(weight_rel_tol=0.0)).is_parabolic

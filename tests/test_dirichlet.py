@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from radialcap.constellation import Constellation, Tangency, WeightFunction
+from radialcap.constellation import Constellation, Tangency, WeightFunction, weight_function
 from radialcap.dirichlet import (
-    DriftOperator, capacity_upper_bound, drifted_capacity, operator_residual,
+    DriftOperator, RadialSolution, capacity_upper_bound, drifted_capacity, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from radialcap.errors import DomainError
@@ -293,6 +293,25 @@ def test_closed_solution_samples_the_weight_in_a_few_rounds(monkeypatch):
     sol = solve_dirichlet_closed(euclid_self(3), 3.0, 1.0, 1024.0)
     assert len(calls) <= 3
     assert sol.normalizer == pytest.approx(math.log(1024.0), rel=1e-12)
+
+
+def test_solutions_on_one_weight_share_its_primitive(monkeypatch):
+    c = Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
+                                     h="0.15/(1 + r)")
+    wf = weight_function(c, 2.5, 0.8, rel_tol=1e-11)
+    first = RadialSolution(wf, 3.0)
+    calls = []
+    call = WeightFunction.__call__
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return call(self, r)
+
+    monkeypatch.setattr(WeightFunction, "__call__", counted)
+    second = RadialSolution(wf, 3.0)
+    assert calls == []
+    assert second.normalizer == first.normalizer
+    assert first.normalizer == solve_dirichlet_closed(c, 2.5, 0.8, 3.0).normalizer
 
 
 def test_profile_queries_in_any_order_and_shape():

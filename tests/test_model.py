@@ -114,6 +114,22 @@ def test_eta_domain_error_at_warping_zero():
         eta(ModelSpace(2, parse("r - 1")), 1.0)
 
 
+@pytest.mark.parametrize("call, first_bad", [
+    (lambda ms: exact_annulus_p_capacity(ms, 1.0, 2.0, 2.0), None),
+    (lambda ms: eta(ms, np.array([1.0, 1.3, 0.5])), 1.3),
+    (lambda ms: radial_curvature(ms, np.array([2.0, 1.3, 1.3])), 1.3),
+    (lambda ms: sphere_volume(ms, np.array([1.0, -0.5, 0.0])), -0.5),
+], ids=["exact_annulus_p_capacity", "eta", "radial_curvature", "sphere_volume"])
+def test_domain_errors_report_the_first_offending_point(call, first_bad):
+    # w = r - 1.3 vanishes at 1.3 and is negative below it
+    with pytest.raises(DomainError) as info:
+        call(ModelSpace(2, parse("r - 1.3")))
+    r = info.value.r
+    assert type(r) is float
+    assert r < 1.3 if first_bad is None else r == first_bad
+    assert str(info.value).endswith(f"at r={r!r}")
+
+
 def test_model_space_rejects_bad_dimension():
     with pytest.raises(ValueError):
         ModelSpace(1, parse("r"))

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import json
+import re
 import sys
 import time
 from typing import Optional
@@ -88,11 +89,24 @@ def load_config(path: str) -> Constellation:
         raise ConfigError(f"invalid config {path!r}: {exc}") from exc
 
 
+# the settings a ConfigError names, as the flags that set them
+_FLAGS = {"k_max": "--horizon", "grid_points": "--grid-points", "conv_eps": "--conv-eps",
+          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rho": "--rho"}
+_FLAG_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+
+
 def _classify_config(args) -> ClassifyConfig:
-    tail = TailConfig(k_max=args.horizon, conv_eps=args.conv_eps,
-                      exp_band=args.exp_band)
-    return ClassifyConfig(grid_points=args.grid_points, tail=tail,
-                          weight_rel_tol=args.rel_tol)
+    """The flags' ClassifyConfig, checked for a finite horizon; an invalid
+    setting is reported by its flag."""
+    try:
+        tail = TailConfig(k_max=args.horizon, conv_eps=args.conv_eps,
+                          exp_band=args.exp_band)
+        cfg = ClassifyConfig(grid_points=args.grid_points, tail=tail,
+                             weight_rel_tol=args.rel_tol)
+        cfg.horizon(args.rho)
+    except ConfigError as exc:
+        raise ConfigError(_FLAG_RE.sub(lambda m: _FLAGS[m[0]], str(exc))) from None
+    return cfg
 
 
 def _write_csv(args, header, rows) -> None:

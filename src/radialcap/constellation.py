@@ -28,9 +28,9 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .expr import RadialExpr, eval_jet2, evaluate, parse
+from .expr import RadialExpr, _check, eval_jet2, evaluate, parse
 from .model import ModelSpace, _as_expr
-from .quadrature import CumulativeCache
+from .quadrature import CumulativeCache, geomgrid
 
 __all__ = [
     "Tangency",
@@ -114,9 +114,7 @@ def _balance_terms(c: Constellation, p: float, r, eta: bool = True, jw=None):
     if eta:
         if jw is None:
             jw = eval_jet2(c.model.w, r)
-        if np.any(np.asarray(jw.value) == 0.0):
-            raise DomainError("warping function vanishes",
-                              float(np.min(np.where(np.asarray(jw.value) == 0.0, r, np.inf))))
+        _check(np.asarray(jw.value) == 0.0, r, "warping function vanishes")
         t1 = (c.m + p - 2.0) * (jw.d1 / jw.value)
     t2 = c.m * evaluate(c.h, r)
     if p == 2.0:
@@ -190,7 +188,7 @@ def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> 
     lo, hi = interval
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    rs = np.geomspace(lo, hi, grid_size)
+    rs = geomgrid(lo, hi, grid_size)
     values, scale = _balance_terms(c, p, rs)
     values = np.asarray(values, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.asarray(scale, dtype=float))
@@ -264,10 +262,12 @@ class WeightFunction:
     def integral(self, r):
         """integral_rho^r of the weight for scalar or ndarray r >= rho, read
         off one CumulativeCache over the weight at its ``rel_tol``, built on
-        first use.  The remainder mesh first grows to the largest r in one
-        extension (w is not evaluated there), so the primitive only reads it."""
-        if self._cache is not None:
-            self._cache(np.max(r, initial=self.rho))
+        first use.  A largest r past the remainder mesh's reach first grows
+        that mesh to it in one extension (w is not evaluated there), so the
+        primitive only reads it."""
+        top = np.max(r, initial=self.rho)
+        if self._cache is not None and top > self._cache._reach:
+            self._cache(top)
         if self._primitive is None:
             ref = weakref.ref(self)
             self._primitive = CumulativeCache(lambda t: ref()(t), self.rho, rel_tol=self.rel_tol)

@@ -9,8 +9,10 @@ sufficient only: the engine never claims hyperbolicity, it answers
 "p-parabolic" or "inconclusive" with structured evidence.
 
 Hypotheses are certified numerically on a geometric grid from
-``min(rho, 1e-3)`` out to the tail horizon plus the tail-fit window, not on
-all of ``(0, infinity)``; every verdict carries the certified interval.
+``min(rho, 1e-3)`` out to the certified horizon, the largest doubling radius
+``rho * 2**k`` (k <= k_max) at which the balance is finite, not on all of
+``(0, infinity)``; the tail ladder and its exponent fit stay inside it, and
+every verdict carries the certified interval.
 
 All three criteria run one pipeline: the p >= 2 guard, the certified
 horizon, the model warnings, then the criterion's ordered stages (sandwich,
@@ -39,7 +41,7 @@ from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError
 from .expr import eval_jet2, evaluate
 from .model import validate_warping
-from .quadrature import TailClass, TailConfig, classify_tail
+from .quadrature import TailClass, TailConfig, classify_tail, geomgrid
 
 __all__ = [
     "ClassifyConfig",
@@ -155,7 +157,7 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
     for cond, witness, value in report.violations:
         warnings.append(f"warping check failed: {cond} (r={witness:g}, value={value!r})")
     if c.tangency is Tangency.LOWER:
-        rs = np.geomspace(cfg.lo(rho), min(horizon, 1e6), 256)
+        rs = geomgrid(cfg.lo(rho), min(horizon, 1e6), 256)
         try:
             gv = np.asarray(evaluate(c.g, rs))
             if np.any(gv > 1.0 + 1e-12):
@@ -167,29 +169,52 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
     return tuple(warnings)
 
 
+def _finite_radii(fn: Callable, rs: np.ndarray, idx: np.ndarray, flagged: list) -> np.ndarray:
+    """The indices in ``idx`` at which ``fn(rs[idx])`` is finite.  A
+    :class:`DomainError` drops the indices its check flagged (its ``mask``),
+    appending the lowest with the error's detail to ``flagged``, and ``fn``
+    runs again on the rest."""
+    while len(idx):
+        try:
+            with np.errstate(all="ignore"):
+                return idx[np.isfinite(fn(rs[idx]))]
+        except DomainError as exc:
+            bad = np.broadcast_to(exc.mask, idx.shape)
+            flagged.append((int(idx[bad][0]), exc.detail))
+            idx = idx[~bad]
+    return idx
+
+
 def _certified_horizon(c: Constellation, p: float, rho: float,
                        cfg: ClassifyConfig, lam: bool):
-    """Largest doubling radius at which the balance, and lam too if ``lam``
-    is set, is still evaluable.
+    """Largest doubling radius ``rho * 2**k``, k <= k_max, at which the
+    balance, and lam too if ``lam`` is set, is finite.
 
     Hyperbolic-type expressions overflow float range near r ~ 700 (inf/inf
     ratios); the hypothesis grid and the tail ladder are then capped there
-    and the verdict says so.  Returns ``(radius, doubling count, warnings)``.
+    and the verdict says so.  The balance is evaluated at all k_max + 1
+    radii in one array pass, then lam where the balance is finite.  A radius
+    that a domain check flags is dropped and the pass repeats on the rest,
+    so a radius counts exactly when a scalar evaluation there is finite and
+    raises nothing.  Returns ``(radius, doubling count, warnings)``; if no
+    radius counts, raises the error of the lowest radius that raised one.
     """
-    last_exc = None
-    for k in range(cfg.tail.k_max, -1, -1):
-        hi = rho * 2.0 ** k
-        try:
-            value, _ = _balance_terms(c, p, hi)
-            if np.isfinite(value) and (not lam or np.isfinite(evaluate(c.lam, hi))):
-                warning = () if k == cfg.tail.k_max else (
-                    f"balance evaluable only up to r={hi:.4g} "
-                    f"(float overflow beyond); hypotheses certified there",)
-                return hi, k, warning
-        except DomainError as exc:
-            last_exc = exc
-    raise last_exc if last_exc is not None else DomainError(
-        "balance not evaluable anywhere on the grid", rho)
+    rs = rho * 2.0 ** np.arange(cfg.tail.k_max + 1)
+    flagged = []
+    ok = _finite_radii(lambda r: _balance_terms(c, p, r)[0], rs, np.arange(len(rs)), flagged)
+    if lam:
+        ok = _finite_radii(lambda r: evaluate(c.lam, r), rs, ok, flagged)
+    if len(ok):
+        k = int(ok[-1])
+        hi = float(rs[k])
+        warning = () if k == cfg.tail.k_max else (
+            f"balance evaluable only up to r={hi:.4g} "
+            f"(float overflow beyond); hypotheses certified there",)
+        return hi, k, warning
+    if flagged:
+        k, detail = min(flagged)
+        raise DomainError(detail, float(rs[k]))
+    raise DomainError("balance not evaluable anywhere on the grid", rho)
 
 
 def _balance_violations(prof: BalanceProfile, want: str) -> tuple:
@@ -291,7 +316,7 @@ def _tail_stage(run: _Run, name: str, convergent: str, undetermined: Callable) -
 def _warping_stage(run: _Run, r0: float, lower_const: float) -> tuple:
     """w >= lower_const on [r0, horizon]."""
     top = max(run.interval[1], 2.0 * r0)
-    grid = np.geomspace(r0, top, 1024)
+    grid = geomgrid(r0, top, 1024)
     wv = np.asarray(evaluate(run.c.model.w, grid))
     low = wv >= lower_const
     if np.all(low):
@@ -304,7 +329,7 @@ def _warping_stage(run: _Run, r0: float, lower_const: float) -> tuple:
 
 def _sandwich_stage(run: _Run) -> tuple:
     """h <= w'/w <= lam on the certified grid."""
-    rs = np.geomspace(run.interval[0], run.interval[1], run.cfg.grid_points)
+    rs = geomgrid(run.interval[0], run.interval[1], run.cfg.grid_points)
     jw = eval_jet2(run.c.model.w, rs)
     et = np.asarray(jw.d1 / jw.value)
     hv = np.asarray(evaluate(run.c.h, rs))

@@ -35,11 +35,15 @@ class DomainError(RadialCapError):
     Attributes:
         r: the offending evaluation point, when known.
         detail: description of the failing subexpression or condition.
+        mask: the points the failing check flagged, a bool or a bool array
+            that broadcasts against the evaluation points (True flags them
+            all); None when the error does not come from such a check.
     """
 
-    def __init__(self, detail, r=None):
+    def __init__(self, detail, r=None, mask=None):
         self.r = r
         self.detail = detail
+        self.mask = mask
         super().__init__(detail if r is None else f"{detail} at r={r!r}")
 
 

@@ -344,10 +344,11 @@ def _first_bad(mask, r):
 
 
 def _check(bad, r, detail):
-    """Raise at the first True entry of ``bad``, a bool or a bool array
-    (``.any()`` and plain truth skip the dispatch cost of ``np.any``)."""
+    """Raise at the first True entry of ``bad``, a bool or a bool array, with
+    ``bad`` as the error's mask (``.any()`` and plain truth skip the
+    dispatch cost of ``np.any``)."""
     if bad.any() if type(bad) is np.ndarray else bad:
-        raise DomainError(detail, _first_bad(bad, r))
+        raise DomainError(detail, _first_bad(bad, r), mask=bad)
 
 
 def _jpow(u, u1, u2, a, r):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import RadialExpr, _check, eval_jet2, parse
-from .quadrature import integrate
+from .quadrature import geomgrid, integrate
 
 __all__ = [
     "ModelSpace",
@@ -90,7 +90,7 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
             violations.append(("w(0) = 0", eps, float(j0.value)))
         if abs(j0.d1 - 1.0) > 1e-4:
             violations.append(("w'(0) = 1", eps, float(j0.d1)))
-        grid = np.geomspace(eps, r_max, 1024)
+        grid = geomgrid(eps, r_max, 1024)
         vals = np.asarray(eval_jet2(w, grid).value)
         bad = ~(vals > 0.0)
         if bad.any():

@@ -246,8 +246,11 @@ BAD_HYPOTHESIS_FLAGS = [["--grid-points", "0"], ["--grid-points", "1"], ["--hori
 def test_classify_settings_that_certify_nothing_exit_2(capsys, flags):
     # a zero-point grid used to certify any balance: p_parabolic on h = 2/r
     code = main(["classify", EUCLID3, "--p", "3", *flags])
+    err = capsys.readouterr().err
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("input error: ")
+    assert err.startswith("input error: ")
+    if flags in BAD_HYPOTHESIS_FLAGS:
+        assert flags[0].split("=")[0] in err
 
 
 @pytest.mark.parametrize("flags", BAD_HYPOTHESIS_FLAGS + [["--p-to", "inf"]], ids=" ".join)
@@ -258,6 +261,8 @@ def test_sweep_settings_that_certify_nothing_exit_2(tmp_path, capsys, flags):
     assert code == EXIT_INPUT
     assert captured.err.startswith("input error: ")
     assert "p_parabolic" not in captured.out
+    if flags in BAD_HYPOTHESIS_FLAGS:
+        assert flags[0].split("=")[0] in captured.err
 
 
 @pytest.mark.parametrize("flags", [["--horizon", "0"], ["--rel-tol", "0"]], ids=" ".join)

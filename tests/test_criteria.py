@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from radialcap.cli import load_config
 from radialcap.constellation import Constellation, Tangency
+from radialcap.constellation import _balance_terms
 from radialcap.criteria import (
     COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
-    ClassifyConfig, classify, classify_bounded_w, classify_monotone, sweep,
+    ClassifyConfig, _certified_horizon, classify, classify_bounded_w, classify_monotone, sweep,
 )
-from radialcap.errors import ConfigError
+from radialcap.errors import ConfigError, DomainError
+from radialcap.expr import evaluate
 from radialcap.model import ModelSpace
 from radialcap.quadrature import TailConfig
 
@@ -353,3 +356,71 @@ def test_zero_horizon_and_zero_tolerance_stay_valid():
     v = classify(euclid_self(3), 3.0, 1.0, cfg)
     assert v.reason.code == "tail_undetermined"
     assert classify(euclid_self(3), 3.0, 1.0, ClassifyConfig(weight_rel_tol=0.0)).is_parabolic
+
+
+def horizon_scan(c, p, rho, cfg, lam):
+    """Reference: the certified horizon scanned one scalar radius at a time,
+    from the top doubling down; the all-fail error is the last one met."""
+    last_exc = None
+    for k in range(cfg.tail.k_max, -1, -1):
+        hi = rho * 2.0 ** k
+        try:
+            value, _ = _balance_terms(c, p, hi)
+            if np.isfinite(value) and (not lam or np.isfinite(evaluate(c.lam, hi))):
+                warning = () if k == cfg.tail.k_max else (
+                    f"balance evaluable only up to r={hi:.4g} "
+                    f"(float overflow beyond); hypotheses certified there",)
+                return hi, k, warning
+        except DomainError as exc:
+            last_exc = exc
+    raise last_exc if last_exc is not None else DomainError(
+        "balance not evaluable anywhere on the grid", rho)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+HORIZON_CASES = [
+    *[(f"euclid{m}", euclid_self(m)) for m in range(2, 7)],
+    *[(f"hyperbolic{m}", hyperbolic_self(m)) for m in (2, 3)],
+    *[(path.stem, load_config(str(path))) for path in sorted(CONFIG_DIR.glob("*.json"))],
+    # h has a pole at the interior doubling r = 4 only: the horizon stays at
+    # the top and the balance grid, not the horizon, fails the criterion
+    ("pole_at_4", Constellation.from_functions(3, 3, "r", h="1/(r-4)")),
+    # lam is out of domain at r <= 3, where only the monotone corollary looks
+    ("lam_from_3", Constellation.from_functions(3, 3, "sinh(r)", lam="log(r - 3)", h="1",
+                                                tangency=Tangency.UPPER)),
+]
+
+
+@pytest.mark.parametrize("name, c", HORIZON_CASES, ids=[n for n, _ in HORIZON_CASES])
+def test_one_pass_horizon_matches_the_scalar_scan(name, c):
+    for k_max in (40, 9, 0):
+        cfg = ClassifyConfig(tail=TailConfig(k_max=k_max))
+        for p in (2.0, 2.5, 3.0, 5.0, 8.0):
+            for rho in (0.5, 1.0, 2.0):
+                for lam in (False, True):
+                    try:
+                        want = horizon_scan(c, p, rho, cfg, lam)
+                    except DomainError as exc:
+                        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                            _certified_horizon(c, p, rho, cfg, lam)
+                    else:
+                        assert _certified_horizon(c, p, rho, cfg, lam) == want
+
+
+def test_interior_pole_keeps_the_top_horizon_and_fails_the_balance():
+    c = Constellation.from_functions(3, 3, "r", h="1/(r-4)")
+    assert _certified_horizon(c, 3.0, 1.0, ClassifyConfig(), False) == (2.0 ** 40, 40, ())
+    assert classify(c, 3.0, 1.0).summary() == "inconclusive (balance_fails)"
+
+
+@pytest.mark.parametrize("h", ["log(-r)", "sqrt(1.5 - r) + log(r - 1.5)"])
+def test_horizon_that_fails_everywhere_raises_the_scans_error(h):
+    # the second h fails at r = 1 on log and at r >= 2 on sqrt: the error
+    # raised is the one at the lowest radius
+    c = Constellation.from_functions(3, 3, "r", h=h)
+    with pytest.raises(DomainError) as want:
+        horizon_scan(c, 3.0, 1.0, ClassifyConfig(), False)
+    with pytest.raises(DomainError) as got:
+        _certified_horizon(c, 3.0, 1.0, ClassifyConfig(), False)
+    assert str(got.value) == str(want.value) == "log of non-positive value at r=1.0"
+    assert got.value.r == want.value.r

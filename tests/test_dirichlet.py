@@ -10,6 +10,7 @@ from radialcap.dirichlet import (
 )
 from radialcap.errors import DomainError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
+from radialcap.quadrature import CumulativeCache
 
 
 def euclid_self(m):
@@ -312,6 +313,26 @@ def test_solutions_on_one_weight_share_its_primitive(monkeypatch):
     assert calls == []
     assert second.normalizer == first.normalizer
     assert first.normalizer == solve_dirichlet_closed(c, 2.5, 0.8, 3.0).normalizer
+
+
+def test_profile_after_the_normalizer_makes_no_remainder_query(monkeypatch):
+    # the normalizer grew the remainder mesh to R: the profile at the RK4
+    # nodes and the residual's stencil read the primitive alone
+    c = Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
+                                     h="0.15/(1 + r)")
+    sol = solve_dirichlet_closed(c, 2.5, 0.8, 3.0)
+    calls = []
+    call = CumulativeCache.__call__
+
+    def counted(self, r):
+        if self is sol.weight._cache:
+            calls.append(np.size(r))
+        return call(self, r)
+
+    monkeypatch.setattr(CumulativeCache, "__call__", counted)
+    sol.profile(solve_dirichlet_ode(c, 2.5, 0.8, 3.0, step_count=400).nodes)
+    assert operator_residual(c, 2.5, 0.8, 3.0, sol) <= 1e-6
+    assert calls == []
 
 
 def test_profile_queries_in_any_order_and_shape():

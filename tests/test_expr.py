@@ -232,3 +232,13 @@ def test_compiled_expression_pickles_without_its_functions():
 def test_constant_is_the_value_of_an_expression_without_r(text, value):
     # out-of-domain constants read None: pointwise evaluation raises there
     assert parse(text).constant == value
+
+
+def test_domain_error_masks_the_points_its_check_flagged():
+    with pytest.raises(DomainError) as info:
+        evaluate(parse("log(r - 2)"), np.array([3.0, 1.0, 4.0, 2.0]))
+    assert info.value.r == 1.0
+    assert info.value.mask.tolist() == [False, True, False, True]
+    with pytest.raises(DomainError) as info:
+        eval_jet2(parse("1/(r - 2)"), 2.0)
+    assert bool(info.value.mask)

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialcap.cli import load_config
 from radialcap.constellation import Constellation, WeightFunction
 from radialcap.criteria import classify
 from radialcap.errors import DomainError, QuadratureError
 from radialcap.quadrature import (
-    CumulativeCache, TailConfig, classify_tail, integrate,
+    CumulativeCache, TailConfig, _fit_exponent, classify_tail, geomgrid, integrate,
 )
 
 
@@ -347,3 +348,51 @@ def test_classify_self_model_calls_the_weight_a_few_times(monkeypatch):
     verdict = classify(c, 3.0, 1.0)
     assert verdict.is_parabolic
     assert len(calls) <= 10
+
+
+# ---------------------------------------------------------------------------
+# grid and fit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0), st.floats(1e-12, 300.0), st.integers(1, 1100))
+def test_geomgrid_is_geomspace_bit_for_bit(log_lo, decades, n):
+    lo = 10.0 ** log_lo
+    hi = lo * 10.0 ** decades
+    if not (0.0 < lo < hi < math.inf):
+        return
+    np.testing.assert_array_equal(geomgrid(lo, hi, n).view(np.int64),
+                                  np.geomspace(lo, hi, n).view(np.int64))
+
+
+def polyfit_exponent(fv, rho, horizon):
+    """Reference: the tail-exponent fit by np.polyfit's SVD least squares."""
+    ts = np.geomspace(max(rho, horizon / 100.0), horizon, 64)
+    fs = fv(ts)
+    ok = np.isfinite(fs) & (fs > 0.0)
+    x, y = np.log(ts[ok]), np.log(fs[ok])
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)), np.max(np.abs(y))
+
+
+NOISE = np.random.default_rng(7).uniform(0.5, 1.5, 64)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: t ** -2.0,
+    lambda t: 3.0 * t ** -0.5,
+    lambda t: t ** -2.0 * (1.0 + 1.0 / t),
+    lambda t: np.exp(-0.01 * t),
+    lambda t: np.exp(0.003 * t) / t,
+    lambda t: t ** -1.5 * NOISE[:len(t)],
+    lambda t: t ** -1.0 * (2.0 + np.sin(t)),
+], ids=["t^-2", "3t^-0.5", "t^-2(1+1/t)", "exp(-t/100)", "exp(t/333)/t", "noisy t^-1.5",
+        "(2+sin t)/t"])
+@pytest.mark.parametrize("rho, horizon", [(1.0, 2.0 ** 10), (0.5, 0.5 * 2.0 ** 16), (1.0, 3.0)])
+def test_moment_fit_matches_polyfit(f, rho, horizon):
+    slope, resid = _fit_exponent(f, rho, horizon)
+    want_slope, want_resid, y_scale = polyfit_exponent(f, rho, horizon)
+    assert slope == pytest.approx(want_slope, rel=1e-12, abs=1e-15)
+    # an exact power law leaves a residual of rounding noise, a few ulps of
+    # the log-values, which any other summation order moves
+    assert resid == pytest.approx(want_resid, rel=1e-12, abs=64 * np.finfo(float).eps * y_scale)

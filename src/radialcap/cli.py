@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -109,6 +110,14 @@ def _classify_config(args) -> ClassifyConfig:
     return cfg
 
 
+def _check_finite(args, *names) -> None:
+    """Reject a non-finite value of the flags with dests ``names``, by flag."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _write_csv(args, header, rows) -> None:
     """CSV to the ``--out`` file, else to stdout unless ``--json`` is given."""
     if args.out is None and args.json:
@@ -135,6 +144,7 @@ def _json_default(obj):
 # Commands that print a CSV table return no lines.
 
 def cmd_classify(args, c: Constellation) -> tuple:
+    _check_finite(args, "p")
     verdict = classify(c, args.p, args.rho, _classify_config(args))
     outcome = {"verdict": verdict.outcome, "by": verdict.by,
                "reason": verdict.reason.to_dict() if verdict.reason else None}
@@ -160,6 +170,7 @@ def cmd_classify(args, c: Constellation) -> tuple:
 
 
 def cmd_sweep(args, c: Constellation) -> tuple:
+    _check_finite(args, "p_from", "p_to", "p_step")
     rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:

@@ -241,14 +241,14 @@ class WeightFunction:
             # the remainder sits in an exponent: absolute errors below 1e-15
             # per panel are invisible, and the floor keeps roundoff-noise
             # integrands (exactly cancelling balances) from endless
-            # refinement.  A panel's tolerance counts |integrand| only up to
-            # the doubling past its own, so a query far out (the tail ladder
-            # evaluates every doubling at once) cannot loosen the panels near
-            # rho.  The cache reaches the integrand through a weak reference,
-            # so the weight and its cache form no cycle.
+            # refinement.  A cache that calls the weight (its primitive, the
+            # tail ladder) takes its query's top in its first call, so this
+            # mesh grows there in one extension.  The cache reaches the
+            # integrand through a weak reference, so the weight and its cache
+            # form no cycle.
             ref = weakref.ref(self)
             self._cache = CumulativeCache(lambda t: ref().integrand(t), self.rho,
-                                          rel_tol=rel_tol, abs_tol=1e-15, max_growth=2.0)
+                                          rel_tol=rel_tol, abs_tol=1e-15)
 
     # -- integrand of the remainder R ------------------------------------------
     def integrand(self, t):
@@ -262,16 +262,13 @@ class WeightFunction:
     def integral(self, r):
         """integral_rho^r of the weight for scalar or ndarray r >= rho, read
         off one CumulativeCache over the weight at its ``rel_tol``, built on
-        first use.  A largest r past the remainder mesh's reach first grows
-        that mesh to it in one extension (w is not evaluated there), so the
-        primitive only reads it."""
-        top = np.max(r, initial=self.rho)
-        if self._cache is not None and top > self._cache._reach:
-            self._cache(top)
+        first use.  The cache's first call of the weight in an extension
+        takes the largest r, so the remainder mesh grows to it at once."""
         if self._primitive is None:
             ref = weakref.ref(self)
             self._primitive = CumulativeCache(lambda t: ref()(t), self.rho, rel_tol=self.rel_tol)
-        return self._primitive(r)
+        with np.errstate(over="ignore"):    # the cache reports an inf weight itself
+            return self._primitive(r)
 
     def _log_ratio(self, r, wv):
         """log(w(r)/w(rho)), given ``wv`` = w(r)."""

@@ -99,14 +99,16 @@ def _as_array_fn(f: Callable) -> Callable:
     return wrapper
 
 
-def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray):
+def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray, *extra: float):
     """f at the 15 GK nodes of each [lo_i, hi_i]; returns (half-widths, values).
 
-    Raises QuadratureError at the first non-finite value.
+    The points ``extra`` join the same call of f, and their values are
+    dropped.  Raises QuadratureError at the first non-finite value at a node.
     """
     half = 0.5 * (hi - lo)
     pts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
+    flat = np.concatenate([pts.ravel(), extra]) if extra else pts.ravel()
+    vals = f(flat)[:pts.size].reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise QuadratureError(
@@ -189,32 +191,28 @@ class CumulativeCache:
     gives exactly 0).
 
     A query past the mesh's right end ``reach`` meshes ``[reach, top]``
-    (top: the query's largest point) from the steps ``[reach, g*reach],
-    [g*reach, g**2*reach], ..., [., top]`` (g = ``max_growth``, 2 if it is
-    not set; a single step if reach is 0).  Panels are bisected in batches
-    until the last three Chebyshev coefficients of f are at most ``rel_tol``
-    times the largest |f| seen up to the end of the panel's step, or at most
-    ``abs_tol`` once multiplied by the half-width, so one far query, such as
-    a tail ladder evaluated ahead of its stop, cannot loosen the panels near
-    the base.  Without ``max_growth`` the first round also samples the probe
-    panel ``[reach, top]``, ahead of the steps in the same call of f (a
-    non-finite value on it is the one reported); a probe that passes on its
-    own |f| is the whole extension, else refinement goes on from the steps.
-    Either way an extension takes one or a few calls of f, not one per
-    halving of ``[reach, top]``.  :meth:`error` sums the panels' GK15
-    error estimates, from f's values at the nodes that the antiderivative
-    gives back.  Not safe for concurrent mutation; build one per thread.
+    (top: the query's largest point) from the doubling steps ``[reach,
+    2*reach], ..., [., top]`` (one step if reach is 0).  Panels are bisected
+    in batches until the last three Chebyshev coefficients of f are at most
+    ``rel_tol`` times the largest |f| seen up to the end of the panel's
+    step, or at most ``abs_tol`` once multiplied by the half-width, so one
+    far query, such as a tail ladder evaluated ahead of its stop, cannot
+    loosen the panels near the base.  The first call of f also takes top,
+    so a mesh that f keeps of its own grows there at once, and, given
+    several steps, the span ``[reach, top]`` as one panel ahead of them, so
+    a non-finite value on it is the one reported; the span is never kept,
+    as it can miss f between its nodes.  An extension takes one or a few
+    calls of f.  :meth:`error` sums the panels' GK15 error estimates, from
+    f's values at the nodes that the antiderivative gives back.  Not safe
+    for concurrent mutation; build one per thread.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
-                 abs_tol: float = 0.0, max_growth: float = math.inf):
-        if not max_growth > 1.0:
-            raise ValueError(f"max_growth must exceed 1, got {max_growth}")
+                 abs_tol: float = 0.0):
         self.fn = _as_array_fn(fn)
         self.base = float(base)
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self.max_growth = max_growth
         self._reach = self.base
         self._total = 0.0           # integral(base, reach)
         self._fmax = 0.0
@@ -250,35 +248,27 @@ class CumulativeCache:
         return float(_gk(half, self._coef[:n] @ _FROM_PRIM.T / half[:, None])[1].sum())
 
     def _extend(self, top: float) -> None:
-        growth = 2.0 if self.max_growth == math.inf else self.max_growth
         steps = [self._reach]
-        while self._reach > 0 and growth * steps[-1] < top:
-            steps.append(growth * steps[-1])
-        lo, hi = np.array(steps), np.array(steps[1:] + [top])
-        # without max_growth the probe [reach, top] leads the steps, as a
-        # step of its own whose |f| the steps do not count
-        probe = self.max_growth == math.inf and len(lo) > 1
-        if probe:
-            lo, hi = np.append(self._reach, lo), np.append(top, hi)
-        first = int(probe)
+        while self._reach > 0 and 2.0 * steps[-1] < top:
+            steps.append(2.0 * steps[-1])
+        span = int(len(steps) > 1)  # the span leads, so a non-finite f on it is reported
+        lo = np.array(steps[:span] + steps)
+        hi = np.array([top] * span + steps[1:] + [top])
+        half, vals = _sample(self.fn, lo, hi, top)
+        lo, hi, half, vals = lo[span:], hi[span:], half[span:], vals[span:]
         step = np.arange(len(lo))   # the growth step each panel lies in
         fmax = np.full(len(lo), self._fmax)     # largest |f| seen up to each step's end
         done = []                   # (left edges, antiderivative coefficients)
         n_done = 0
-        while len(lo):
-            half, vals = _sample(self.fn, lo, hi)
+        while True:
             np.maximum.at(fmax, step, np.abs(vals).max(axis=1))
-            fmax[first:] = np.maximum.accumulate(fmax[first:])
+            fmax = np.maximum.accumulate(fmax)
             cheb = vals @ _TO_CHEB.T
             tail = np.abs(cheb[:, -3:]).max(axis=1)
             ok = (tail <= self.rel_tol * fmax[step]) | (half * tail <= self.abs_tol)
-            todo = ~ok
-            if probe:               # the probe alone, or the steps without it
-                probe = False
-                keep = step == 0 if ok[0] else step > 0
-                ok, todo = ok & keep, todo & keep
             done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
             n_done += int(ok.sum())
+            todo = ~ok
             lo, hi, step, err = lo[todo], hi[todo], step[todo], (half * tail)[todo]
             if not len(lo):
                 break
@@ -292,6 +282,7 @@ class CumulativeCache:
             mids = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mids]), np.concatenate([mids, hi])
             step = np.concatenate([step, step])
+            half, vals = _sample(self.fn, lo, hi)
         new_lo = np.concatenate([d[0] for d in done])
         order = np.argsort(new_lo)
         new_lo = new_lo[order]
@@ -423,13 +414,12 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
       (e.g. ``1/(t*log(t))`` tails) -- never guessed.
 
     The partial integrals are read off one :class:`CumulativeCache` of f
-    based at rho, with ``max_growth=2`` so that its growth steps are the
-    doublings.  One query at every doubling radius meshes the whole ladder
-    at once.  It is preceded by one evaluation of f at the top radius, so
-    that a mesh f keeps of its own (a weight's remainder) grows there in
-    one extension instead of by a sliver per refinement round.  If either
-    raises (they reach past where the walk may stop), the walk queries the
-    same cache one doubling at a time, so an error surfaces at the doubling
+    based at rho, whose growth steps are the doublings; the ladder evaluates
+    f nowhere else.  One query at every doubling radius meshes the whole
+    ladder at once (the cache's first call of f takes the top radius, so a
+    weight's remainder mesh grows there in one extension).  If it raises
+    (it reaches past where the walk may stop), the walk queries the same
+    cache one doubling at a time, so an error surfaces at the doubling
     where a walk that never looks ahead meets it.
     A NaN of f raises there; an inf, or a value past ``1e250``, stops the
     ladder as an overflow.
@@ -448,10 +438,9 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
             raise _Overflow
         return vals
 
-    prim = CumulativeCache(guarded, rho, rel_tol=cfg.rel_tol, max_growth=2.0)
+    prim = CumulativeCache(guarded, rho, rel_tol=cfg.rel_tol)
     radii = [rho * 2.0 ** k for k in range(cfg.k_max + 1)]
     try:
-        guarded(np.array([radii[-1]]))
         ladder = prim(radii)
     except Exception:
         # the query reaches past where the walk may stop, so its error need

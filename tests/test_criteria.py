@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from radialcap.criteria import (
 )
 from radialcap.errors import ConfigError, DomainError
 from radialcap.expr import evaluate
-from radialcap.model import ModelSpace
+from radialcap.model import ModelSpace, sphere_volume
 from radialcap.quadrature import TailConfig
 
 
@@ -299,6 +300,20 @@ def test_sweep_reports_the_first_overflowing_node_of_the_capacity_annulus():
     for row in rows[2:]:
         assert row.error == (f"integrand not finite (np.float64(inf) at t={t_bad[row.p]}); "
                              "worst subinterval [1, 512] err=inf")
+
+
+def test_sweep_capacity_matches_the_closed_form_of_the_bounded_cylinder():
+    # at p = 2 the weight is tanh(rho)^2 coth(r), whose primitive is
+    # log sinh; the capacity annulus is [2, 2**11]
+    c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "cylinder_bounded.json"))
+    row = sweep(c, 2.0, 2.5, 0.5, rho=2.0)[0]
+
+    def log_sinh(x):
+        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+
+    exact = float(sphere_volume(c.model, 2.0)) / (math.tanh(2.0) * (log_sinh(2048.0) - log_sinh(2.0)))
+    assert row.p == 2.0
+    assert row.cap_at_horizon == pytest.approx(exact, rel=1e-12)
 
 
 def test_tail_look_ahead_grows_the_remainder_mesh_once(remainder_extensions):

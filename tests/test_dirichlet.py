@@ -281,8 +281,8 @@ def test_closed_solution_grows_the_remainder_mesh_once(remainder_extensions):
 
 
 def test_closed_solution_samples_the_weight_in_a_few_rounds(monkeypatch):
-    # the probe [1, 1024] and its ten doublings are sampled in one call,
-    # and refinement starts from the doublings instead of halving the probe
+    # the span [1, 1024] and its ten doublings are sampled in one call,
+    # and refinement starts from the doublings instead of halving the span
     calls = []
     call = WeightFunction.__call__
 
@@ -294,6 +294,14 @@ def test_closed_solution_samples_the_weight_in_a_few_rounds(monkeypatch):
     sol = solve_dirichlet_closed(euclid_self(3), 3.0, 1.0, 1024.0)
     assert len(calls) <= 3
     assert sol.normalizer == pytest.approx(math.log(1024.0), rel=1e-12)
+
+
+def test_normalizer_of_a_weight_that_dies_near_rho_ignores_the_far_annulus():
+    # the weight is exp(-200 (r - 1)) / r: it underflows at every node of one
+    # panel over [1, 1024], so the normalizer must come from the doublings
+    c = Constellation.from_functions(2, 2, "r", h="-100")
+    near = solve_dirichlet_closed(c, 2.0, 1.0, 3.0).normalizer
+    assert solve_dirichlet_closed(c, 2.0, 1.0, 1024.0).normalizer == pytest.approx(near, rel=1e-12)
 
 
 def test_solutions_on_one_weight_share_its_primitive(monkeypatch):

@@ -86,8 +86,6 @@ def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
         cache(0.5)
     with pytest.raises(ValueError):
         cache(np.array([2.0, np.nan]))
-    with pytest.raises(ValueError):
-        CumulativeCache(_decay_plus_log, 1.0, max_growth=1.0)
 
 
 def test_cumulative_unsorted_repeated_and_shaped_queries_equal_sorted():
@@ -110,7 +108,7 @@ def test_cumulative_piecewise_growth_matches_one_shot():
                                           rel=1e-12)
 
 
-def test_cumulative_far_query_with_max_growth_keeps_panels_near_base_tight():
+def test_cumulative_far_query_keeps_panels_near_base_tight():
     # |f| grows, so a panel's tolerance, relative to the largest |f| seen,
     # would loosen near the base if one query sampled f far out first (one
     # unbounded extension here is a single panel that misses the bump)
@@ -119,9 +117,16 @@ def test_cumulative_far_query_with_max_growth_keeps_panels_near_base_tight():
 
     pts = np.geomspace(1.0, 2.0 ** 40, 300)[1:]
     exact = (pts * pts - 1.0) / 2.0 + (np.arctan(10.0 * (pts - 1.5)) - np.arctan(-5.0)) / 10.0
-    far = CumulativeCache(f, 1.0, rel_tol=1e-10, max_growth=2.0)
+    far = CumulativeCache(f, 1.0, rel_tol=1e-10)
     far(2.0 ** 40)
     assert np.max(np.abs(far(pts) - exact) / exact) <= 1e-12
+
+
+def test_cumulative_far_query_resolves_a_bump_between_the_span_nodes():
+    # the bump at t = 1 has width 0.01, far below the node spacing of one
+    # panel over [1, 1024], where the integrand underflows at every node
+    cache = CumulativeCache(lambda t: np.exp(-1e4 * (t - 1.0) ** 2), 1.0)
+    assert cache(1024.0) == pytest.approx(math.sqrt(math.pi) / 200.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .errors import (          # noqa: F401
 )
 from .expr import Jet2, RadialExpr, eval_jet2, evaluate, parse  # noqa: F401
 from .model import (           # noqa: F401
-    ModelSpace, ValidationReport, eta, exact_annulus_p_capacity,
-    p_laplacian_radial, radial_curvature, sphere_volume, validate_warping,
+    ModelSpace, ValidationReport, exact_annulus_p_capacity, sphere_volume,
+    validate_warping,
 )
 from .quadrature import (      # noqa: F401
     TailClass, TailConfig, classify_tail, integrate,

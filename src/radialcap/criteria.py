@@ -71,7 +71,6 @@ class ClassifyConfig:
     grid_points: int = 512
     tail: TailConfig = field(default_factory=TailConfig)
     weight_rel_tol: float = 1e-10
-    validate_model: bool = True
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -150,8 +149,6 @@ class Verdict:
 
 def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
                     horizon: float) -> tuple:
-    if not cfg.validate_model:
-        return ()
     warnings = []
     report = validate_warping(c.model.w, r_max=max(10.0, 4.0 * rho))
     for cond, witness, value in report.violations:
@@ -456,6 +453,8 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
         raise ConfigError(f"sweep range must be finite, got [{p_from}, {p_to}]")
     if p_to < p_from:
         raise ValueError("empty sweep range")
+    if not math.isfinite(p_step):
+        raise ConfigError(f"p_step must be finite, got {p_step}")
     cfg = cfg or ClassifyConfig()
     cfg.horizon(rho)
     ps = [round(p_from + i * p_step, 12)

@@ -445,15 +445,14 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
     return HittingStats(p_inner=p, stderr=stderr, censored=censored, paths=cfg.paths)
 
 
-def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float,
-                       rel_tol: float = 1e-12) -> float:
+def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float) -> float:
     """Probability that the radial diffusion started at r0 hits the sphere
     of radius rho before the sphere of radius R:
 
         integral_r0^R w**(1-m) dt / integral_rho^R w**(1-m) dt
 
     (the scale-function ratio; equals one minus the harmonic annulus profile
-    at r0).
+    at r0).  Both integrals are taken to 1e-12 relative.
     """
     if not (rho <= r0 <= R):
         raise ValueError(f"need rho <= r0 <= R, got {rho}, {r0}, {R}")
@@ -466,6 +465,6 @@ def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float,
     def integrand(t):
         return np.power(eval_jet2(ms.w, t).value, expo)
 
-    num, _ = integrate(integrand, r0, R, rel_tol=rel_tol)
-    den0, _ = integrate(integrand, rho, r0, rel_tol=rel_tol)
+    num, _ = integrate(integrand, r0, R, rel_tol=1e-12)
+    den0, _ = integrate(integrand, rho, r0, rel_tol=1e-12)
     return num / (den0 + num)

@@ -29,12 +29,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .constellation import (
-    Constellation, Tangency, WeightFunction, _balance_terms, _tangency_bound, weight_function,
+    Constellation, WeightFunction, _balance_terms, _tangency_bound, weight_function,
 )
 from .errors import DomainError, RadialCapError
 from .expr import eval_jet2
 from .model import sphere_volume
-from .quadrature import _as_array_fn
 
 __all__ = [
     "DriftOperator",
@@ -61,23 +60,21 @@ class DriftOperator:
             raise ValueError(f"p must be >= 2, got {self.p}")
 
     def coeff(self, r) -> Union[float, np.ndarray]:
-        """c(r) = balance/((p-1) g^2) - w'/w."""
+        """c(r) = balance/((p-1) g^2) - w'/w, with the tangency bound g
+        (the constant 1 under upper tangency)."""
         c = self.constellation
         jw = eval_jet2(c.model.w, r)
         value, _ = _balance_terms(c, self.p, r, jw=jw)
-        et = jw.d1 / jw.value
-        if c.tangency is Tangency.LOWER:
-            gv = _tangency_bound(c, r)
-            return value / ((self.p - 1.0) * gv * gv) - et
-        return value / (self.p - 1.0) - et
+        gv = _tangency_bound(c, r)
+        return value / ((self.p - 1.0) * gv * gv) - jw.d1 / jw.value
 
     def apply(self, profile: Callable, r, fd_step: float) -> Union[float, np.ndarray]:
-        """L profile at r via 5-point central differences on the profile."""
-        prof = _as_array_fn(profile)
+        """L profile at r via 5-point central differences on the profile,
+        which maps an array of radii to an array of the same shape."""
         pts = np.atleast_1d(np.asarray(r, dtype=float))
         h = fd_step
         stencil = pts[:, None] + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[None, :]
-        f = prof(stencil.ravel()).reshape(stencil.shape)
+        f = profile(stencil.ravel()).reshape(stencil.shape)
         d1 = (-f[:, 4] + 8.0 * f[:, 3] - 8.0 * f[:, 1] + f[:, 0]) / (12.0 * h)
         d2 = (-f[:, 4] + 16.0 * f[:, 3] - 30.0 * f[:, 2] + 16.0 * f[:, 1] - f[:, 0]) / (12.0 * h * h)
         out = d2 + np.asarray(self.coeff(pts)) * d1
@@ -204,7 +201,7 @@ def drifted_capacity(c: Constellation, p: float, rho: float, R: float,
 
 
 def capacity_upper_bound(c: Constellation, p: float, rho: float, R: float,
-                         boundary_flux: float = 1.0, rel_tol: float = 1e-11) -> float:
+                         boundary_flux: float = 1.0) -> float:
     """Upper bound for the submanifold's annulus p-capacity:
 
         boundary_flux * (drifted_capacity / Vol(sphere_rho))**(p-1)
@@ -216,7 +213,7 @@ def capacity_upper_bound(c: Constellation, p: float, rho: float, R: float,
     """
     if not (boundary_flux > 0):
         raise ValueError(f"boundary_flux must be positive, got {boundary_flux}")
-    cap = drifted_capacity(c, p, rho, R, rel_tol=rel_tol)
+    cap = drifted_capacity(c, p, rho, R)
     return flux_bound(cap, float(sphere_volume(c.model, rho)), p, boundary_flux)
 
 

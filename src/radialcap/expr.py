@@ -99,9 +99,6 @@ class RadialExpr:
         """Evaluate the value only (scalar or ndarray ``r > 0``)."""
         return evaluate(self, r)
 
-    def jet(self, r) -> "Jet2":
-        return eval_jet2(self, r)
-
     @cached_property
     def constant(self) -> Optional[float]:
         """The value of an expression without ``r``; None when it depends

@@ -1,10 +1,10 @@
 """Rotationally symmetric model geometry: a dimension together with a
 warping function ``w`` of the radial distance.
 
-Houses the mean curvature of distance spheres ``w'(r)/w(r)``, the radial
-sectional curvature ``-w''(r)/w(r)``, sphere volumes and the exact radial
-annulus capacities that serve as closed-form oracles for everything built
-on top.  Instances are immutable and all operations are pure.
+Houses the warping checks, sphere volumes and the exact radial annulus
+capacities that serve as closed-form oracles for everything built on top.
+The mean curvature ``w'/w`` of distance spheres enters through the balance
+(``constellation``).  Instances are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ __all__ = [
     "ModelSpace",
     "ValidationReport",
     "validate_warping",
-    "eta",
-    "radial_curvature",
     "sphere_volume",
     "unit_sphere_volume",
-    "p_laplacian_radial",
     "exact_annulus_p_capacity",
 ]
 
@@ -101,20 +98,6 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def eta(ms: ModelSpace, r) -> Union[float, np.ndarray]:
-    """Mean curvature ``w'(r)/w(r)`` of the distance sphere of radius r."""
-    j = eval_jet2(ms.w, r)
-    _check(np.asarray(j.value) == 0.0, r, "warping function vanishes")
-    return j.d1 / j.value
-
-
-def radial_curvature(ms: ModelSpace, r) -> Union[float, np.ndarray]:
-    """Radial sectional curvature ``-w''(r)/w(r)`` at distance r."""
-    j = eval_jet2(ms.w, r)
-    _check(np.asarray(j.value) == 0.0, r, "warping function vanishes")
-    return -j.d2 / j.value
-
-
 def unit_sphere_volume(m: int) -> float:
     """Volume of the unit (m-1)-sphere, computed via log-gamma so large
     dimensions cannot overflow."""
@@ -128,35 +111,14 @@ def sphere_volume(ms: ModelSpace, r) -> Union[float, np.ndarray]:
     return unit_sphere_volume(ms.m) * np.power(wv, ms.m - 1)
 
 
-def p_laplacian_radial(ms: ModelSpace, f: Union[str, RadialExpr], p: float, r):
-    """Radial p-Laplacian on the model:
-
-        |f'|**(p-2) * ((p-1) f'' + (m-1) (w'/w) f')
-
-    ``p = 2`` short-circuits the degenerate factor to exactly 1; for
-    ``p > 2`` a vanishing gradient returns 0 by continuous extension.
-    """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    f = _as_expr(f)
-    jf = eval_jet2(f, r)
-    et = eta(ms, r)
-    core = (p - 1.0) * jf.d2 + (ms.m - 1.0) * et * jf.d1
-    if p == 2.0:
-        return core
-    with np.errstate(all="ignore"):
-        factor = np.where(jf.d1 == 0.0, 0.0, np.power(np.abs(jf.d1), p - 2.0))
-    return factor * core
-
-
-def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float,
-                             rel_tol: float = 1e-11) -> float:
+def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> float:
     """Exact radial p-capacity of the annulus (closed ball of radius rho,
     ball of radius R):
 
         omega_{m-1} * (integral_rho^R w(t)**((1-m)/(p-1)) dt)**(1-p)
 
     Classical closed form; independent oracle for the drifted capacities.
+    The integral is taken to 1e-11 relative.
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
@@ -169,5 +131,5 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float,
         _check(wv <= 0.0, t, "warping function must be positive on [rho, R]")
         return np.power(wv, expo)
 
-    total, _ = integrate(integrand, rho, R, rel_tol=rel_tol)
+    total, _ = integrate(integrand, rho, R, rel_tol=1e-11)
     return unit_sphere_volume(ms.m) * total ** (1.0 - p)

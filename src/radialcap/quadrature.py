@@ -3,9 +3,9 @@ nonnegative improper integrals over ``[rho, infinity)``.
 
 The integrator is an adaptive-bisection Gauss-Kronrod 7-15 scheme.  All
 nodes are interior, so integrable endpoint singularities (``t**-0.5`` at 0)
-are handled by geometric refinement toward the endpoint.  Integrands are
-called with ndarrays of nodes; plain scalar callables are wrapped
-transparently.
+are handled by geometric refinement toward the endpoint.  Every integrand
+maps a 1-D ndarray of nodes to an array of the same shape; a result of
+another shape raises ``TypeError``.
 
 Repeated primitives ``r -> integral(base, r)`` live on a panel mesh that
 grows to the right (:class:`CumulativeCache`): each panel holds the
@@ -78,37 +78,22 @@ def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
     return out
 
 
-def _as_array_fn(f: Callable) -> Callable:
-    """Adapt f to accept ndarrays (probe once, fall back to elementwise)."""
-    probed = {"vectorized": None}
-
-    def wrapper(x: np.ndarray) -> np.ndarray:
-        if probed["vectorized"] is None:
-            try:
-                out = np.asarray(f(x), dtype=float)
-                if out.shape == x.shape:
-                    probed["vectorized"] = True
-                    return out
-            except (TypeError, ValueError):
-                pass
-            probed["vectorized"] = False
-        if probed["vectorized"]:
-            return np.asarray(f(x), dtype=float)
-        return np.array([float(f(float(v))) for v in x])
-
-    return wrapper
-
-
 def _sample(f: Callable, lo: np.ndarray, hi: np.ndarray, *extra: float):
     """f at the 15 GK nodes of each [lo_i, hi_i]; returns (half-widths, values).
 
-    The points ``extra`` join the same call of f, and their values are
-    dropped.  Raises QuadratureError at the first non-finite value at a node.
+    f is called once, on a 1-D array of all the nodes.  The points ``extra``
+    join that call, and their values are dropped.  Raises TypeError when
+    f's result does not have its input's shape, and QuadratureError at the
+    first non-finite value at a node.
     """
     half = 0.5 * (hi - lo)
     pts = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :]
     flat = np.concatenate([pts.ravel(), extra]) if extra else pts.ravel()
-    vals = f(flat)[:pts.size].reshape(pts.shape)
+    vals = np.asarray(f(flat), dtype=float)
+    if vals.shape != flat.shape:
+        raise TypeError(f"integrand returned shape {vals.shape} for nodes of shape "
+                        f"{flat.shape}; it must map an array to an array of the same shape")
+    vals = vals[:pts.size].reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         i, j = np.argwhere(~np.isfinite(vals))[0]
         raise QuadratureError(
@@ -135,20 +120,20 @@ def _gk(half: np.ndarray, vals: np.ndarray):
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-              abs_tol: float = 0.0, max_panels: int = 4000):
-    """Adaptively integrate f over [a, b].
+              abs_tol: float = 0.0):
+    """Adaptively integrate f over [a, b]; f maps an array of nodes to an
+    array of the same shape.
 
     Returns ``(value, error_estimate)`` with
     ``error_estimate <= max(rel_tol*|value|, abs_tol)`` on success; raises
     :class:`~radialcap.errors.QuadratureError` carrying the worst
-    subinterval when the subdivision budget is exhausted.
+    subinterval when the budget of ``_MESH_PANELS`` panels is exhausted.
     """
     if not (a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    fv = _as_array_fn(f)
     lo = np.array([float(a)])
     hi = np.array([float(b)])
-    vals, errs = _gk(*_sample(fv, lo, hi))
+    vals, errs = _gk(*_sample(f, lo, hi))
     while True:
         total = float(vals.sum())
         err_total = float(errs.sum())
@@ -157,10 +142,10 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
             return total, err_total
         splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
         offenders = (errs > target / (2.0 * len(lo))) & splittable
-        if not offenders.any() or len(lo) >= max_panels:
+        if not offenders.any() or len(lo) >= _MESH_PANELS:
             worst = int(np.argmax(errs))
             raise QuadratureError(
-                "subdivision limit reached" if len(lo) >= max_panels
+                "subdivision limit reached" if len(lo) >= _MESH_PANELS
                 else "cannot refine further (roundoff-limited)",
                 worst_interval=(float(lo[worst]), float(hi[worst]), float(errs[worst])),
                 value=total)
@@ -173,7 +158,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         mids = 0.5 * (lo[idx] + hi[idx])
         new_lo = np.concatenate([lo[keep], lo[idx], mids])
         new_hi = np.concatenate([hi[keep], mids, hi[idx]])
-        new_vals, new_errs = _gk(*_sample(fv, np.concatenate([lo[idx], mids]),
+        new_vals, new_errs = _gk(*_sample(f, np.concatenate([lo[idx], mids]),
                                           np.concatenate([mids, hi[idx]])))
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
@@ -181,7 +166,8 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
 
 
 class CumulativeCache:
-    """``r -> integral(base, r)`` on a mesh of panels that grows to the right.
+    """``r -> integral(base, r)`` on a mesh of panels that grows to the right;
+    ``fn`` maps a 1-D array of nodes to an array of the same shape.
 
     Each panel samples f once at the 15 GK nodes; within a panel the
     primitive is one polynomial, the exact antiderivative of f's degree-14
@@ -209,7 +195,7 @@ class CumulativeCache:
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
                  abs_tol: float = 0.0):
-        self.fn = _as_array_fn(fn)
+        self.fn = fn
         self.base = float(base)
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
@@ -303,6 +289,10 @@ class CumulativeCache:
 
 # an integrand value past this stops the ladder as an overflow
 _BLOWUP = 1e250
+# the ladder's mesh tolerance, relative to the largest |f| (CumulativeCache)
+_TAIL_REL_TOL = 1e-9
+# a partial integral past this many times I_1 declares divergence
+_GROWTH_FACTOR = 1e12
 
 
 class _Overflow(Exception):
@@ -315,16 +305,17 @@ class _NaN(Exception):
 
 @dataclass(frozen=True)
 class TailConfig:
-    """Knobs of the doubling-horizon divergence classifier."""
+    """Knobs of the doubling-horizon divergence classifier: the number of
+    doublings, the Cauchy threshold on relative increments and the width of
+    the critical band around the tail exponent -1.  The mesh tolerance
+    (1e-9) and the growth factor (1e12) are fixed."""
 
     k_max: int = 40
     conv_eps: float = 1e-8
     exp_band: float = 0.05
-    rel_tol: float = 1e-9
-    growth_factor: float = 1e12
 
     def __post_init__(self):
-        for name in ("k_max", "conv_eps", "exp_band", "rel_tol"):
+        for name in ("k_max", "conv_eps", "exp_band"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -339,7 +330,7 @@ class TailClass:
     (:meth:`CumulativeCache.error`) plus the tail terms: the last increment
     after a Cauchy stop, or a quarter of the geometric tail estimate plus
     1e-6 of the last increment after an exponent fit.  The mesh meets
-    ``rel_tol`` relative to the largest |f|, not to the integral, so a
+    1e-9 relative to the largest |f|, not to the integral, so a
     ripple that falls below that far out is left unresolved and shows in
     ``error`` rather than being refined.  Evidence carries the
     partial integrals at doubling radii (``to_dict`` lists them as
@@ -376,7 +367,7 @@ class TailClass:
         }
 
 
-def _fit_exponent(fv: Callable, rho: float, horizon: float):
+def _fit_exponent(f: Callable, rho: float, horizon: float):
     """Least-squares slope of log f against log t over the last two decades,
     64 geometric points, and the RMS residual of that line.  The line comes
     from the centred moments, slope = sum(dx*dy)/sum(dx*dx), which is the
@@ -387,7 +378,7 @@ def _fit_exponent(fv: Callable, rho: float, horizon: float):
         return None, None
     ts = geomgrid(t_lo, horizon, 64)
     with np.errstate(all="ignore"):
-        fs = fv(ts)
+        fs = f(ts)
     ok = np.isfinite(fs) & (fs > 0.0)
     if ok.sum() < 8:
         return None, None
@@ -399,14 +390,15 @@ def _fit_exponent(fv: Callable, rho: float, horizon: float):
 
 
 def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> TailClass:
-    """Classify ``integral(f, rho, infinity)`` for a nonnegative integrand.
+    """Classify ``integral(f, rho, infinity)`` for a nonnegative integrand f
+    that maps an array of radii to an array of the same shape.
 
     Partial integrals ``I_k`` over ``[rho, rho*2**k]`` are accumulated; the
     classifier declares
 
     * convergent when the last three relative increments fall below
       ``conv_eps`` (value = partial integral + geometric tail estimate),
-    * divergent when the partial integrals blow past ``growth_factor`` times
+    * divergent when the partial integrals blow past ``1e12`` times
       the first one, when the per-doubling increments stop decreasing
       (harmonic-type tails), or when the fitted tail exponent sits right of
       the critical ``-1`` by more than ``exp_band``,
@@ -427,7 +419,6 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     cfg = cfg or TailConfig()
     if rho <= 0:
         raise ValueError("rho must be positive")
-    fv = _as_array_fn(f)
 
     def guarded(t):
         with np.errstate(all="ignore"):
@@ -438,7 +429,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
             raise _Overflow
         return vals
 
-    prim = CumulativeCache(guarded, rho, rel_tol=cfg.rel_tol)
+    prim = CumulativeCache(guarded, rho, rel_tol=_TAIL_REL_TOL)
     radii = [rho * 2.0 ** k for k in range(cfg.k_max + 1)]
     try:
         ladder = prim(radii)
@@ -467,16 +458,16 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         partials.append((hi_r, total))
 
         i_first = partials[0][1]
-        if total > cfg.growth_factor * max(i_first, 1e-300):
-            alpha, resid = _fit_exponent(fv, rho, hi_r)
+        if total > _GROWTH_FACTOR * max(i_first, 1e-300):
+            alpha, resid = _fit_exponent(f, rho, hi_r)
             return TailClass("divergent", partial_integrals=tuple(partials),
                              alpha_hat=alpha, fit_residual=resid,
-                             detail=f"partial integral exceeded {cfg.growth_factor:g} x I_1")
+                             detail=f"partial integral exceeded {_GROWTH_FACTOR:g} x I_1")
         if k >= 4:
             prior = [p[1] for p in partials[-4:-1]]
             rel = [inc / max(pi, 1e-300) for inc, pi in zip(increments[-3:], prior)]
             if all(rv < cfg.conv_eps for rv in rel):
-                alpha, resid = _fit_exponent(fv, rho, hi_r)
+                alpha, resid = _fit_exponent(f, rho, hi_r)
                 tail_guard = increments[-1]
                 return TailClass("convergent", value=total,
                                  error=prim.error(hi_r) + tail_guard,
@@ -491,7 +482,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     ratios = [increments[i] / increments[i - 1]
               for i in range(len(increments) - 2, len(increments))
               if increments[i - 1] > 0.0]
-    alpha, resid = _fit_exponent(fv, rho, horizon)
+    alpha, resid = _fit_exponent(f, rho, horizon)
     if ratios and min(ratios) >= 0.999:
         return TailClass("divergent", partial_integrals=tuple(partials),
                          alpha_hat=alpha, fit_residual=resid,

@@ -76,7 +76,7 @@ def test_upper_tangency_zero_balance_fires_growth():
 def test_never_parabolic_on_undetermined_tail():
     # tuned h so the weight decays exactly like 1/(r log r): critical band
     c = Constellation.from_functions(2, 2, "r", h="-1/(2*r*log(r))")
-    v = classify(c, 2.0, 2.0, ClassifyConfig(grid_min=2.0, validate_model=False))
+    v = classify(c, 2.0, 2.0, ClassifyConfig(grid_min=2.0))
     assert not v.is_parabolic
     assert v.reason.code == "tail_undetermined"
     assert v.tail is not None and v.tail.kind == "undetermined"
@@ -342,7 +342,6 @@ def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions
     (TailConfig, {"k_max": -1}),
     (TailConfig, {"conv_eps": float("nan")}),
     (TailConfig, {"exp_band": -0.05}),
-    (TailConfig, {"rel_tol": -1e-9}),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={x}" for k, x in v.items()))
 def test_configs_that_certify_nothing_are_rejected(make, kwargs):
     with pytest.raises(ConfigError):
@@ -357,6 +356,8 @@ def test_configs_that_certify_nothing_are_rejected(make, kwargs):
                  id="k_max=2000"),
     pytest.param(lambda c: classify(c, 3.0, 1e300), id="rho=1e300"),
     pytest.param(lambda c: sweep(c, 2.0, float("inf"), 1.0, 1.0), id="sweep p_to=inf"),
+    pytest.param(lambda c: sweep(c, 2.0, 3.0, float("inf"), 1.0), id="sweep p_step=inf"),
+    pytest.param(lambda c: sweep(c, 2.0, 3.0, float("nan"), 1.0), id="sweep p_step=nan"),
     pytest.param(lambda c: sweep(c, 2.0, 3.0, 1.0, 1.0,
                                  ClassifyConfig(tail=TailConfig(k_max=1100))),
                  id="sweep k_max=1100"),

@@ -10,7 +10,8 @@ from radialcap.constellation import Constellation, WeightFunction
 from radialcap.criteria import classify
 from radialcap.errors import DomainError, QuadratureError
 from radialcap.quadrature import (
-    CumulativeCache, TailConfig, _fit_exponent, classify_tail, geomgrid, integrate,
+    _TAIL_REL_TOL, CumulativeCache, TailConfig, _fit_exponent, classify_tail, geomgrid,
+    integrate,
 )
 
 
@@ -35,10 +36,14 @@ def test_integrate_polynomial_is_effectively_exact():
     assert val == pytest.approx(1.0 / 11.0, rel=1e-14)
 
 
-def test_integrate_scalar_only_callable():
-    # math.sin rejects arrays, forcing the elementwise fallback path
-    val, _ = integrate(lambda t: math.sin(t), 0.0, math.pi)
-    assert val == pytest.approx(2.0, rel=1e-12)
+def test_integrands_must_map_arrays_to_arrays_of_their_shape():
+    # math.sin rejects arrays; a constant ignores the shape of its nodes
+    with pytest.raises(TypeError):
+        integrate(lambda t: math.sin(t), 0.0, math.pi)
+    with pytest.raises(TypeError, match="same shape"):
+        integrate(lambda t: 1.0, 0.0, 1.0)
+    with pytest.raises(TypeError, match="same shape"):
+        CumulativeCache(lambda t: 2.0, 1.0)(3.0)
 
 
 def test_integrate_rejects_bad_bounds():
@@ -47,9 +52,13 @@ def test_integrate_rejects_bad_bounds():
 
 
 def test_integrate_subdivision_limit_reports_worst_interval():
-    # a genuinely nasty integrand with a non-integrable singularity
-    with pytest.raises(QuadratureError) as exc:
-        integrate(lambda t: 1.0 / t, 0.0, 1.0, rel_tol=1e-10, max_panels=64)
+    # about 1.6e6 periods: more than the 4000-panel budget can resolve
+    with pytest.raises(QuadratureError, match="subdivision limit reached") as exc:
+        integrate(lambda t: np.sin(1e4 * t), 0.0, 1000.0)
+    assert exc.value.worst_interval is not None
+    # a non-integrable singularity meets the roundoff limit first
+    with pytest.raises(QuadratureError, match="roundoff-limited") as exc:
+        integrate(lambda t: 1.0 / t, 0.0, 1.0, rel_tol=1e-10)
     assert exc.value.worst_interval is not None
 
 
@@ -196,7 +205,9 @@ def test_exponential_growth_divergent_before_overflow():
 
 
 def test_extreme_growth_divergent_via_overflow_guard():
-    tc = classify_tail(lambda t: np.exp(t), 1.0, TailConfig(growth_factor=1e308))
+    # exp(t**8) overflows inside the second doubling, before the partial
+    # integrals grow 1e12-fold
+    tc = classify_tail(lambda t: np.exp(t ** 8), 1.0)
     assert tc.is_divergent
     assert "overflow" in tc.detail
 
@@ -244,7 +255,7 @@ def _per_doubling_ladder(f, rho, n):
     total, out = 0.0, []
     for k in range(1, n + 1):
         total += integrate(f, rho * 2.0 ** (k - 1), rho * 2.0 ** k,
-                           rel_tol=TailConfig().rel_tol)[0]
+                           rel_tol=_TAIL_REL_TOL)[0]
         out.append((rho * 2.0 ** k, total))
     return out
 

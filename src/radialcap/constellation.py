@@ -23,7 +23,7 @@ import enum
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -231,10 +231,8 @@ class WeightFunction:
         self.p = p
         self.rho = float(rho)
         self.rel_tol = rel_tol
-        g0 = c.g.constant
-        # a constant g below the floor is evaluated pointwise, which raises
-        self._g0 = g0 if g0 is not None and g0 >= _G_FLOOR else None
-        self._kappa = 0.0 if self._g0 is None else (c.m + p - 2.0) / ((p - 1.0) * g0 * g0)
+        g0 = self._g0 = _constant_g(c)
+        self._kappa = 0.0 if g0 is None else (c.m + p - 2.0) / ((p - 1.0) * g0 * g0)
         self._w_rho = None
         self._cache = self._primitive = None
         if self._g0 is None or c.h.constant != 0.0 or (p != 2.0 and c.lam.constant != 0.0):
@@ -254,8 +252,6 @@ class WeightFunction:
     def integrand(self, t):
         c = self.constellation
         value, _ = _balance_terms(c, self.p, t, eta=self._g0 is None)
-        if self._g0 is not None:
-            return value / ((self.p - 1.0) * self._g0 * self._g0)
         gv = _tangency_bound(c, t)
         return value / ((self.p - 1.0) * gv * gv)
 
@@ -296,9 +292,20 @@ class WeightFunction:
         return wv * np.exp(-self.inner_integral(r, wv))
 
 
-def _tangency_bound(c: Constellation, t) -> np.ndarray:
-    """g(t), the divisor of the balance in the weight and the drift; raises
-    :class:`DomainError` at the first t where g drops below the floor 1e-8."""
+def _constant_g(c: Constellation) -> Optional[float]:
+    """g as a number when it is a constant at or above the floor 1e-8, else
+    None: a constant below the floor is evaluated pointwise, which raises."""
+    g0 = c.g.constant
+    return g0 if g0 is not None and g0 >= _G_FLOOR else None
+
+
+def _tangency_bound(c: Constellation, t) -> Union[float, np.ndarray]:
+    """g(t), the divisor of the balance in the weight and the drift (a
+    constant g is returned as it is); raises :class:`DomainError` at the
+    first t where g drops below the floor 1e-8."""
+    g0 = _constant_g(c)
+    if g0 is not None:
+        return g0
     gv = np.asarray(evaluate(c.g, t))
     bad = gv < _G_FLOOR
     if np.any(bad):

@@ -130,20 +130,6 @@ class OdeSolution:
     psi: np.ndarray
     dpsi: np.ndarray
 
-    def profile(self, r):
-        """Cubic Hermite interpolation through the stored samples."""
-        pts = np.atleast_1d(np.asarray(r, dtype=float))
-        h = self.nodes[1] - self.nodes[0]
-        i = np.clip(((pts - self.rho) / h).astype(int), 0, len(self.nodes) - 2)
-        t = (pts - self.nodes[i]) / h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        out = (h00 * self.psi[i] + h10 * h * self.dpsi[i]
-               + h01 * self.psi[i + 1] + h11 * h * self.dpsi[i + 1])
-        return float(out[0]) if np.ndim(r) == 0 else out
-
 
 def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
                         step_count: int = 2000) -> OdeSolution:

@@ -12,7 +12,9 @@ which propagates (value, first, second derivative) triplets exactly through
 the chain and product rules, and the C ``value_d1`` of the Monte Carlo
 kernel (:func:`c_value_d1`).  The numpy functions are compiled once per
 expression.  Warping functions and bound functions never go through finite
-differencing.
+differencing.  An exponent without ``r`` is a number when the code is
+generated, so the power rule and its domain checks are fixed then; an
+exponent with ``r`` takes exp(b log u), which needs a positive base.
 
 Out-of-domain evaluation (log of a non-positive value, division by zero,
 the pole of coth, ...) raises :class:`~radialcap.errors.DomainError`; a NaN
@@ -348,36 +350,6 @@ def _check(bad, r, detail):
         raise DomainError(detail, _first_bad(bad, r), mask=bad)
 
 
-def _jpow(u, u1, u2, a, r):
-    """Jet of ``u^a`` for an exponent whose derivatives are zero at run
-    time (``a`` is its value; an array exponent counts by its first entry)."""
-    if np.ndim(a) != 0:
-        a = float(np.asarray(a).flat[0])
-    if a == 0.0:
-        if np.ndim(u) == 0:
-            return 1.0, 0.0, 0.0
-        one = np.ones_like(np.asarray(u, dtype=float))
-        return one, 0.0 * one, 0.0 * one
-    if a == 1.0:
-        return u, u1, u2
-    integral = float(a).is_integer()
-    if not integral:
-        _check(np.asarray(u) < 0, r, "fractional power of negative value")
-        if a < 2.0:
-            _check(np.asarray(u) == 0, r, "fractional power at 0 has singular derivatives")
-    if integral and a >= 2.0:
-        # exact at u == 0 as well: u^(a-2) with a == 2 gives u^0 == 1
-        v = np.power(u, a)
-        vm1 = np.power(u, a - 1.0)
-        vm2 = np.power(u, a - 2.0)
-    else:
-        _check(np.asarray(u) == 0, r, "power at 0 with exponent below 2")
-        v = np.power(u, a)
-        vm1 = v / u
-        vm2 = vm1 / u
-    return v, a * vm1 * u1, a * (a - 1.0) * vm2 * u1 * u1 + a * vm1 * u2
-
-
 def _prod(*factors):
     """Source of the product of ``factors``, dropping factors 1.0: x*1.0 is
     exactly x, so this saves work without changing a bit."""
@@ -391,7 +363,9 @@ class _CodeGen:
     rules of :func:`evaluate`), ``"jet"`` (numpy, value, d1 and d2, the
     rules of :func:`eval_jet2`) or ``"c"`` (C, value and d1, no checks).
     A jet is a (value, d1, d2) tuple of source names; the derivatives a
-    mode does not carry are None.
+    mode does not carry are None.  Every rule is picked here, so the
+    generated code holds no ``if`` but the value mode's run-time integer
+    test of an exponent with ``r``.
     """
 
     def __init__(self, mode: str):
@@ -399,20 +373,16 @@ class _CodeGen:
         self.c = mode == "c"
         self.order = {"value": 0, "c": 1, "jet": 2}[mode]
         self.lines = []
-        self.depth = 1
         self.n = 0
 
     def line(self, src):
-        self.lines.append("    " * self.depth + src)
-
-    def new_name(self):
-        self.n += 1
-        return f"t{self.n - 1}"
+        self.lines.append("    " + src)
 
     def tmp(self, src):
         if src.isidentifier():
             return src
-        name = self.new_name()
+        name = f"t{self.n}"
+        self.n += 1
         self.line(f"double {name} = {src};" if self.c else f"{name} = {src}")
         return name
 
@@ -424,9 +394,9 @@ class _CodeGen:
         """Temporaries for a value and the derivatives this mode carries."""
         return tuple(self.tmp(s) if k <= self.order else None for k, s in enumerate(srcs))
 
-    def check(self, bad, detail, modes=("value", "jet")):
+    def check(self, bad, detail, modes=("value", "jet"), guard=""):
         if self.mode in modes:
-            self.line(f"_check({bad}, r, {detail!r})")
+            self.line(f"{guard}_check({bad}, r, {detail!r})")
 
     def fn(self, name, arg):
         if not self.c:
@@ -504,54 +474,46 @@ class _CodeGen:
             return self.out(fn("abs", v), _prod(sign, u[1]), _prod(sign, u[2]))
         raise DomainError(f"unknown function {name}")  # pragma: no cover
 
-    def assign(self, names, srcs):
-        for name, src in zip(names, srcs):
-            if name is not None:
-                self.line(f"{name} = {src};" if self.c else f"{name} = {src}")
-
-    def pow(self, a, b, expo: Node):
+    def pow(self, u, expo: Node):
+        """The jet of ``u^expo``.  An exponent without r is a number ``a``
+        here, so its rule and domain checks are picked now; an exponent with
+        r takes exp(b log u), which needs a positive base.  Values take
+        ``np.power`` either way."""
+        a = RadialExpr(expo).constant
+        b = self.emit(expo if a is None else Num(a))
         if self.mode == "value":
-            if not isinstance(expo, Num):
-                self.line(f"if not np.all({b[0]} == np.floor({b[0]})):")
-                self.depth += 1
-                self.check(f"{a[0]} < 0", "fractional power of negative value")
-                self.depth -= 1
-            elif np.floor(expo.value) != expo.value:
-                self.check(f"{a[0]} < 0", "fractional power of negative value")
-            v = self.tmp(self.fn("power", f"{a[0]}, {b[0]}"))
+            if a is None:
+                self.check(f"{u[0]} < 0", "fractional power of negative value",
+                           guard=f"if not np.all({b[0]} == np.floor({b[0]})): ")
+            elif np.floor(a) != a:
+                self.check(f"{u[0]} < 0", "fractional power of negative value")
+            v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
             self.check(f"np.isnan({v})", "power out of domain")
             return v, None, None
-        res = tuple(self.new_name() if k <= self.order else None for k in range(3))
-        if self.c:
-            self.line(f"double {', '.join(res[:2])};")
-        if isinstance(expo, Num):  # a literal exponent has zero derivatives
-            self.pow_const(res, a, b[0])
-            return res
-        # exponents whose derivatives vanish at run time take the same rule
-        self.line(f"if ({b[1]} == 0.0) {{" if self.c else
-                  f"if np.all({b[1]} == 0) and np.all({b[2]} == 0):")
-        self.depth += 1
-        self.pow_const(res, a, b[0])
-        self.depth -= 1
-        self.line("} else {" if self.c else "else:  # u^v = exp(v log u); requires a positive base")
-        self.depth += 1
-        self.check(f"{a[0]} <= 0", "power with varying exponent needs positive base")
-        self.assign(res, self.call("exp", self.mul(b, self.call("log", a))))
-        self.depth -= 1
-        if self.c:
-            self.line("}")
-        return res
-
-    def pow_const(self, res, u, a):
-        """Assign to ``res`` the jet of ``u^a`` for an exponent ``a`` whose
-        derivatives are zero: a call of :func:`_jpow`, or its C twin."""
-        if not self.c:
-            self.line(f"{', '.join(res)} = _jpow({u[0]}, {u[1]}, {u[2]}, {a}, r)")
-            return
-        v = self.tmp(f"pow({u[0]}, {a})")
-        vm1 = self.tmp(f"{a} == floor({a}) && {a} >= 2.0 ? pow({u[0]}, {a} - 1.0) : {v}/{u[0]}")
-        self.assign(res, (f"{a} == 1.0 ? {u[0]} : {v}",
-                          f"{a} == 0.0 ? 0.0 : {a} == 1.0 ? {u[1]} : {a}*{vm1}*{u[1]}"))
+        if a is None:
+            self.check(f"{u[0]} <= 0", "power with varying exponent needs positive base")
+            return self.call("exp", self.mul(b, self.call("log", u)))
+        if a == 0.0:
+            return "1.0", "0.0", "0.0"
+        if a == 1.0:
+            return u
+        whole = float(a).is_integer()
+        smooth = whole and a >= 2.0  # u^a has derivatives at u == 0
+        if not whole:
+            self.check(f"{u[0]} < 0", "fractional power of negative value")
+        if not smooth:
+            self.check(f"{u[0]} == 0", "power at 0 with exponent below 2" if whole or a >= 2.0
+                       else "fractional power at 0 has singular derivatives")
+        v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
+        if smooth:  # exact at u == 0 as well: u^0 == 1
+            vm1 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 1.0)}"))
+            vm2 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 2.0)}"), 2)
+        else:
+            vm1 = self.deriv(f"{v}/{u[0]}")
+            vm2 = self.deriv(f"{vm1}/{u[0]}", 2)
+        return self.out(v, _prod(b[0], vm1, u[1]),
+                        f"{_prod(self.num(a * (a - 1.0)), vm2, u[1], u[1])} + "
+                        f"{_prod(b[0], vm1, u[2])}")
 
     def emit(self, node: Node):
         """The jet of ``node``, as source names."""
@@ -563,19 +525,19 @@ class _CodeGen:
             return self.out(*(f"-{x}" for x in self.emit(node.arg)))
         if isinstance(node, Call):
             return self.call(node.name, self.emit(node.arg))
+        if node.op == "^":
+            return self.pow(self.emit(node.lhs), node.rhs)
         a, b = self.emit(node.lhs), self.emit(node.rhs)
         if node.op in "+-":
             return self.out(*(f"{x} {node.op} {y}" for x, y in zip(a, b)))
         if node.op == "*":
             return self.mul(a, b)
-        if node.op == "/":
-            return self.div(a, b)
-        return self.pow(a, b, node.rhs)
+        return self.div(a, b)
 
 
 @lru_cache(maxsize=256)
 def _exec(src: str):
-    namespace = {"np": np, "_check": _check, "_jpow": _jpow}
+    namespace = {"np": np, "_check": _check}
     exec(src, namespace)  # noqa: S102 - trusted, generated from our own AST
     return namespace["f"]
 

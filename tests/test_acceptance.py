@@ -9,7 +9,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from radialcap.constellation import (
     Constellation, Tangency, balance, balance_shift_identity_check, balance_sign,
@@ -21,7 +20,7 @@ from radialcap.dirichlet import (
     drifted_capacity, operator_residual, solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from radialcap.errors import DomainError
-from radialcap.expr import RadialExpr, eval_jet2, evaluate, parse
+from radialcap.expr import RadialExpr, eval_jet2, evaluate
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
 from radialcap.quadrature import classify_tail
 

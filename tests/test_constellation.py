@@ -1,5 +1,4 @@
 import gc
-import math
 import weakref
 
 import numpy as np
@@ -9,7 +8,7 @@ import radialcap.constellation as constellation
 from radialcap.criteria import classify
 from radialcap.errors import DomainError
 from radialcap.constellation import (
-    BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, balance,
+    Constellation, Tangency, WeightFunction, _balance_terms, balance,
     balance_shift_identity_check, balance_sign, lambda_weight, weight_function,
 )
 from radialcap.model import ModelSpace

@@ -114,7 +114,7 @@ def test_backends_statistically_consistent():
     (2, "r"), (3, "sinh(r)"), (2, "sinh(r)*tanh(r) + r^2"), (3, "coth(r)/r"),
     (2, "exp(-0.5*r)*sqrt(r)"), (3, "1/(1 + r^2)"), (2, "r^0.5"), (2, "r^r"),
     (3, "abs(r - 3)*log(r + 1)"), (2, "cosh(r) - cos(r) + -sin(r)"), (3, "r^2 + 3*r"),
-    (2, "tanh(r)^2"),
+    (2, "tanh(r)^2"), (2, "r*(1 + r^2)^(-1/2)"), (3, "sinh(r)^(3/2)"),
 ])
 def test_c_kernel_matches_numpy_path_for_path(m, w):
     ms = ModelSpace(m, w)

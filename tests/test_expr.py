@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from radialcap.errors import DomainError, ParseError, UnknownIdentifierError
 from radialcap.expr import (
     BinOp, Call, Neg, Num, Var,
-    RadialExpr, eval_jet2, evaluate, parse,
+    Jet2, RadialExpr, eval_jet2, evaluate, parse,
 )
 
 
@@ -215,6 +215,35 @@ def test_value_and_jet_domains_differ_at_derivative_poles(text):
     with pytest.raises(DomainError) as exc:
         eval_jet2(parse(text), 1.0)
     assert exc.value.r == 1.0
+
+
+def test_power_rule_is_fixed_by_whether_the_exponent_uses_r():
+    # an exponent without r is a number, so its own derivative pole is moot
+    assert eval_jet2(parse("r^sqrt(0)"), 2.0) == Jet2(1.0, 0.0, 0.0)
+    # an exponent with r takes exp(b log u), even where its derivatives vanish
+    with pytest.raises(DomainError, match="power with varying exponent needs positive base") as info:
+        eval_jet2(parse("(r - 1)^(r - r)"), 0.5)
+    assert info.value.r == 0.5
+
+
+def _outcome(f, e, r):
+    """The bytes of f(e, r), or the text and point of its DomainError."""
+    try:
+        out = f(e, r)
+    except DomainError as err:
+        return str(err), err.r
+    parts = (out.value, out.d1, out.d2) if isinstance(out, Jet2) else (out,)
+    return [np.asarray(x).tobytes() for x in parts]
+
+
+@pytest.mark.parametrize("base", ["r", "r - 1", "1 - r", "r - r", "0", "-2", "sinh(r - 1)"])
+@pytest.mark.parametrize("expo", ["-2", "1/2", "2^-1", "3 - 1.5", "-1/2", "4/2", "2 - 1", "1 - 1"])
+def test_exponent_without_r_acts_as_its_value(base, expo):
+    power = RadialExpr(BinOp("^", parse(base).root, parse(expo).root))
+    folded = RadialExpr(BinOp("^", parse(base).root, Num(parse(expo).constant)))
+    for r in (0.5, 1.0, 2.0, np.array([2.0, 1.0, 0.5, 3.0])):
+        for f in (evaluate, eval_jet2):
+            assert _outcome(f, power, r) == _outcome(f, folded, r)
 
 
 def test_compiled_expression_pickles_without_its_functions():

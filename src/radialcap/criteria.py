@@ -154,9 +154,11 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
     for cond, witness, value in report.violations:
         warnings.append(f"warping check failed: {cond} (r={witness:g}, value={value!r})")
     if c.tangency is Tangency.LOWER:
-        rs = geomgrid(cfg.lo(rho), min(horizon, 1e6), 256)
         try:
-            gv = np.asarray(evaluate(c.g, rs))
+            # a constant g is tested once, not on the grid
+            gv = c.g.constant
+            if gv is None:
+                gv = np.asarray(evaluate(c.g, geomgrid(cfg.lo(rho), min(horizon, 1e6), 256)))
             if np.any(gv > 1.0 + 1e-12):
                 warnings.append("tangency lower bound g exceeds 1 on the grid")
             if np.any(gv <= 0.0):

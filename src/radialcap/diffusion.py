@@ -261,13 +261,14 @@ def _kernel_source(w: RadialExpr) -> str:
 
 def resolve_workers() -> int:
     """Kernel thread count: ``RADIALCAP_THREADS``, else a small default,
-    capped by the machine."""
+    capped by the CPUs this process may run on."""
     env = os.environ.get("RADIALCAP_THREADS")
     try:
         wanted = int(env) if env else 4
     except ValueError:
         wanted = 4
-    return max(1, min(wanted, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(wanted, cpus or 1))
 
 
 def _cache_dir() -> Path:

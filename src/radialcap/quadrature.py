@@ -15,12 +15,13 @@ the primitive is one polynomial and a query costs no further quadrature.
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
 increments expose it.  It reads them off one :class:`CumulativeCache` of the
-integrand, queried at every doubling radius at once, or one doubling at a
-time if that query raises.
+integrand, which looks ahead to the last doubling radius, ends where the
+stop rule fires, and retries below an overflow or a NaN.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -191,6 +192,11 @@ class CumulativeCache:
     calls of f.  :meth:`error` sums the panels' GK15 error estimates, from
     f's values at the nodes that the antiderivative gives back.  Not safe
     for concurrent mutation; build one per thread.
+
+    The integrals at the ends of the steps left of the first open panel are
+    final, bit for bit what any longer extension gives.  The tail ladder's
+    stop rule (``_stop``) is handed them after each round that adds one;
+    if it returns how many to keep, the extension ends there.
     """
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
@@ -204,6 +210,7 @@ class CumulativeCache:
         self._fmax = 0.0
         self._lo = self._mid = self._half = self._off = np.empty(0)
         self._coef = np.empty((0, 16))
+        self._stop = None           # the tail ladder's stop rule (classify_tail)
 
     def __call__(self, r):
         pts = np.asarray(r, dtype=float)
@@ -242,10 +249,12 @@ class CumulativeCache:
         hi = np.array([top] * span + steps[1:] + [top])
         half, vals = _sample(self.fn, lo, hi, top)
         lo, hi, half, vals = lo[span:], hi[span:], half[span:], vals[span:]
+        ends = hi                   # where each growth step ends
         step = np.arange(len(lo))   # the growth step each panel lies in
         fmax = np.full(len(lo), self._fmax)     # largest |f| seen up to each step's end
         done = []                   # (left edges, antiderivative coefficients)
-        n_done = 0
+        n_done = n_final = 0        # accepted panels; steps left of the first open panel
+        kept = len(ends)            # steps the extension keeps
         while True:
             np.maximum.at(fmax, step, np.abs(vals).max(axis=1))
             fmax = np.maximum.accumulate(fmax)
@@ -256,8 +265,19 @@ class CumulativeCache:
             n_done += int(ok.sum())
             todo = ~ok
             lo, hi, step, err = lo[todo], hi[todo], step[todo], (half * tail)[todo]
-            if not len(lo):
-                break
+            # steps left of the first open panel (the stop rule reads them)
+            final = len(ends) if not len(lo) else int(step.min()) if self._stop is not None else 0
+            if final > n_final:
+                # the accepted panels in order, and the integrals to their edges
+                n_final = final
+                new_lo = np.concatenate([d[0] for d in done])
+                order = np.argsort(new_lo)
+                new_lo, coef = new_lo[order], np.concatenate([d[1] for d in done])[order]
+                edges = np.cumsum(np.concatenate([[self._total], coef.sum(axis=1)]))
+                if self._stop is not None:
+                    kept = self._stop(edges[np.searchsorted(new_lo, ends[:n_final])]) or len(ends)
+                if kept < len(ends) or not len(lo):
+                    break
             splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
             if n_done + 2 * len(lo) > _MESH_PANELS or not splittable.all():
                 worst = int(np.argmax(err))
@@ -269,18 +289,17 @@ class CumulativeCache:
             lo, hi = np.concatenate([lo, mids]), np.concatenate([mids, hi])
             step = np.concatenate([step, step])
             half, vals = _sample(self.fn, lo, hi)
-        new_lo = np.concatenate([d[0] for d in done])
-        order = np.argsort(new_lo)
-        new_lo = new_lo[order]
-        coef = np.concatenate([d[1] for d in done])[order]
+        if kept < len(ends):        # drop the steps past the stop
+            top = float(ends[kept - 1])
+            n = int(np.searchsorted(new_lo, top))
+            new_lo, coef, edges = new_lo[:n], coef[:n], edges[:n + 1]
         new_hi = np.append(new_lo[1:], top)
-        edges = np.cumsum(np.concatenate([[self._total], coef.sum(axis=1)]))
         self._lo = np.concatenate([self._lo, new_lo])
         self._mid = np.concatenate([self._mid, 0.5 * (new_lo + new_hi)])
         self._half = np.concatenate([self._half, 0.5 * (new_hi - new_lo)])
         self._coef = np.concatenate([self._coef, coef])
         self._off = np.concatenate([self._off, edges[:-1]])
-        self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax.max())
+        self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax[kept - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +315,12 @@ _GROWTH_FACTOR = 1e12
 
 
 class _Overflow(Exception):
-    """The tail integrand is infinite or past ``_BLOWUP``."""
+    """The tail integrand is infinite or past ``_BLOWUP``, first at ``args[0]``."""
 
 
 class _NaN(Exception):
-    """The tail integrand is NaN."""
+    """The tail integrand is NaN; ``args[0]`` is the smallest node where it
+    is NaN or overflows."""
 
 
 @dataclass(frozen=True)
@@ -389,6 +409,22 @@ def _fit_exponent(f: Callable, rho: float, horizon: float):
     return slope, float(np.sqrt(np.mean((dy - slope * dx) ** 2)))
 
 
+def _first_stop(ladder: np.ndarray, conv_eps: float):
+    """(k, how) for the first k at which the partials ``I_1, I_2, ...`` stop
+    the ladder: ``"growth"`` once I_k > 1e12 I_1, else ``"cauchy"`` once the
+    relative increments ``(I_j - I_{j-1}) / I_{j-1}``, j = k-2..k, are all
+    below ``conv_eps`` (k >= 4); ``(None, None)`` if neither fires."""
+    growth = ladder > _GROWTH_FACTOR * max(float(ladder[0]), 1e-300)
+    with np.errstate(over="ignore"):    # the relative increments of I_2, I_3, ...
+        small = (ladder[1:] - ladder[:-1]) / np.maximum(ladder[:-1], 1e-300) < conv_eps
+    stop = growth.copy()
+    stop[3:] |= small[:-2] & small[1:-1] & small[2:]
+    k = int(stop.argmax())
+    if not stop[k]:
+        return None, None
+    return k + 1, "growth" if growth[k] else "cauchy"
+
+
 def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> TailClass:
     """Classify ``integral(f, rho, infinity)`` for a nonnegative integrand f
     that maps an array of radii to an array of the same shape.
@@ -407,14 +443,15 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
 
     The partial integrals are read off one :class:`CumulativeCache` of f
     based at rho, whose growth steps are the doublings; the ladder evaluates
-    f nowhere else.  One query at every doubling radius meshes the whole
-    ladder at once (the cache's first call of f takes the top radius, so a
-    weight's remainder mesh grows there in one extension).  If it raises
-    (it reaches past where the walk may stop), the walk queries the same
-    cache one doubling at a time, so an error surfaces at the doubling
-    where a walk that never looks ahead meets it.
-    A NaN of f raises there; an inf, or a value past ``1e250``, stops the
-    ladder as an overflow.
+    f nowhere else.  A look-ahead queries the last doubling radius (the
+    cache's first call of f takes it, so a weight's remainder mesh grows
+    there in one extension), and the mesh ends where the growth and Cauchy
+    stops (:func:`_first_stop`) fire on the partials it has made final.  A
+    look-ahead that meets a NaN, an inf or a value past ``1e250`` retries up
+    to the last doubling radius below the smallest such node; any other
+    failure drops to one doubling at a time.  A query of one doubling that
+    fails is the walk's: a NaN raises there, an overflow stops the ladder as
+    divergent, anything else is raised.
     """
     cfg = cfg or TailConfig()
     if rho <= 0:
@@ -423,75 +460,76 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     def guarded(t):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(t), dtype=float)
-        if np.isnan(vals).any():
-            raise _NaN
-        if np.any(vals > _BLOWUP) or np.isinf(vals).any():
-            raise _Overflow
+        nan = np.isnan(vals)
+        bad = nan | (vals > _BLOWUP) | np.isinf(vals)
+        if bad.any():
+            raise (_NaN if nan.any() else _Overflow)(float(np.min(np.where(bad, t, np.inf))))
         return vals
 
-    prim = CumulativeCache(guarded, rho, rel_tol=_TAIL_REL_TOL)
     radii = [rho * 2.0 ** k for k in range(cfg.k_max + 1)]
-    try:
-        ladder = prim(radii)
-    except Exception:
-        # the query reaches past where the walk may stop, so its error need
-        # not be the walk's; the failed extension left the cache empty
-        ladder = None
-    partials = []          # (R_k, I_k)
-    increments = []
-    total = 0.0
-    for k in range(1, cfg.k_max + 1):
-        lo_r, hi_r = radii[k - 1], radii[k]
-        prev = total
-        if ladder is not None:
-            total = float(ladder[k])
-        else:
-            try:
-                total = prim(hi_r)
-            except _Overflow:
-                return TailClass("divergent", partial_integrals=tuple(partials),
+    ladder = []            # I_k at the doublings meshed so far
+    seen = []              # ... and those the extension under way made final
+    stop = (None, None)
+
+    def rule(ends):
+        nonlocal seen, stop
+        seen = ladder + ends.tolist()
+        stop = _first_stop(np.array(seen), cfg.conv_eps)
+        return None if stop[0] is None else stop[0] - len(ladder)
+
+    prim = CumulativeCache(guarded, rho, rel_tol=_TAIL_REL_TOL)
+    prim._stop = rule
+    limit = math.inf       # the lowest node at which f has failed
+    while stop[0] is None and len(ladder) < cfg.k_max:
+        k = len(ladder)
+        hi = min(max(k + 1, bisect.bisect_left(radii, limit) - 1), cfg.k_max)
+        try:
+            prim(radii[hi])
+        except Exception as exc:
+            if hi > k + 1:
+                # retry below the failure, or one doubling at a time if it
+                # has no position; the failed extension left the cache as it was
+                limit = min(limit, exc.args[0]) if isinstance(exc, (_Overflow, _NaN)) else 0.0
+                continue
+            if isinstance(exc, _Overflow):
+                return TailClass("divergent", partial_integrals=tuple(zip(radii[1:], ladder)),
                                  detail="integrand overflow at finite horizon")
-            except _NaN:
-                raise QuadratureError(f"integrand is NaN inside [{lo_r:.6g}, {hi_r:.6g}]",
-                                      worst_interval=(lo_r, hi_r, math.inf)) from None
-        increments.append(total - prev)
-        partials.append((hi_r, total))
+            if isinstance(exc, _NaN):
+                raise QuadratureError(
+                    f"integrand is NaN inside [{radii[k]:.6g}, {radii[k + 1]:.6g}]",
+                    worst_interval=(radii[k], radii[k + 1], math.inf)) from None
+            raise
+        ladder = seen[:stop[0]]
 
-        i_first = partials[0][1]
-        if total > _GROWTH_FACTOR * max(i_first, 1e-300):
-            alpha, resid = _fit_exponent(f, rho, hi_r)
-            return TailClass("divergent", partial_integrals=tuple(partials),
-                             alpha_hat=alpha, fit_residual=resid,
-                             detail=f"partial integral exceeded {_GROWTH_FACTOR:g} x I_1")
-        if k >= 4:
-            prior = [p[1] for p in partials[-4:-1]]
-            rel = [inc / max(pi, 1e-300) for inc, pi in zip(increments[-3:], prior)]
-            if all(rv < cfg.conv_eps for rv in rel):
-                alpha, resid = _fit_exponent(f, rho, hi_r)
-                tail_guard = increments[-1]
-                return TailClass("convergent", value=total,
-                                 error=prim.error(hi_r) + tail_guard,
-                                 partial_integrals=tuple(partials), alpha_hat=alpha,
-                                 fit_residual=resid,
-                                 detail="Cauchy increments below conv_eps")
-
-    if len(increments) < 3:
-        return TailClass("undetermined", partial_integrals=tuple(partials),
+    partials = tuple(zip(radii[1:], ladder))
+    increments = [b - a for a, b in zip([0.0] + ladder, ladder)]
+    total, horizon = (ladder[-1] if ladder else 0.0), radii[len(ladder)]
+    if stop[1] is None and len(increments) < 3:
+        return TailClass("undetermined", partial_integrals=partials,
                          detail=f"ladder too short: {len(increments)} of 3 doublings needed")
-    horizon = partials[-1][0]
+    alpha, resid = _fit_exponent(f, rho, horizon)
+    if stop[1] == "growth":
+        return TailClass("divergent", partial_integrals=partials,
+                         alpha_hat=alpha, fit_residual=resid,
+                         detail=f"partial integral exceeded {_GROWTH_FACTOR:g} x I_1")
+    if stop[1] == "cauchy":
+        return TailClass("convergent", value=total,
+                         error=prim.error(horizon) + increments[-1],
+                         partial_integrals=partials, alpha_hat=alpha,
+                         fit_residual=resid,
+                         detail="Cauchy increments below conv_eps")
     ratios = [increments[i] / increments[i - 1]
               for i in range(len(increments) - 2, len(increments))
               if increments[i - 1] > 0.0]
-    alpha, resid = _fit_exponent(f, rho, horizon)
     if ratios and min(ratios) >= 0.999:
-        return TailClass("divergent", partial_integrals=tuple(partials),
+        return TailClass("divergent", partial_integrals=partials,
                          alpha_hat=alpha, fit_residual=resid,
                          detail="per-doubling increments non-decreasing")
     if alpha is None:
-        return TailClass("undetermined", partial_integrals=tuple(partials),
+        return TailClass("undetermined", partial_integrals=partials,
                          detail="tail exponent could not be fitted")
     if alpha >= -1.0 + cfg.exp_band:
-        return TailClass("divergent", partial_integrals=tuple(partials),
+        return TailClass("divergent", partial_integrals=partials,
                          alpha_hat=alpha, fit_residual=resid,
                          detail=f"fitted exponent {alpha:.4f} >= -1 + band")
     if alpha <= -1.0 - cfg.exp_band and ratios and max(ratios) <= 0.985:
@@ -499,9 +537,9 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         tail_est = increments[-1] * q / (1.0 - q) if q < 1.0 else 0.0
         return TailClass("convergent", value=total + tail_est,
                          error=prim.error(horizon) + 0.25 * tail_est + increments[-1] * 1e-6,
-                         partial_integrals=tuple(partials), alpha_hat=alpha,
+                         partial_integrals=partials, alpha_hat=alpha,
                          fit_residual=resid,
                          detail=f"fitted exponent {alpha:.4f} <= -1 - band; geometric tail added")
-    return TailClass("undetermined", partial_integrals=tuple(partials),
+    return TailClass("undetermined", partial_integrals=partials,
                      alpha_hat=alpha, fit_residual=resid,
                      detail=f"fitted exponent {alpha:.4f} inside the critical band")

@@ -10,7 +10,8 @@ from radialcap.constellation import Constellation, Tangency
 from radialcap.constellation import _balance_terms
 from radialcap.criteria import (
     COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
-    ClassifyConfig, _certified_horizon, classify, classify_bounded_w, classify_monotone, sweep,
+    ClassifyConfig, _certified_horizon, _model_warnings, classify, classify_bounded_w,
+    classify_monotone, sweep,
 )
 from radialcap.errors import ConfigError, DomainError
 from radialcap.expr import evaluate
@@ -316,9 +317,31 @@ def test_sweep_capacity_matches_the_closed_form_of_the_bounded_cylinder():
     assert row.cap_at_horizon == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("g, warning", [
+    ("1.5", "tangency lower bound g exceeds 1 on the grid"),
+    ("1 + r", "tangency lower bound g exceeds 1 on the grid"),
+    ("-0.5", "tangency lower bound g is not positive on the grid"),
+    ("1 - r", "tangency lower bound g is not positive on the grid"),
+    ("sqrt(-1)", "tangency bound not evaluable: sqrt of negative value at r=0.001"),
+    ("sqrt(1 - r)", "tangency bound not evaluable: sqrt of negative value at r=1.00038"),
+    ("0.5", None),
+    ("0.5 + 0.1*sin(r)", None),
+])
+def test_model_warnings_check_the_lower_tangency_bound(g, warning):
+    # a constant g (sqrt(-1) has no value, so it is evaluated) is tested
+    # once, any other g on the grid out to the horizon
+    c = Constellation.from_functions(3, 2, "r", g=g)
+    warnings = _model_warnings(c, ClassifyConfig(), 1.0, 512.0)
+    if warning is None:
+        assert warnings == ()
+    else:
+        assert len(warnings) == 1 and warnings[0].startswith(warning)
+
+
 def test_tail_look_ahead_grows_the_remainder_mesh_once(remainder_extensions):
-    # the look-ahead meshes the ladder out to r = 512 at once; the weight's
-    # remainder mesh gets there in one extension, not one per refinement round
+    # the look-ahead reaches for r = 512 at once, so the weight's remainder
+    # mesh still grows to 512 in one extension, not one per refinement
+    # round, while the tail mesh stops at 32, where the ladder decides
     c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "coth_dominated.json"))
     v = classify(c, 3.0, 1.0)
     assert v.is_parabolic

@@ -72,8 +72,22 @@ def test_kernel_threads_follow_radialcap_threads(monkeypatch, env, threads):
         monkeypatch.delenv("RADIALCAP_THREADS", raising=False)
     else:
         monkeypatch.setenv("RADIALCAP_THREADS", env)
-    default = max(1, min(4, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    default = max(1, min(4, cpus or 1))
     assert diffusion.resolve_workers() == (threads or default)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("env", ["8", None])
+def test_kernel_threads_are_capped_by_the_cpu_affinity(monkeypatch, env):
+    # a process pinned to one CPU runs one kernel thread, however many the
+    # machine has
+    if env is None:
+        monkeypatch.delenv("RADIALCAP_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RADIALCAP_THREADS", env)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert diffusion.resolve_workers() == 1
 
 
 def test_mix_is_deterministic_and_spreads():

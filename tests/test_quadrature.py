@@ -3,15 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radialcap.cli import load_config
 from radialcap.constellation import Constellation, WeightFunction
 from radialcap.criteria import classify
 from radialcap.errors import DomainError, QuadratureError
 from radialcap.quadrature import (
-    _TAIL_REL_TOL, CumulativeCache, TailConfig, _fit_exponent, classify_tail, geomgrid,
-    integrate,
+    _TAIL_REL_TOL, CumulativeCache, TailConfig, _first_stop, _fit_exponent, classify_tail,
+    geomgrid, integrate,
 )
 
 
@@ -350,6 +350,128 @@ def test_growing_remainder_verdict_survives_the_one_call_ladder():
         assert [r for r, _ in tc.partial_integrals] == [r for r, _ in ref.partial_integrals]
         assert [i for _, i in tc.partial_integrals] == pytest.approx(
             [i for _, i in ref.partial_integrals], rel=1e-14)
+
+
+def _per_k_stop(ladder, conv_eps):
+    """The ladder's stop rules applied one doubling at a time, as a loop
+    over k: the first (k, kind) at which I_k passes 1e12 I_1 ("growth") or
+    the last three relative increments are below conv_eps ("cauchy")."""
+    partials, increments, total = [], [], 0.0
+    for k, i_k in enumerate(ladder, 1):
+        prev, total = total, i_k
+        increments.append(total - prev)
+        partials.append(total)
+        if total > 1e12 * max(partials[0], 1e-300):
+            return k, "growth"
+        if k >= 4:
+            prior = partials[-4:-1]
+            rel = [inc / max(pi, 1e-300) for inc, pi in zip(increments[-3:], prior)]
+            if all(rv < conv_eps for rv in rel):
+                return k, "cauchy"
+    return None, None
+
+
+@st.composite
+def ladders(draw):
+    """Non-decreasing partial integrals: plateaus, zeros, relative
+    increments at and near conv_eps, ordinary steps, climbs to just below
+    1e12 I_1 and jumps past it."""
+    conv_eps = draw(st.sampled_from([1e-8, 0.0, 1e-3, 0.5]))
+    total = draw(st.sampled_from([0.0, 1e-310, 1e-300, 1.0, 3.7e5]))
+    out = [total]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["plateau", "near", "near", "step", "climb", "jump"]))
+        scale = max(total, 1e-300)
+        if kind == "plateau":
+            inc = 0.0
+        elif kind == "near":
+            inc = scale * conv_eps * draw(st.sampled_from([0.5, 0.999999, 1.0, 1.000001, 2.0]))
+        elif kind == "step":
+            inc = scale * draw(st.floats(0.0, 10.0))
+        elif kind == "climb":
+            below = max(out[0], 1e-300) * 1e12 * (1.0 - draw(st.sampled_from([1.2e-3, 1e-12])))
+            inc = max(below - total, 0.0)
+        else:
+            inc = max(out[0], 1e-300) * 1e12 * draw(st.floats(0.5, 2.0))
+        total = total + inc
+        out.append(total)
+    return np.array(out), conv_eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(ladders())
+# growth and Cauchy fire at the same k = 5: growth wins
+@example((np.cumprod([1.0, 1e12 * (1 - 1.2e-3), 1 + 5e-4, 1 + 5e-4, 1 + 5e-4]), 1e-3))
+# a relative increment over I_1 = 0 overflows to inf, as the loop's does
+@example((np.array([0.0, 1e9, 2e9, 3e9, 4e9]), 1e-8))
+def test_array_stop_rule_matches_the_per_doubling_loop(case):
+    ladder, conv_eps = case
+    assert _first_stop(ladder, conv_eps) == _per_k_stop(ladder.tolist(), conv_eps)
+
+
+@pytest.fixture
+def tail_extensions(monkeypatch):
+    """The extensions of classify_tail's ladder mesh over the rest of the
+    test: (cache, top, the failure's class name or None)."""
+    log, extend = [], CumulativeCache._extend
+
+    def recorded(self, top):
+        ladder = self.fn.__qualname__.startswith("classify_tail.")
+        try:
+            extend(self, top)
+        except Exception as exc:
+            if ladder:
+                log.append((self, top, type(exc).__name__))
+            raise
+        if ladder:
+            log.append((self, top, None))
+    monkeypatch.setattr(CumulativeCache, "_extend", recorded)
+    return log
+
+
+def _config(name):
+    return load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+
+
+def test_ladder_mesh_stops_at_the_deciding_doubling(tail_extensions, monkeypatch):
+    # the look-ahead reaches for 512, the growth rule fires at 32 and the
+    # mesh ends there, with the partials a ladder of five doublings gives;
+    # the weight is sampled in three rounds, then once by the exponent fit
+    # (meshing on to 512 took seven rounds)
+    calls = []
+    call = WeightFunction.__call__
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return call(self, r)
+    monkeypatch.setattr(WeightFunction, "__call__", counted)
+    c = _config("coth_dominated")
+    verdict = classify(c, 3.0, 1.0)
+    assert verdict.is_parabolic
+    assert [(top, failed) for _, top, failed in tail_extensions] == [(512.0, None)]
+    assert len(calls) == 4
+    assert tail_extensions[0][0]._reach == 32.0
+    ref = classify_tail(WeightFunction(c, 3.0, 1.0), 1.0, TailConfig(k_max=5))
+    assert verdict.tail.partial_integrals == ref.partial_integrals
+    assert [r for r, _ in ref.partial_integrals] == [2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def test_overflowing_look_ahead_retries_below_the_overflow(tail_extensions):
+    # the weight passes 1e250 near r = 406: the look-ahead to 512 fails, the
+    # retry to 256 decides at 32, and no doubling is meshed on its own
+    c = _config("cylinder_bounded")
+    verdict = classify(c, 5.0, 1.0)
+    assert verdict.is_parabolic
+    assert [(top, failed) for _, top, failed in tail_extensions] == [
+        (512.0, "_Overflow"), (256.0, None)]
+    assert tail_extensions[-1][0]._reach == 32.0
+    ref = classify_tail(_one_doubling_at_a_time(WeightFunction(c, 5.0, 1.0)), 1.0,
+                        TailConfig(k_max=9))
+    tc = verdict.tail
+    assert (tc.kind, tc.detail) == (ref.kind, ref.detail)
+    assert [r for r, _ in tc.partial_integrals] == [r for r, _ in ref.partial_integrals]
+    assert [i for _, i in tc.partial_integrals] == pytest.approx(
+        [i for _, i in ref.partial_integrals], rel=1e-14)
 
 
 def test_classify_self_model_calls_the_weight_a_few_times(monkeypatch):

@@ -7,8 +7,8 @@ warped-product models that underlie them, and independent numerical oracles
 __version__ = "0.1.0"
 
 from .constellation import (   # noqa: F401
-    BalanceProfile, Constellation, Tangency, balance, balance_shift_identity_check,
-    balance_sign, lambda_weight, weight_function,
+    BalanceProfile, Constellation, Tangency, WeightFunction, balance,
+    balance_shift_identity_check, balance_sign,
 )
 from .criteria import (        # noqa: F401
     ClassifyConfig, InconclusiveReason, SweepRow, Verdict, classify,

@@ -38,8 +38,6 @@ __all__ = [
     "BalanceProfile",
     "balance",
     "balance_sign",
-    "lambda_weight",
-    "weight_function",
     "balance_shift_identity_check",
     "WeightFunction",
 ]
@@ -212,7 +210,8 @@ class WeightFunction:
     (the lam term is dropped at p = 2, as in the balance).  Any other g
     leaves the whole balance in the remainder R, with kappa = 0.  R is
     integrated numerically only if h, or lam at p != 2, is not the constant
-    0, so a self-model weight runs no quadrature at all.
+    0, so a self-model weight runs no quadrature at all.  The weight at rho
+    is ``w(rho)`` exactly, and under upper tangency g is 1 by construction.
 
     R lives on a :class:`~radialcap.quadrature.CumulativeCache` panel mesh
     that grows with the largest radius queried, so a query inside it runs
@@ -323,24 +322,6 @@ def _check_warping(wv, sign, r):
         bad = float(np.ravel(wv)[i])
         raise DomainError("warping function overflows" if math.isinf(bad)
                           else "warping function vanishes", float(np.ravel(r)[i]))
-
-
-def weight_function(c: Constellation, p: float, rho: float,
-                    rel_tol: float = 1e-10) -> WeightFunction:
-    """Build the decision weight based at ``rho`` (upper tangency uses
-    ``g == 1`` by construction)."""
-    return WeightFunction(c, p, rho, rel_tol=rel_tol)
-
-
-def lambda_weight(c: Constellation, p: float, rho: float, r,
-                  rel_tol: float = 1e-10) -> Union[float, np.ndarray]:
-    """Weight value ``w(r) * exp(-integral_rho^r balance/((p-1) g^2))``.
-
-    ``lambda_weight(c, p, rho, rho)`` equals ``w(rho)`` exactly (empty
-    integral).  For repeated queries against one base point build a
-    :class:`WeightFunction` instead.
-    """
-    return weight_function(c, p, rho, rel_tol=rel_tol)(r)
 
 
 def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> float:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .constellation import (
     BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, balance_sign,
-    weight_function,
 )
 from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError
@@ -248,8 +247,7 @@ class _Run:
     def weight(self) -> WeightFunction:
         """The q-weight, built on first use and then shared."""
         if self._weight is None:
-            self._weight = weight_function(self.c, self.q, self.rho,
-                                           rel_tol=self.cfg.weight_rel_tol)
+            self._weight = WeightFunction(self.c, self.q, self.rho, self.cfg.weight_rel_tol)
         return self._weight
 
 
@@ -357,7 +355,7 @@ def _weight_monotone_stage(run: _Run, p: float) -> tuple:
     """Proof-level comparison, asserted: the p-weight integral dominates the
     q-weight integral at 8 and 64 times rho."""
     horizons = run.rho * np.array([8.0, 64.0])
-    weight_p = weight_function(run.c, p, run.rho, rel_tol=run.cfg.weight_rel_tol)
+    weight_p = WeightFunction(run.c, p, run.rho, run.cfg.weight_rel_tol)
     if np.any(weight_p.integral(horizons) < run.weight().integral(horizons) * (1.0 - 1e-9)):
         raise RadialCapError("internal assertion failed: weight integral not monotone in p")
     return "weight_integral_monotone", "finite horizons 8x and 64x rho", None

@@ -66,27 +66,37 @@ _ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _ICDF_PLOW = 0.02425
 
 
+def _horner(coeffs, x: str, monic: bool = False) -> str:
+    """``(((c0 * x + c1) * x + ...) + cn)``, source that C and Python both
+    read, evaluated in that order (``monic`` appends ``* x + 1.0``)."""
+    src = repr(coeffs[0])
+    for c in coeffs[1:] + ((1.0,) if monic else ()):
+        src = f"({src} * {x} + {c!r})"
+    return src
+
+
+# one source for both backends: the tail value at q = sqrt(-2 log min(p, 1-p)),
+# negated above 1/2, and the central value at q = p - 1/2, r = q*q
+_ICDF_TAIL = f"{_horner(_ICDF_C, 'q')} / {_horner(_ICDF_D, 'q', True)}"
+_ICDF_MID = f"{_horner(_ICDF_A, 'r')} * q / {_horner(_ICDF_B, 'r', True)}"
+_icdf_tail, _icdf_mid = eval(f"lambda q: {_ICDF_TAIL}, lambda q, r: {_ICDF_MID}")  # noqa: S307
+
+
 def _norm_icdf_np(p: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF (Acklam's rational approximation), vectorized."""
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
+    """Inverse normal CDF (Acklam's rational approximation), vectorized:
+    numpy evaluates the source the C kernel compiles."""
     p = np.asarray(p)
     out = np.empty_like(p)
-    low = p < _ICDF_PLOW
-    high = p > 1.0 - _ICDF_PLOW
-    mid = ~(low | high)
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        out[low] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                    / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if high.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        out[high] = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                      / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    tail = (p < _ICDF_PLOW) | (p > 1.0 - _ICDF_PLOW)
+    mid = ~tail
+    if tail.any():
+        pt = p[tail]
+        low = pt < 0.5
+        r = _icdf_tail(np.sqrt(-2.0 * np.log(np.where(low, pt, 1.0 - pt))))
+        out[tail] = np.where(low, r, -r)
     if mid.any():
         q = p[mid] - 0.5
-        r = q * q
-        out[mid] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                    / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+        out[mid] = _icdf_mid(q, q * q)
     return out
 
 
@@ -151,15 +161,6 @@ def _uniform_np(base: np.ndarray, counter: int) -> np.ndarray:
 # operation, so both produce the same path codes
 # ---------------------------------------------------------------------------
 
-def _horner_c(coeffs, x: str, monic: bool = False) -> str:
-    """``(((c0*x + c1)*x + ...) + cn)`` in C, evaluated in the same order as
-    the Python Horner forms above (``monic`` appends ``*x + 1.0``)."""
-    src = repr(coeffs[0])
-    for c in coeffs[1:] + ((1.0,) if monic else ()):
-        src = f"({src} * {x} + {c!r})"
-    return src
-
-
 _C_KERNEL = """\
 #include <math.h>
 #include <stdint.h>
@@ -182,12 +183,12 @@ static inline double norm_icdf(double p)
     double q, r;
     if (p < %(plow)r || p > 1.0 - %(plow)r) {
         q = sqrt(-2.0 * log(p < 0.5 ? p : 1.0 - p));
-        r = %(tail_num)s / %(tail_den)s;
+        r = %(tail)s;
         return p < 0.5 ? r : -r;
     }
     q = p - 0.5;
     r = q * q;
-    return %(mid_num)s * q / %(mid_den)s;
+    return %(mid)s;
 }
 
 %(drift)s
@@ -251,8 +252,7 @@ def _kernel_source(w: RadialExpr) -> str:
     return _C_KERNEL % {
         "mix_a": hex(_MIX_A), "mix_b": hex(_MIX_B), "golden": hex(_GOLDEN),
         "salt": hex(_BRIDGE_SALT), "u53": _U53, "cut": _BRIDGE_CUT, "plow": _ICDF_PLOW,
-        "tail_num": _horner_c(_ICDF_C, "q"), "tail_den": _horner_c(_ICDF_D, "q", True),
-        "mid_num": _horner_c(_ICDF_A, "r"), "mid_den": _horner_c(_ICDF_B, "r", True),
+        "tail": _ICDF_TAIL, "mid": _ICDF_MID,
         "drift": c_value_d1(w),
         "censored": CODE_CENSORED, "inner": CODE_INNER, "outer": CODE_OUTER,
         "failed": CODE_FAILED,

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .constellation import (
-    Constellation, WeightFunction, _balance_terms, _tangency_bound, weight_function,
-)
+from .constellation import Constellation, WeightFunction, _balance_terms, _tangency_bound
 from .errors import DomainError, RadialCapError
 from .expr import eval_jet2
 from .model import sphere_volume
@@ -68,18 +66,6 @@ class DriftOperator:
         gv = _tangency_bound(c, r)
         return value / ((self.p - 1.0) * gv * gv) - jw.d1 / jw.value
 
-    def apply(self, profile: Callable, r, fd_step: float) -> Union[float, np.ndarray]:
-        """L profile at r via 5-point central differences on the profile,
-        which maps an array of radii to an array of the same shape."""
-        pts = np.atleast_1d(np.asarray(r, dtype=float))
-        h = fd_step
-        stencil = pts[:, None] + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[None, :]
-        f = profile(stencil.ravel()).reshape(stencil.shape)
-        d1 = (-f[:, 4] + 8.0 * f[:, 3] - 8.0 * f[:, 1] + f[:, 0]) / (12.0 * h)
-        d2 = (-f[:, 4] + 16.0 * f[:, 3] - 30.0 * f[:, 2] + 16.0 * f[:, 1] - f[:, 0]) / (12.0 * h * h)
-        out = d2 + np.asarray(self.coeff(pts)) * d1
-        return float(out[0]) if np.ndim(r) == 0 else out
-
 
 class RadialSolution:
     """Closed-form Dirichlet solution on the annulus ``[weight.rho, R]``.
@@ -116,7 +102,7 @@ def solve_dirichlet_closed(c: Constellation, p: float, rho: float, R: float,
     """Explicit Dirichlet solution: normalized primitive of the weight."""
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    return RadialSolution(weight_function(c, p, rho, rel_tol=rel_tol), R)
+    return RadialSolution(WeightFunction(c, p, rho, rel_tol), R)
 
 
 @dataclass(frozen=True)
@@ -222,6 +208,9 @@ def operator_residual(c: Constellation, p: float, rho: float, R: float,
     cheb = np.cos(math.pi * k / 256.0)  # [-1, 1]
     lo, hi = rho + 2.5 * h, R - 2.5 * h
     probe_points = (lo + hi) / 2.0 + (hi - lo) / 2.0 * cheb[::-1]
-    op = DriftOperator(c, p)
-    res = op.apply(profile, probe_points, h)
+    stencil = probe_points[:, None] + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[None, :]
+    f = profile(stencil.ravel()).reshape(stencil.shape)
+    d1 = (-f[:, 4] + 8.0 * f[:, 3] - 8.0 * f[:, 1] + f[:, 0]) / (12.0 * h)
+    d2 = (-f[:, 4] + 16.0 * f[:, 3] - 30.0 * f[:, 2] + 16.0 * f[:, 1] - f[:, 0]) / (12.0 * h * h)
+    res = d2 + np.asarray(DriftOperator(c, p).coeff(probe_points)) * d1
     return float(np.max(np.abs(res)))

@@ -97,10 +97,6 @@ class RadialExpr:
     def __str__(self) -> str:
         return _format(self.root, 0)
 
-    def __call__(self, r):
-        """Evaluate the value only (scalar or ndarray ``r > 0``)."""
-        return evaluate(self, r)
-
     @cached_property
     def constant(self) -> Optional[float]:
         """The value of an expression without ``r``; None when it depends
@@ -210,12 +206,16 @@ class _Parser:
         self.i += 1
         return tok
 
+    def unexpected(self, token, expected):
+        kind, value, pos = token
+        return ParseError(f"got {value!r}" if kind != "eof" else "unexpected end of input",
+                          pos, expected=expected)
+
     def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == op:
+        token = self.peek()
+        if token[:2] == ("op", op):
             return self.advance()
-        raise ParseError(f"got {value!r}" if kind != "eof" else "unexpected end of input",
-                         pos, expected=(repr(op),))
+        raise self.unexpected(token, (repr(op),))
 
     def parse(self) -> Node:
         node = self.expr()
@@ -224,25 +224,21 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def chain(self, ops: str, operand) -> Node:
+        """``operand ((op in ops) operand)*``, left-associative."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = BinOp(value, node, operand())
+
+    def expr(self) -> Node:
+        return self.chain("+-", self.term)
 
     def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
 
     def factor(self) -> Node:
         node = self.unary()
@@ -260,7 +256,7 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Node:
-        kind, value, pos = self.advance()
+        token = kind, value, pos = self.advance()
         if kind == "num":
             return Num(float(value))
         if kind == "ident":
@@ -276,8 +272,7 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ParseError(f"got {value!r}" if kind != "eof" else "unexpected end of input",
-                         pos, expected=("number", "'r'", "function", "'('"))
+        raise self.unexpected(token, ("number", "'r'", "function", "'('"))
 
 
 def parse(text: str) -> RadialExpr:
@@ -545,9 +540,8 @@ def _exec(src: str):
 def _numpy_fn(root: Node, mode: str):
     """The compiled numpy function of ``mode`` ("value" or "jet")."""
     gen = _CodeGen(mode)
-    out = gen.emit(root)
-    ret = out[:1] if mode == "value" else out
-    return _exec("\n".join(["def f(r):", *gen.lines, f"    return {', '.join(ret)}", ""]))
+    out = gen.emit(root)[:gen.order + 1]
+    return _exec("\n".join(["def f(r):", *gen.lines, f"    return {', '.join(out)},", ""]))
 
 
 def _radius(r):
@@ -577,6 +571,29 @@ def _owned(x, rv, taken):
     return out
 
 
+def _run(fn, r) -> list:
+    """The outputs of the compiled ``fn`` at ``r``: floats for a scalar r,
+    else float arrays of r's shape that the caller owns.  Overflow to
+    +/-inf is tolerated (callers rely on it for growth detection); a NaN in
+    any output is always a reported domain failure."""
+    rv = _radius(r)
+    with np.errstate(all="ignore"):
+        out = fn(rv)
+    if isinstance(rv, float):
+        out = [*map(float, out)]
+        for x in out:
+            _check(x != x, rv, "evaluation produced NaN")
+        return out
+    bad = np.isnan(out[0])
+    for x in out[1:]:
+        bad = bad | np.isnan(x)
+    _check(bad, rv, "evaluation produced NaN")
+    arrays = []
+    for x in out:
+        arrays.append(_owned(x, rv, arrays))
+    return arrays
+
+
 def eval_jet2(expr: RadialExpr, r) -> Jet2:
     """Evaluate ``expr`` with exact first and second derivatives at ``r``.
 
@@ -585,22 +602,7 @@ def eval_jet2(expr: RadialExpr, r) -> Jet2:
     :class:`~radialcap.errors.DomainError` on out-of-domain points (the
     error reports the first offending point), never a silent NaN.
     """
-    rv = _radius(r)
-    with np.errstate(all="ignore"):
-        out = expr._jet(rv)
-    # overflow to +/-inf is tolerated (callers rely on it for growth
-    # detection); NaN is always a reported domain failure
-    if isinstance(rv, float):
-        jet = Jet2(*(float(x) for x in out))
-        _check(jet.value != jet.value or jet.d1 != jet.d1 or jet.d2 != jet.d2, rv,
-               "evaluation produced NaN")
-        return jet
-    _check(np.isnan(out[0]) | np.isnan(out[1]) | np.isnan(out[2]), rv,
-           "evaluation produced NaN")
-    arrays = []
-    for x in out:
-        arrays.append(_owned(x, rv, arrays))
-    return Jet2(*arrays)
+    return Jet2(*_run(expr._jet, r))
 
 
 def evaluate(expr: RadialExpr, r):
@@ -611,15 +613,7 @@ def evaluate(expr: RadialExpr, r):
     work, so values near float overflow stay inf instead of turning into
     NaN through ``inf * 0`` derivative terms.
     """
-    rv = _radius(r)
-    with np.errstate(all="ignore"):
-        out = expr._value(rv)
-    if isinstance(rv, float):
-        out = float(out)
-        _check(out != out, rv, "evaluation produced NaN")
-        return out
-    _check(np.isnan(out), rv, "evaluation produced NaN")
-    return _owned(out, rv, ())
+    return _run(expr._value, r)[0]
 
 
 def c_value_d1(expr: RadialExpr) -> str:

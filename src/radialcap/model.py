@@ -68,9 +68,6 @@ class ValidationReport:
     ok: bool
     violations: tuple = field(default_factory=tuple)  # (condition, witness_r, value)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> ValidationReport:
     """Check ``w(0)=0``, ``w'(0)=1`` (sampled at 1e-6, tolerance 1e-4) and

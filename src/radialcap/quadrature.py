@@ -327,8 +327,9 @@ class _NaN(Exception):
 class TailConfig:
     """Knobs of the doubling-horizon divergence classifier: the number of
     doublings, the Cauchy threshold on relative increments and the width of
-    the critical band around the tail exponent -1.  The mesh tolerance
-    (1e-9) and the growth factor (1e12) are fixed."""
+    the critical band around the tail exponent -1, which a fitted exponent
+    must clear on the left for a geometric tail.  The mesh tolerance (1e-9)
+    and the growth factor (1e12) are fixed."""
 
     k_max: int = 40
     conv_eps: float = 1e-8
@@ -433,13 +434,18 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     classifier declares
 
     * convergent when the last three relative increments fall below
-      ``conv_eps`` (value = partial integral + geometric tail estimate),
+      ``conv_eps``, or when the fitted tail exponent sits left of the
+      critical ``-1`` by at least ``exp_band`` and the last increment
+      ratios are at most 0.985 (value = the last partial integral, plus a
+      geometric tail estimate in the second case),
     * divergent when the partial integrals blow past ``1e12`` times
-      the first one, when the per-doubling increments stop decreasing
-      (harmonic-type tails), or when the fitted tail exponent sits right of
-      the critical ``-1`` by more than ``exp_band``,
-    * undetermined in the ``|alpha_hat + 1| < exp_band`` borderline
-      (e.g. ``1/(t*log(t))`` tails) -- never guessed.
+      the first one, or when the per-doubling increments stop decreasing
+      (harmonic-type tails),
+    * undetermined otherwise -- never guessed: in the
+      ``|alpha_hat + 1| < exp_band`` borderline (e.g. ``1/(t*log(t))``
+      tails), and where the fitted exponent and the increments disagree.
+      The fit never decides divergence, so ``exp_band`` shapes only the
+      convergent side.
 
     The partial integrals are read off one :class:`CumulativeCache` of f
     based at rho, whose growth steps are the doublings; the ladder evaluates
@@ -528,10 +534,6 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     if alpha is None:
         return TailClass("undetermined", partial_integrals=partials,
                          detail="tail exponent could not be fitted")
-    if alpha >= -1.0 + cfg.exp_band:
-        return TailClass("divergent", partial_integrals=partials,
-                         alpha_hat=alpha, fit_residual=resid,
-                         detail=f"fitted exponent {alpha:.4f} >= -1 + band")
     if alpha <= -1.0 - cfg.exp_band and ratios and max(ratios) <= 0.985:
         q = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
         tail_est = increments[-1] * q / (1.0 - q) if q < 1.0 else 0.0
@@ -540,6 +542,8 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
                          partial_integrals=partials, alpha_hat=alpha,
                          fit_residual=resid,
                          detail=f"fitted exponent {alpha:.4f} <= -1 - band; geometric tail added")
+    where = ("inside the critical band" if abs(alpha + 1.0) < cfg.exp_band
+             else "not confirmed by the per-doubling increments")
     return TailClass("undetermined", partial_integrals=partials,
                      alpha_hat=alpha, fit_residual=resid,
-                     detail=f"fitted exponent {alpha:.4f} inside the critical band")
+                     detail=f"fitted exponent {alpha:.4f} {where}")

@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from radialcap.constellation import (
-    Constellation, Tangency, balance, balance_shift_identity_check, balance_sign,
-    lambda_weight, weight_function,
+    Constellation, Tangency, WeightFunction, balance, balance_shift_identity_check,
+    balance_sign,
 )
 from radialcap.criteria import classify, classify_monotone
 from radialcap.diffusion import DiffusionConfig, exact_hitting_prob, simulate_radial
@@ -153,16 +153,16 @@ def test_criterion_05_identity_suite():
     lower = Constellation.from_functions(3, 3, g="1", tangency="lower", **kwargs)
     upper = Constellation.from_functions(3, 3, g="0.77", tangency="upper", **kwargs)
     rs = np.geomspace(1.0, 20.0, 100)
-    wl = weight_function(lower, 3.0, 1.0)(rs)
-    wu = weight_function(upper, 3.0, 1.0)(rs)
+    wl = WeightFunction(lower, 3.0, 1.0)(rs)
+    wu = WeightFunction(upper, 3.0, 1.0)(rs)
     report["g1_equals_upper"] = float(np.max(np.abs(wl - wu) / np.abs(wl)))
 
     report["weight_at_base"] = abs(
-        lambda_weight(c, 2.5, 0.8, 0.8) - c.model.w(0.8)) / c.model.w(0.8)
+        WeightFunction(c, 2.5, 0.8)(0.8) - evaluate(c.model.w, 0.8)) / evaluate(c.model.w, 0.8)
 
     c2 = Constellation.from_functions(3, 3, "sinh(r)", h="1/(1+r^2)")
     rr = np.geomspace(2.0, 30.0, 100)
-    ratio = weight_function(c2, 2.5, 1.0)(rr) / weight_function(c2, 2.5, 2.0)(rr)
+    ratio = WeightFunction(c2, 2.5, 1.0)(rr) / WeightFunction(c2, 2.5, 2.0)(rr)
     report["rebasing_constancy"] = float(np.max(np.abs(ratio - ratio[0]) / ratio[0]))
 
     sol = solve_dirichlet_closed(c2, 2.5, 1.0, 4.0)
@@ -190,7 +190,7 @@ def test_criterion_06_corollary_properties():
         assert prof.is_non_positive
         rs = np.geomspace(0.5, 32.0, 64)
         wv = np.asarray(evaluate(c.model.w, rs))
-        lam_w = weight_function(c, p, 0.5)(rs)
+        lam_w = WeightFunction(c, p, 0.5)(rs)
         dominating.append(bool(np.all(lam_w >= wv * (1.0 - 1e-12))))
 
     c = Constellation.from_functions(3, 2, "sinh(r)", h="coth(r)", lam="coth(r)",

@@ -7,9 +7,10 @@ import pytest
 import radialcap.constellation as constellation
 from radialcap.criteria import classify
 from radialcap.errors import DomainError
+from radialcap.expr import evaluate
 from radialcap.constellation import (
     Constellation, Tangency, WeightFunction, _balance_terms, balance,
-    balance_shift_identity_check, balance_sign, lambda_weight, weight_function,
+    balance_shift_identity_check, balance_sign,
 )
 from radialcap.model import ModelSpace
 from radialcap.quadrature import integrate
@@ -104,19 +105,19 @@ def test_lambda_weight_euclidean_m3():
     # balance/(p-1) = 3/t, so the weight is r * exp(-3 log r) = r**-2
     c = euclid_self(3)
     for r in (1.0, 1.7, 4.0, 25.0):
-        assert lambda_weight(c, 2.0, 1.0, r) == pytest.approx(r ** -2, rel=1e-10)
+        assert WeightFunction(c, 2.0, 1.0)(r) == pytest.approx(r ** -2, rel=1e-10)
 
 
 def test_lambda_weight_euclidean_m2():
     c = euclid_self(2)
     for r in (1.0, 3.0, 10.0):
-        assert lambda_weight(c, 2.0, 1.0, r) == pytest.approx(1.0 / r, rel=1e-10)
+        assert WeightFunction(c, 2.0, 1.0)(r) == pytest.approx(1.0 / r, rel=1e-10)
 
 
 def test_lambda_weight_at_base_is_w_exactly():
     c = hyperbolic_self(3)
     # empty inner integral: the weight IS the w evaluation, bit for bit
-    assert lambda_weight(c, 3.5, 0.7, 0.7) == c.model.w(0.7)
+    assert WeightFunction(c, 3.5, 0.7)(0.7) == evaluate(c.model.w, 0.7)
 
 
 def test_weight_upper_tangency_matches_g_equal_1():
@@ -125,15 +126,15 @@ def test_weight_upper_tangency_matches_g_equal_1():
     lower = Constellation.from_functions(3, 3, g="1", tangency=Tangency.LOWER, **kwargs)
     upper = Constellation.from_functions(3, 3, g="0.5", tangency=Tangency.UPPER, **kwargs)
     rs = np.geomspace(1.0, 40.0, 100)
-    wl = weight_function(lower, 3.0, 1.0)(rs)
-    wu = weight_function(upper, 3.0, 1.0)(rs)
+    wl = WeightFunction(lower, 3.0, 1.0)(rs)
+    wu = WeightFunction(upper, 3.0, 1.0)(rs)
     assert np.max(np.abs(wl - wu) / np.abs(wl)) <= 1e-12
 
 
 def test_weight_rebasing_constant_factor():
     c = Constellation.from_functions(3, 3, "sinh(r)", h="1/(1+r^2)")
-    w1 = weight_function(c, 2.5, 1.0)
-    w2 = weight_function(c, 2.5, 2.0)
+    w1 = WeightFunction(c, 2.5, 1.0)
+    w2 = WeightFunction(c, 2.5, 2.0)
     rs = np.geomspace(2.0, 30.0, 50)
     ratio = w1(rs) / w2(rs)
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * abs(ratio[0])
@@ -142,8 +143,8 @@ def test_weight_rebasing_constant_factor():
 
 def test_weight_cache_order_independent():
     c = hyperbolic_self(2)
-    wf_a = weight_function(c, 2.0, 1.0)
-    wf_b = weight_function(c, 2.0, 1.0)
+    wf_a = WeightFunction(c, 2.0, 1.0)
+    wf_b = WeightFunction(c, 2.0, 1.0)
     rs = np.geomspace(1.0, 64.0, 41)
     vals_batch = wf_a(rs)
     vals_single = np.array([wf_b(float(r)) for r in rs[::-1]])[::-1]
@@ -152,8 +153,8 @@ def test_weight_cache_order_independent():
 
 def test_weight_with_a_remainder_accepts_2d_queries():
     c = Constellation.from_functions(4, 3, "r", g="0.8", h="0.1/(1+r)")
-    grid = weight_function(c, 3.0, 1.0)(np.array([[2.0, 3.0]]))
-    flat = weight_function(c, 3.0, 1.0)(np.array([2.0, 3.0]))
+    grid = WeightFunction(c, 3.0, 1.0)(np.array([[2.0, 3.0]]))
+    flat = WeightFunction(c, 3.0, 1.0)(np.array([2.0, 3.0]))
     assert grid.shape == (1, 2)
     assert np.array_equal(grid.ravel(), flat)
 
@@ -162,7 +163,7 @@ def test_weight_dominates_w_when_balance_nonpositive():
     # balance = -3 < 0 everywhere on the annulus (exp-warping example)
     c = Constellation.from_functions(2, 2, "exp(r)", h="2", lam="2",
                                      tangency=Tangency.UPPER)
-    wf = weight_function(c, 3.0, 1.0)
+    wf = WeightFunction(c, 3.0, 1.0)
     rs = np.geomspace(1.0, 30.0, 40)
     assert np.all(wf(rs) >= np.exp(rs) * (1.0 - 1e-13))
 
@@ -170,13 +171,13 @@ def test_weight_dominates_w_when_balance_nonpositive():
 def test_weight_g_floor_raises():
     c = Constellation.from_functions(3, 3, "r", g="0.000000001")
     with pytest.raises(DomainError):
-        weight_function(c, 3.0, 1.0)(2.0)
+        WeightFunction(c, 3.0, 1.0)(2.0)
 
 
 def test_weight_rejects_queries_below_base():
     c = euclid_self(2)
     with pytest.raises(ValueError):
-        weight_function(c, 2.0, 1.0)(0.5)
+        WeightFunction(c, 2.0, 1.0)(0.5)
 
 
 def test_shift_identity_trivial_and_exact():
@@ -239,7 +240,7 @@ def test_inner_integral_split_matches_direct_quadrature(name, p):
     c = SPLIT_CASES[name]()
     g0 = c.g.constant
     rho = 0.7
-    wf = weight_function(c, p, rho)
+    wf = WeightFunction(c, p, rho)
     for r in np.geomspace(1.05 * rho, 40.0, 9):
         got = wf.inner_integral(float(r))
         want, _ = integrate(lambda t: balance(c, p, t) / ((p - 1.0) * g0 * g0), rho, r,
@@ -257,7 +258,7 @@ def test_coth_dominated_weight_is_the_warping():
     # the sign of R is what makes W = sinh (the remainder has rel_tol 1e-10)
     rs = np.geomspace(1.0, 40.0, 30)
     for p in (2.0, 3.0, 8.0):
-        wf = weight_function(coth_dominated(), p, 1.0)
+        wf = WeightFunction(coth_dominated(), p, 1.0)
         assert np.max(np.abs(wf(rs) / np.sinh(rs) - 1.0)) <= 1e-11
 
 
@@ -270,9 +271,9 @@ def test_self_model_weight_runs_no_quadrature(monkeypatch, c):
     monkeypatch.setattr(WeightFunction, "integrand", fail)
     monkeypatch.setattr(constellation, "CumulativeCache", fail)
     for p in (2.0, 3.0, 6.5):
-        wf = weight_function(c, p, 0.8)
+        wf = WeightFunction(c, p, 0.8)
         assert np.all(np.isfinite(wf(np.geomspace(0.8, 300.0, 50))))
-        assert wf(0.8) == c.model.w(0.8)
+        assert wf(0.8) == evaluate(c.model.w, 0.8)
     assert classify(c, 3.0, 1.0).outcome in ("p_parabolic", "inconclusive")
 
 
@@ -288,8 +289,8 @@ def test_p2_lam_free_weight_runs_no_quadrature_and_matches_lam_zero(monkeypatch)
                                                 tangency=tangency)
         without = Constellation.from_functions(3, 2, "sinh(r)", g=g, lam="0",
                                                tangency=tangency)
-        a = weight_function(with_lam, 2.0, 1.0)
-        b = weight_function(without, 2.0, 1.0)
+        a = WeightFunction(with_lam, 2.0, 1.0)
+        b = WeightFunction(without, 2.0, 1.0)
         assert np.array_equal(a(rs), b(rs))
         assert a(3.0) == b(3.0)
 
@@ -298,7 +299,7 @@ def test_weight_with_remainder_is_freed_without_the_cycle_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        wf = weight_function(lower_family(), 3.0, 1.0)
+        wf = WeightFunction(lower_family(), 3.0, 1.0)
         assert wf._cache is not None
         wf(np.geomspace(1.0, 10.0, 9))
         ref = weakref.ref(wf)
@@ -312,8 +313,8 @@ def test_weight_with_remainder_is_freed_without_the_cycle_collector():
 def test_weight_reports_vanishing_and_overflowing_warping():
     # w = r - 1.3 changes sign inside [1, 2]: w'/w has a pole there
     with pytest.raises(DomainError, match="warping function vanishes"):
-        weight_function(Constellation.from_functions(2, 2, "r - 1.3"), 3.0, 1.0)(2.0)
+        WeightFunction(Constellation.from_functions(2, 2, "r - 1.3"), 3.0, 1.0)(2.0)
     # sinh overflows past r ~ 710: an error, never a NaN weight
     with pytest.raises(DomainError, match="warping function overflows") as exc:
-        weight_function(hyperbolic_self(3), 3.0, 1.0)(np.array([2.0, 700.0, 800.0]))
+        WeightFunction(hyperbolic_self(3), 3.0, 1.0)(np.array([2.0, 700.0, 800.0]))
     assert exc.value.r == 800.0

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from radialcap.constellation import Constellation, Tangency, WeightFunction, weight_function
+from radialcap.constellation import Constellation, Tangency, WeightFunction
 from radialcap.dirichlet import (
     DriftOperator, RadialSolution, capacity_upper_bound, drifted_capacity, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
-from radialcap.errors import DomainError
+from radialcap.errors import DomainError, QuadratureError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
 from radialcap.quadrature import CumulativeCache
 
@@ -179,6 +179,17 @@ def test_vanishing_warping_reports_its_radius():
     assert isinstance(exc.value.r, float)
 
 
+def test_oscillating_remainder_over_a_finite_annulus_raises_its_worst_interval():
+    # about 1,300 periods of sin r per doubling near 2^14: the remainder mesh
+    # runs out of panels, and a finite annulus has no horizon to stop at
+    c = Constellation.from_functions(3, 2, "r", h="0.2*sin(r)/(1+r)")
+    with pytest.raises(QuadratureError) as exc:
+        drifted_capacity(c, 3, 1, 2 ** 15)
+    assert str(exc.value).startswith("subdivision limit reached; worst subinterval [")
+    lo, hi, _ = exc.value.worst_interval
+    assert 2 ** 14 <= lo < hi <= 2 ** 15
+
+
 def test_monotone_profile_and_derivative_nonnegative():
     c = Constellation.from_functions(3, 3, "sinh(r)", h="1/(1+r^2)")
     sol = solve_dirichlet_closed(c, 2.5, 0.5, 5.0)
@@ -307,7 +318,7 @@ def test_normalizer_of_a_weight_that_dies_near_rho_ignores_the_far_annulus():
 def test_solutions_on_one_weight_share_its_primitive(monkeypatch):
     c = Constellation.from_functions(4, 3, "r + 0.3*r^2", g="0.8", lam="0.1/(1 + r)",
                                      h="0.15/(1 + r)")
-    wf = weight_function(c, 2.5, 0.8, rel_tol=1e-11)
+    wf = WeightFunction(c, 2.5, 0.8, rel_tol=1e-11)
     first = RadialSolution(wf, 3.0)
     calls = []
     call = WeightFunction.__call__

@@ -46,6 +46,16 @@ def test_parse_errors_carry_position():
         parse("(r + 1")  # unbalanced
 
 
+def test_tokenizer_and_trailing_input_errors():
+    with pytest.raises(ParseError, match=r"^unexpected character '\$' at position 2$") as exc:
+        parse("r $ 2")
+    assert exc.value.position == 2
+    with pytest.raises(ParseError, match=r"^unexpected trailing input 'r' at position 7$"):
+        parse("sin(r) r")
+    with pytest.raises(TypeError):
+        parse(3)
+
+
 def test_parse_unicode_operators():
     assert parse("r − 1").root == parse("r - 1").root
 

@@ -28,6 +28,15 @@ def test_validate_warping_rejects_offset():
     assert any(cond == "w(0) = 0" for cond, _, _ in report.violations)
 
 
+def test_validate_warping_reports_a_nonpositive_and_an_unevaluable_warping():
+    report = validate_warping("r - 1", r_max=3.0)
+    assert not report.ok
+    assert any(cond == "w > 0 on (0, r_max]" for cond, _, _ in report.violations)
+    report = validate_warping("sqrt(r - 1)", r_max=3.0)
+    assert not report.ok
+    assert [cond for cond, _, _ in report.violations] == ["w evaluable on (0, r_max]"]
+
+
 def test_sphere_volumes():
     assert sphere_volume(ModelSpace.euclidean(3), 1.0) == pytest.approx(4 * math.pi, rel=1e-13)
     assert sphere_volume(ModelSpace.euclidean(2), 2.0) == pytest.approx(4 * math.pi, rel=1e-13)

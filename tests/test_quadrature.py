@@ -217,6 +217,20 @@ def test_log_borderline_is_undetermined():
     assert tc.kind == "undetermined"
 
 
+def test_falling_increments_with_a_shallow_fit_are_not_divergent():
+    # t^-2 to 2^20, flat at 2^-40 to 2^38, then 2^-40 (t/2^38)^-3: the
+    # integral is finite, and the last increments fall (ratios 0.75, 0.25)
+    # while the fit over the last two decades reads about -0.66
+    def f(t):
+        return np.where(t < 2.0 ** 20, t ** -2.0, np.where(
+            t < 2.0 ** 38, 2.0 ** -40, 2.0 ** -40 * (t / 2.0 ** 38) ** -3.0))
+
+    tc = classify_tail(f, 1.0)
+    assert tc.kind == "undetermined"
+    assert abs(tc.alpha_hat + 1.0) >= TailConfig().exp_band
+    assert "critical band" not in tc.detail
+
+
 @pytest.mark.parametrize("k_max", [0, 1, 2])
 def test_short_ladder_is_undetermined(k_max):
     # fewer than 3 doublings give fewer than the two increment ratios the

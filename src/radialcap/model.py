@@ -68,6 +68,9 @@ class ValidationReport:
     ok: bool
     violations: tuple = field(default_factory=tuple)  # (condition, witness_r, value)
 
+    def __bool__(self) -> bool:
+        raise TypeError("a ValidationReport has no truth value; read .ok")
+
 
 def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> ValidationReport:
     """Check ``w(0)=0``, ``w'(0)=1`` (sampled at 1e-6, tolerance 1e-4) and

@@ -327,9 +327,8 @@ class _NaN(Exception):
 class TailConfig:
     """Knobs of the doubling-horizon divergence classifier: the number of
     doublings, the Cauchy threshold on relative increments and the width of
-    the critical band around the tail exponent -1, which a fitted exponent
-    must clear on the left for a geometric tail.  The mesh tolerance (1e-9)
-    and the growth factor (1e12) are fixed."""
+    the critical band around -1 that a fitted tail exponent must clear on
+    the left.  The mesh tolerance (1e-9) and growth factor (1e12) are fixed."""
 
     k_max: int = 40
     conv_eps: float = 1e-8
@@ -441,11 +440,11 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     * divergent when the partial integrals blow past ``1e12`` times
       the first one, or when the per-doubling increments stop decreasing
       (harmonic-type tails),
-    * undetermined otherwise -- never guessed: in the
-      ``|alpha_hat + 1| < exp_band`` borderline (e.g. ``1/(t*log(t))``
-      tails), and where the fitted exponent and the increments disagree.
-      The fit never decides divergence, so ``exp_band`` shapes only the
-      convergent side.
+    * undetermined otherwise -- never guessed: inside the critical band
+      (``1/(t*log(t))``), and where the fit and the increments disagree,
+      as on a divergent tail with oscillating increments below the growth
+      stop (``t**-0.5*(1.5 + sin(2*pi*log2(t)/3))``).  The fit never
+      decides divergence, so ``exp_band`` shapes only the convergent side.
 
     The partial integrals are read off one :class:`CumulativeCache` of f
     based at rho, whose growth steps are the doublings; the ladder evaluates

@@ -44,14 +44,12 @@ def test_parse_errors_carry_position():
         parse("sinh r")  # function without parentheses
     with pytest.raises(ParseError):
         parse("(r + 1")  # unbalanced
-
-
-def test_tokenizer_and_trailing_input_errors():
     with pytest.raises(ParseError, match=r"^unexpected character '\$' at position 2$") as exc:
         parse("r $ 2")
     assert exc.value.position == 2
-    with pytest.raises(ParseError, match=r"^unexpected trailing input 'r' at position 7$"):
+    with pytest.raises(ParseError, match=r"^unexpected trailing input 'r' at position 7$") as exc:
         parse("sin(r) r")
+    assert exc.value.position == 7
     with pytest.raises(TypeError):
         parse(3)
 

@@ -35,6 +35,8 @@ def test_validate_warping_reports_a_nonpositive_and_an_unevaluable_warping():
     report = validate_warping("sqrt(r - 1)", r_max=3.0)
     assert not report.ok
     assert [cond for cond, _, _ in report.violations] == ["w evaluable on (0, r_max]"]
+    with pytest.raises(TypeError, match=r"read \.ok"):
+        bool(report)
 
 
 def test_sphere_volumes():

@@ -256,12 +256,16 @@ def record_tails(rec, rc):
         s = t / 2.0 ** 37
         return np.where(s < 1.0, s ** 3, s ** -3.0)
 
+    def log_periodic(t):
+        # t^-0.5 (1.5 + sin(2 pi log2(t) / 3)): divergent, increments oscillate
+        return t ** -0.5 * (1.5 + np.sin(2.0 * np.pi * np.log2(t) / 3.0))
+
     tails = {f"t^{a}": (lambda a: lambda t: t ** a)(a)
              for a in (-0.5, -1.0, -1.0005, -1.001, -1.0014, -1.0015, -1.02, -1.1, -1.5, -2.0)}
     tails.update({"1/(t log t)": lambda t: 1.0 / (t * np.log(t + 1.0)),
                   "exp(-t)": lambda t: np.exp(-t), "exp(t)": np.exp,
                   "(2+sin t)/t^2": lambda t: (2.0 + np.sin(t)) / t ** 2,
-                  "broken_power": broken, "bump_2^37": bump})
+                  "broken_power": broken, "bump_2^37": bump, "log_periodic": log_periodic})
     for name, f in tails.items():
         for rho in (1.0, 3.0):
             rec.run_split(f"classify_tail:{name}:rho={rho}",
@@ -289,6 +293,8 @@ BAD_TEXTS = [
     "q(r)", "sinh(q)", ")", "r^", "((r)", "r r", "--r", "r--r", "1e", "sin()", "r)",
     "*r", "r/", "x", "pi*r", "r^^2", "(", "3 4", "sin(r", "exp r",
 ]
+# seeded random texts after EXPRESSIONS; the case ids depend on this count
+N_RANDOM = 1900
 _UNARY = ("sin", "cos", "sinh", "cosh", "tanh", "coth", "exp", "log", "sqrt", "abs")
 _EXPONENTS = ("2", "3", "0.5", "1.5", "2.5", "-1", "-2", "0", "1", "(1/2)", "-(3/2)",
               "(2 - 1)", "r")
@@ -309,10 +315,10 @@ def _random_text(rng: random.Random, depth: int) -> str:
     return f"({_random_text(rng, depth - 1)}) {op} ({_random_text(rng, depth - 1)})"
 
 
-def record_expressions(rec, rc, n_random: int = 1900):
+def record_expressions(rec, rc):
     expr = rc.expr
     rng = random.Random(20261019)
-    texts = list(EXPRESSIONS) + [_random_text(rng, rng.randint(1, 4)) for _ in range(n_random)]
+    texts = list(EXPRESSIONS) + [_random_text(rng, rng.randint(1, 4)) for _ in range(N_RANDOM)]
     points = np.concatenate([np.geomspace(1e-3, 1e3, 29), [0.5, 1.0, 1.5, 2.0, 3.0, 700.0,
                                                            710.0, 1.2345]])
     scalars = (1.0, 2.5, 1e-3)

@@ -18,9 +18,8 @@ from .diffusion import (       # noqa: F401
     DiffusionConfig, HittingStats, exact_hitting_prob, simulate_radial,
 )
 from .dirichlet import (       # noqa: F401
-    DriftOperator, OdeSolution, RadialSolution, capacity_upper_bound,
-    drifted_capacity, operator_residual, solve_dirichlet_closed,
-    solve_dirichlet_ode,
+    OdeSolution, RadialSolution, drift_coeff, drifted_capacity, flux_bound,
+    operator_residual, solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from .errors import (          # noqa: F401
     ConfigError, DomainError, ParseError, QuadratureError, RadialCapError,

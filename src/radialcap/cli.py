@@ -192,6 +192,7 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 def cmd_capacity(args, c: Constellation) -> tuple:
     if not args.flux > 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
+    _check_finite(args, "p", "rho", "R", "rel_tol", "flux")
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -216,6 +217,7 @@ def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
     if k < 2:
         raise ConfigError("--samples must be at least 2")
+    _check_finite(args, "p", "rho", "R", "rel_tol")
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,
@@ -233,6 +235,7 @@ def cmd_solve(args, c: Constellation) -> tuple:
 
 
 def cmd_simulate(args, c: Constellation) -> tuple:
+    _check_finite(args, "r0", "rin", "rout", "dt", "max_time")
     cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
                           r_inner=args.rin, r_outer=args.rout,
                           max_time=args.max_time)

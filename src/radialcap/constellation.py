@@ -104,16 +104,25 @@ class Constellation:
                     and self.h.constant == 0.0)
 
 
-def _balance_terms(c: Constellation, p: float, r, eta: bool = True, jw=None):
-    """Balance value together with the magnitude scale of its terms;
-    ``eta=False`` leaves out the ``(m + p - 2) w'/w`` term, and ``jw`` is
-    the jet of w at r if the caller has it."""
-    t1 = 0.0
-    if eta:
-        if jw is None:
-            jw = eval_jet2(c.model.w, r)
-        _check(np.asarray(jw.value) == 0.0, r, "warping function vanishes")
-        t1 = (c.m + p - 2.0) * (jw.d1 / jw.value)
+def _check_p(p: float) -> None:
+    """Raise :class:`ValueError` unless p is a finite number >= 2."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+
+
+def _eta(c: Constellation, r):
+    """w'/w at r, from the warping's jet; raises where w vanishes."""
+    jw = eval_jet2(c.model.w, r)
+    _check(np.asarray(jw.value) == 0.0, r, "warping function vanishes")
+    return jw.d1 / jw.value
+
+
+def _balance_terms(c: Constellation, p: float, r, eta):
+    """Balance value together with the magnitude scale of its terms, given
+    ``eta`` = w'/w at r; ``eta = 0.0`` leaves the w'/w term out."""
+    t1 = (c.m + p - 2.0) * eta
     t2 = c.m * evaluate(c.h, r)
     if p == 2.0:
         # the lam term carries the factor (p - 2) = 0: skip evaluation
@@ -132,9 +141,8 @@ def balance(c: Constellation, p: float, r) -> Union[float, np.ndarray]:
 
     At ``p = 2`` the ``lam`` term has coefficient zero and is not evaluated.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    value, _ = _balance_terms(c, p, r)
+    _check_p(p)
+    value, _ = _balance_terms(c, p, r, _eta(c, r))
     return value
 
 
@@ -183,11 +191,12 @@ class BalanceProfile:
 def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> BalanceProfile:
     """Sample the balance function on a geometric grid over ``interval``
     and classify its sign, recording up to 5 sign-change witnesses."""
+    _check_p(p)
     lo, hi = interval
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     rs = geomgrid(lo, hi, grid_size)
-    values, scale = _balance_terms(c, p, rs)
+    values, scale = _balance_terms(c, p, rs, _eta(c, rs))
     values = np.asarray(values, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.asarray(scale, dtype=float))
     sign = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
@@ -222,10 +231,11 @@ class WeightFunction:
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
+        _check_p(p)
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
+        if not rel_tol >= 0:
+            raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
         self.constellation = c
         self.p = p
         self.rho = float(rho)
@@ -250,7 +260,7 @@ class WeightFunction:
     # -- integrand of the remainder R ------------------------------------------
     def integrand(self, t):
         c = self.constellation
-        value, _ = _balance_terms(c, self.p, t, eta=self._g0 is None)
+        value, _ = _balance_terms(c, self.p, t, 0.0 if self._g0 is not None else _eta(c, t))
         gv = _tangency_bound(c, t)
         return value / ((self.p - 1.0) * gv * gv)
 
@@ -333,14 +343,14 @@ def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> 
     """
     if p < 2 or q < 2:
         raise ValueError("p and q must be >= 2")
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise ValueError(f"p and q must be finite, got p={p}, q={q}")
     rs = np.asarray(grid, dtype=float)
-    jw = eval_jet2(c.model.w, rs)
-    et = jw.d1 / jw.value
-    lam_v = np.asarray(eval_jet2(c.lam, rs).value)
-    bp, _ = _balance_terms(c, p, rs)
-    bq, _ = _balance_terms(c, q, rs)
+    eta = _eta(c, rs)
+    bp, _ = _balance_terms(c, p, rs, eta)
+    bq, _ = _balance_terms(c, q, rs, eta)
     # evaluate the p=2 lam term explicitly for the identity even though
     # balance() elides it: the elision is exactly a zero coefficient
-    dev = np.abs(bp - bq - (p - q) * (et - lam_v))
+    dev = np.abs(bp - bq - (p - q) * (eta - evaluate(c.lam, rs)))
     rel = dev / (1.0 + np.abs(bp) + np.abs(bq))
     return float(np.max(rel))

@@ -34,11 +34,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constellation import (
-    BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, balance_sign,
+    BalanceProfile, Constellation, Tangency, WeightFunction, _eta, balance, balance_sign,
 )
 from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError
-from .expr import eval_jet2, evaluate
+from .expr import evaluate
 from .model import validate_warping
 from .quadrature import TailClass, TailConfig, classify_tail, geomgrid
 
@@ -199,7 +199,7 @@ def _certified_horizon(c: Constellation, p: float, rho: float,
     """
     rs = rho * 2.0 ** np.arange(cfg.tail.k_max + 1)
     flagged = []
-    ok = _finite_radii(lambda r: _balance_terms(c, p, r)[0], rs, np.arange(len(rs)), flagged)
+    ok = _finite_radii(lambda r: balance(c, p, r), rs, np.arange(len(rs)), flagged)
     if lam:
         ok = _finite_radii(lambda r: evaluate(c.lam, r), rs, ok, flagged)
     if len(ok):
@@ -327,8 +327,7 @@ def _warping_stage(run: _Run, r0: float, lower_const: float) -> tuple:
 def _sandwich_stage(run: _Run) -> tuple:
     """h <= w'/w <= lam on the certified grid."""
     rs = geomgrid(run.interval[0], run.interval[1], run.cfg.grid_points)
-    jw = eval_jet2(run.c.model.w, rs)
-    et = np.asarray(jw.d1 / jw.value)
+    et = np.asarray(_eta(run.c, rs))
     hv = np.asarray(evaluate(run.c.h, rs))
     lv = np.asarray(evaluate(run.c.lam, rs))
     tol = 1e-12 * np.maximum(1.0, np.abs(et) + np.abs(hv) + np.abs(lv))

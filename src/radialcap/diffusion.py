@@ -121,6 +121,9 @@ class DiffusionConfig:
             raise ConfigError("need 0 < r_inner < r_outer")
         if self.max_time <= 0:
             raise ConfigError("max_time must be positive")
+        for name in ("dt", "r_outer", "max_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

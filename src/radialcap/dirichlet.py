@@ -28,43 +28,32 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constellation import Constellation, WeightFunction, _balance_terms, _tangency_bound
+from .constellation import (
+    Constellation, WeightFunction, _balance_terms, _check_p, _eta, _tangency_bound,
+)
 from .errors import DomainError, RadialCapError
-from .expr import eval_jet2
 from .model import sphere_volume
 
 __all__ = [
-    "DriftOperator",
+    "drift_coeff",
     "RadialSolution",
     "OdeSolution",
     "solve_dirichlet_closed",
     "solve_dirichlet_ode",
     "drifted_capacity",
-    "capacity_upper_bound",
     "flux_bound",
     "operator_residual",
 ]
 
 
-@dataclass(frozen=True)
-class DriftOperator:
-    """First-order coefficient of the drifted radial operator."""
-
-    constellation: Constellation
-    p: float
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-
-    def coeff(self, r) -> Union[float, np.ndarray]:
-        """c(r) = balance/((p-1) g^2) - w'/w, with the tangency bound g
-        (the constant 1 under upper tangency)."""
-        c = self.constellation
-        jw = eval_jet2(c.model.w, r)
-        value, _ = _balance_terms(c, self.p, r, jw=jw)
-        gv = _tangency_bound(c, r)
-        return value / ((self.p - 1.0) * gv * gv) - jw.d1 / jw.value
+def drift_coeff(c: Constellation, p: float, r) -> Union[float, np.ndarray]:
+    """c(r) = balance/((p-1) g^2) - w'/w, with the tangency bound g (the
+    constant 1 under upper tangency); it never reads the weight."""
+    _check_p(p)
+    eta = _eta(c, r)
+    value, _ = _balance_terms(c, p, r, eta)
+    gv = _tangency_bound(c, r)
+    return value / ((p - 1.0) * gv * gv) - eta
 
 
 class RadialSolution:
@@ -102,6 +91,8 @@ def solve_dirichlet_closed(c: Constellation, p: float, rho: float, R: float,
     """Explicit Dirichlet solution: normalized primitive of the weight."""
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     return RadialSolution(WeightFunction(c, p, rho, rel_tol), R)
 
 
@@ -140,7 +131,7 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
     nodes = rho + h * np.arange(n + 1)
     pts = np.concatenate([nodes, rho + h * (np.arange(n) + 0.5)])
     with np.errstate(all="ignore"):
-        c_all = np.asarray(DriftOperator(c, p).coeff(pts))
+        c_all = np.asarray(drift_coeff(c, p, pts))
     bad = ~np.isfinite(c_all)
     if bad.any():
         raise DomainError("drift coefficient is not finite", float(pts[bad].min()))
@@ -172,11 +163,11 @@ def drifted_capacity(c: Constellation, p: float, rho: float, R: float,
     return float(sphere_volume(c.model, rho) * sol.derivative(rho))
 
 
-def capacity_upper_bound(c: Constellation, p: float, rho: float, R: float,
-                         boundary_flux: float = 1.0) -> float:
-    """Upper bound for the submanifold's annulus p-capacity:
+def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
+    """Upper bound for the submanifold's annulus p-capacity from the drifted
+    capacity ``cap`` of the annulus and the inner sphere's volume ``vol``:
 
-        boundary_flux * (drifted_capacity / Vol(sphere_rho))**(p-1)
+        boundary_flux * (cap / vol)**(p-1)
 
     ``boundary_flux`` is the integral of the (p-1)-th power of the radial
     tangency over the inner boundary; it depends on the actual immersion and
@@ -185,13 +176,6 @@ def capacity_upper_bound(c: Constellation, p: float, rho: float, R: float,
     """
     if not (boundary_flux > 0):
         raise ValueError(f"boundary_flux must be positive, got {boundary_flux}")
-    cap = drifted_capacity(c, p, rho, R)
-    return flux_bound(cap, float(sphere_volume(c.model, rho)), p, boundary_flux)
-
-
-def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
-    """:func:`capacity_upper_bound` from a drifted capacity ``cap`` and the
-    inner sphere's volume ``vol``."""
     return boundary_flux * (cap / vol) ** (p - 1.0)
 
 
@@ -212,5 +196,5 @@ def operator_residual(c: Constellation, p: float, rho: float, R: float,
     f = profile(stencil.ravel()).reshape(stencil.shape)
     d1 = (-f[:, 4] + 8.0 * f[:, 3] - 8.0 * f[:, 1] + f[:, 0]) / (12.0 * h)
     d2 = (-f[:, 4] + 16.0 * f[:, 3] - 30.0 * f[:, 2] + 16.0 * f[:, 1] - f[:, 0]) / (12.0 * h * h)
-    res = d2 + np.asarray(DriftOperator(c, p).coeff(probe_points)) * d1
+    res = d2 + np.asarray(drift_coeff(c, p, probe_points)) * d1
     return float(np.max(np.abs(res)))

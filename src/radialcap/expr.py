@@ -401,9 +401,8 @@ class _CodeGen:
         return f"{ {'abs': 'fabs', 'power': 'pow'}.get(name, name)}({arg})"
 
     def num(self, v):
-        if math.isnan(v):
-            s = "NAN" if self.c else "np.nan"
-        elif math.isinf(v):
+        """Source for v, which is never NaN (see RadialExpr.constant)."""
+        if math.isinf(v):
             s = "INFINITY" if self.c else "np.inf"
         else:
             s = repr(abs(v))

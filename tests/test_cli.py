@@ -18,6 +18,7 @@ from radialcap.cli import (
 from radialcap.constellation import Tangency
 from radialcap.criteria import classify
 from radialcap.errors import ConfigError
+from radialcap.model import sphere_volume
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EUCLID3 = str(CONFIG_DIR / "euclid3.json")
@@ -56,6 +57,18 @@ def test_load_config_reports_missing_and_bad_fields(tmp_path):
     path.write_text(json.dumps({"n": 3, "m": 3, "w": "r"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="missing fields"):
         load_config(str(path))
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(tmp_path / "absent.json"))
+    good = {"n": 3, "m": 3, "w": "r", "g": "1", "lambda": "0", "h": "0", "tangency": "lower"}
+    for text, match in [("{", "not valid JSON"), ("[]", "must be a JSON object"),
+                        (json.dumps(good | {"n": 3.0}), "'n': expected an integer"),
+                        (json.dumps(good | {"m": True}), "'m': expected an integer"),
+                        (json.dumps(good | {"w": 1}), "'w': expected an expression string"),
+                        (json.dumps(good | {"tangency": "side"}), "'tangency': expected"),
+                        (json.dumps(good | {"m": 4}), "need 2 <= m <= n")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(path))
 
 
 def test_load_config_reports_parse_position(tmp_path):
@@ -311,6 +324,29 @@ def test_capacity_zero_flux_exit_2(capsys):
     assert code == EXIT_INPUT
 
 
+NONFINITE_FLAGS = [(command, flags) for command in ("capacity", "solve")
+                   for flags in (["--p", "nan"], ["--p", "inf"], ["--R", "inf"],
+                                 ["--rel-tol", "nan"])]
+NONFINITE_FLAGS += [("simulate", flags)
+                    for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"])]
+
+
+@pytest.mark.parametrize("command, flags", NONFINITE_FLAGS,
+                         ids=[f"{c} {' '.join(f)}" for c, f in NONFINITE_FLAGS])
+def test_nonfinite_flags_exit_2(capsys, command, flags):
+    # these used to end as a numeric failure ("integrand not finite"), a
+    # library text ("cumulative cache queried at inf") or RuntimeWarnings
+    given = {"capacity": ["--p", "3", "--R", "2"], "solve": ["--p", "3", "--R", "2"],
+             "simulate": ["--r0", "1", "--paths", "10"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, EUCLID3, *given, *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err == f"input error: {flags[0]} must be finite, got {float(flags[1])}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_capacity_nan_flux_is_an_input_error(capsys):
     code = main(["capacity", EUCLID3, "--p", "2", "--rho", "1", "--R", "2",
                  "--flux", "nan"])
@@ -335,6 +371,12 @@ def test_solve_csv_euclidean_profile(tmp_path):
         assert float(row["psi_closed"]) == pytest.approx(expect, abs=1e-9)
         assert float(row["psi_ode"]) == pytest.approx(expect, abs=1e-6)
         assert float(row["residual"]) <= 1e-6
+
+
+def test_solve_needs_two_samples(capsys):
+    code = main(["solve", EUCLID3, "--p", "2", "--R", "2", "--samples", "1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: --samples must be at least 2\n"
 
 
 def test_solve_json_summary(capsys):
@@ -410,7 +452,9 @@ def test_capacity_solves_the_closed_form_once(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(solves) == 1
     cap = doc["outcome"]["drifted_capacity"]
-    assert doc["outcome"]["submanifold_upper_bound"] == dirichlet.capacity_upper_bound(
-        load_config(EUCLID3), 3.0, 1.0, 10.0, boundary_flux=2.0)
+    c = load_config(EUCLID3)
+    assert doc["outcome"]["submanifold_upper_bound"] == dirichlet.flux_bound(
+        dirichlet.drifted_capacity(c, 3.0, 1.0, 10.0), float(sphere_volume(c.model, 1.0)),
+        3.0, 2.0)
     assert doc["outcome"]["submanifold_upper_bound"] == pytest.approx(
         2.0 * (cap / (4 * math.pi)) ** 2, rel=1e-14)

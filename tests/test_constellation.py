@@ -9,7 +9,7 @@ from radialcap.criteria import classify
 from radialcap.errors import DomainError
 from radialcap.expr import evaluate
 from radialcap.constellation import (
-    Constellation, Tangency, WeightFunction, _balance_terms, balance,
+    Constellation, Tangency, WeightFunction, _balance_terms, _eta, balance,
     balance_shift_identity_check, balance_sign,
 )
 from radialcap.model import ModelSpace
@@ -246,8 +246,8 @@ def test_inner_integral_split_matches_direct_quadrature(name, p):
         want, _ = integrate(lambda t: balance(c, p, t) / ((p - 1.0) * g0 * g0), rho, r,
                             rel_tol=1e-13, abs_tol=1e-15)
         if name == "coth_dominated":
-            scale, _ = integrate(lambda t: _balance_terms(c, p, t)[1] / ((p - 1.0) * g0 * g0),
-                                 rho, r, rel_tol=1e-13)
+            scale, _ = integrate(lambda t: _balance_terms(c, p, t, _eta(c, t))[1]
+                                 / ((p - 1.0) * g0 * g0), rho, r, rel_tol=1e-13)
             assert abs(got) <= 1e-12 * scale and abs(got - want) <= 1e-12 * scale
         else:
             assert abs(got - want) <= 1e-12 * abs(want)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from radialcap.cli import load_config
-from radialcap.constellation import Constellation, Tangency
-from radialcap.constellation import _balance_terms
+from radialcap.constellation import Constellation, Tangency, balance
 from radialcap.criteria import (
     COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
     ClassifyConfig, _certified_horizon, _model_warnings, classify, classify_bounded_w,
@@ -404,7 +403,7 @@ def horizon_scan(c, p, rho, cfg, lam):
     for k in range(cfg.tail.k_max, -1, -1):
         hi = rho * 2.0 ** k
         try:
-            value, _ = _balance_terms(c, p, hi)
+            value = balance(c, p, hi)
             if np.isfinite(value) and (not lam or np.isfinite(evaluate(c.lam, hi))):
                 warning = () if k == cfg.tail.k_max else (
                     f"balance evaluable only up to r={hi:.4g} "

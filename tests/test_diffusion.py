@@ -27,6 +27,11 @@ def test_config_validation():
         DiffusionConfig(paths=0)
     with pytest.raises(ConfigError):
         DiffusionConfig(r_inner=2.0, r_outer=1.0)
+    with pytest.raises(ConfigError, match="max_time must be positive"):
+        DiffusionConfig(max_time=0.0)
+    for name, value in (("dt", math.nan), ("r_outer", math.inf), ("max_time", math.inf)):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            DiffusionConfig(**{name: value})
     with pytest.raises(ConfigError):
         simulate_radial(ModelSpace.euclidean(2), 9.0, DiffusionConfig())
 

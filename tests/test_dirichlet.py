@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from radialcap.constellation import Constellation, Tangency, WeightFunction
+from radialcap.constellation import (
+    Constellation, Tangency, WeightFunction, balance, balance_shift_identity_check,
+    balance_sign,
+)
 from radialcap.dirichlet import (
-    DriftOperator, RadialSolution, capacity_upper_bound, drifted_capacity, operator_residual,
+    RadialSolution, drift_coeff, drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from radialcap.errors import DomainError, QuadratureError
@@ -94,7 +97,8 @@ def rk4_loop(c, p, rho, R, n):
     renormalized whenever the state passes 1e100, then scaled to psi(R) = 1."""
     h = (R - rho) / n
     nodes = rho + h * np.arange(n + 1)
-    coeff = DriftOperator(c, p).coeff
+    def coeff(r):
+        return drift_coeff(c, p, r)
     psi_hat, v_hat, log_scale = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     psi, v, ls = 0.0, 1.0, 0.0
     psi_hat[0], v_hat[0], log_scale[0] = psi, v, ls
@@ -216,13 +220,35 @@ def test_drifted_capacity_agrees_with_exact_p2():
         assert cap == pytest.approx(exact, rel=1e-8)
 
 
+def test_nonfinite_inputs_are_input_errors():
+    # a NaN p passed the p < 2 checks and came back as a NaN balance, sign
+    # "mixed", drift or weight
+    c = Constellation.from_functions(3, 3, "r")
+    for p in (math.nan, math.inf, -math.inf):
+        for call in (lambda: balance(c, p, 1.0), lambda: balance_sign(c, p, (0.1, 10.0)),
+                     lambda: drift_coeff(c, p, 1.0), lambda: WeightFunction(c, p, 1.0)):
+            with pytest.raises(ValueError, match=f"p must be finite, got {p}"):
+                call()
+    with pytest.raises(ValueError, match="p must be >= 2, got 1.5"):
+        drift_coeff(c, 1.5, 1.0)
+    for p, q in ((math.nan, 3.0), (3.0, math.inf)):
+        with pytest.raises(ValueError, match="p and q must be finite"):
+            balance_shift_identity_check(c, p, q, [1.0, 2.0])
+    for rel_tol in (math.nan, -1e-10):
+        with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+            WeightFunction(c, 3.0, 1.0, rel_tol)
+    with pytest.raises(ValueError, match="R must be finite, got inf"):
+        solve_dirichlet_closed(c, 3.0, 1.0, math.inf)
+
+
 def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():
     """With the natural boundary flux the (p-1)-power chain reproduces the
     exact annulus p-capacity for every p, not only p = 2."""
     for m, p in [(3, 2.0), (3, 3.0), (2, 2.5), (4, 4.0)]:
         c = euclid_self(m)
         flux = float(sphere_volume(c.model, 1.0))
-        bound = capacity_upper_bound(c, p, 1.0, 2.0, boundary_flux=flux)
+        bound = flux_bound(drifted_capacity(c, p, 1.0, 2.0), float(sphere_volume(c.model, 1.0)),
+                           p, flux)
         exact = exact_annulus_p_capacity(c.model, 1.0, 2.0, p)
         assert bound == pytest.approx(exact, rel=1e-8)
 
@@ -230,7 +256,9 @@ def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():
 def test_capacity_upper_bound_decreases_to_zero_under_divergent_tail():
     # weight ~ 1/r: divergent normalizer, bound = flux / log(R) -> 0
     c = euclid_self(2)
-    bounds = [capacity_upper_bound(c, 2.0, 1.0, R) for R in (10.0, 100.0, 1000.0)]
+    vol = float(sphere_volume(c.model, 1.0))
+    bounds = [flux_bound(drifted_capacity(c, 2.0, 1.0, R), vol, 2.0, 1.0)
+              for R in (10.0, 100.0, 1000.0)]
     assert all(b > n for b, n in zip(bounds, bounds[1:]))
     for bound, R in zip(bounds, (10.0, 100.0, 1000.0)):
         assert bound == pytest.approx(1.0 / math.log(R), rel=1e-9)
@@ -239,15 +267,15 @@ def test_capacity_upper_bound_decreases_to_zero_under_divergent_tail():
 def test_capacity_upper_bound_p2_reduction():
     c = euclid_self(3)
     flux = 4 * math.pi
-    bound = capacity_upper_bound(c, 2.0, 1.0, 2.0, boundary_flux=flux)
     cap = drifted_capacity(c, 2.0, 1.0, 2.0)
+    bound = flux_bound(cap, float(sphere_volume(c.model, 1.0)), 2.0, flux)
     assert bound == pytest.approx(flux * cap / (4 * math.pi), rel=1e-12)
     assert bound == pytest.approx(8 * math.pi, rel=1e-9)
 
 
 def test_capacity_upper_bound_rejects_nonpositive_flux():
     with pytest.raises(ValueError):
-        capacity_upper_bound(euclid_self(3), 2.0, 1.0, 2.0, boundary_flux=0.0)
+        flux_bound(drifted_capacity(euclid_self(3), 2.0, 1.0, 2.0), 4 * math.pi, 2.0, 0.0)
 
 
 def test_flux_form_equals_formula_form():

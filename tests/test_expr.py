@@ -119,6 +119,9 @@ def test_array_domain_error_reports_first_point():
     with pytest.raises(DomainError) as exc:
         evaluate(e, np.array([2.0, 3.0, 0.5]))
     assert exc.value.r == 0.5
+    with pytest.raises(DomainError, match=r"radial variable must be positive at r=-1\.0") as exc:
+        evaluate(parse("r"), np.array([1.0, -1.0]))
+    assert exc.value.r == -1.0
 
 
 # ---------------------------------------------------------------------------

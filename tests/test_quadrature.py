@@ -548,3 +548,11 @@ def test_moment_fit_matches_polyfit(f, rho, horizon):
     # an exact power law leaves a residual of rounding noise, a few ulps of
     # the log-values, which any other summation order moves
     assert resid == pytest.approx(want_resid, rel=1e-12, abs=64 * np.finfo(float).eps * y_scale)
+
+
+def test_a_tail_whose_increments_vanish_has_no_fitted_exponent():
+    # a spike at the base leaves every doubling past the first with a zero
+    # increment: nothing to fit an exponent to, so no verdict is guessed
+    tail = classify_tail(lambda t: np.exp(-1e5 * (t - 1.0) ** 2), 1.0, TailConfig(k_max=3))
+    assert (tail.kind, tail.detail) == ("undetermined", "tail exponent could not be fitted")
+    assert tail.alpha_hat is None

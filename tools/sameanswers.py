@@ -193,8 +193,24 @@ def record_criteria(rec, rc, cs):
             rec.run_split(f"sweep:{name}:step={p_step}", lambda: {"rows": sweep_rows(p_step)})
 
 
+def _drift_coeff(rc):
+    """``drift_coeff``, spelled through ``DriftOperator`` on a commit that
+    still has the class instead."""
+    if hasattr(rc, "drift_coeff"):
+        return rc.drift_coeff
+    return lambda c, p, r: rc.DriftOperator(c, p).coeff(r)
+
+
+def _capacity_upper_bound(rc, c, p, rho, R, boundary_flux):
+    """The capacity bound from the names every recorded commit has, as the
+    deleted ``capacity_upper_bound`` composed them."""
+    cap = rc.drifted_capacity(c, p, rho, R)
+    return rc.dirichlet.flux_bound(cap, float(rc.sphere_volume(c.model, rho)), p, boundary_flux)
+
+
 def record_solves(rec, rc, cs):
     WeightFunction = rc.constellation.WeightFunction
+    drift_coeff = _drift_coeff(rc)
     for name, c in cs.items():
         for p in (2.0, 3.0, 4.5):
             for rho in (0.7, 1.0):
@@ -213,12 +229,11 @@ def record_solves(rec, rc, cs):
                                 c, p, rho, R, closed)
                     rec.run(f"solve.ode:{at}", lambda: vars(rc.solve_dirichlet_ode(c, p, rho, R)))
                     rec.run(f"drifted_capacity:{at}", rc.drifted_capacity, c, p, rho, R)
-                    rec.run(f"capacity_upper_bound:{at}", rc.capacity_upper_bound,
-                            c, p, rho, R, 2.0)
+                    rec.run(f"capacity_upper_bound:{at}", _capacity_upper_bound,
+                            rc, c, p, rho, R, 2.0)
                 at = f"{name}:p={p}:rho={rho}"
-                rec.run(f"coeff:{at}", lambda: rc.DriftOperator(c, p).coeff(
-                    np.geomspace(rho, 50.0 * rho, 101)))
-                rec.run(f"coeff.scalar:{at}", lambda: rc.DriftOperator(c, p).coeff(2.5 * rho))
+                rec.run(f"coeff:{at}", drift_coeff, c, p, np.geomspace(rho, 50.0 * rho, 101))
+                rec.run(f"coeff.scalar:{at}", drift_coeff, c, p, 2.5 * rho)
 
                 def weight():
                     wf = WeightFunction(c, p, rho, 1e-10)
@@ -367,22 +382,68 @@ def record_diffusion(rec, rc, cs):
                 d._simulate_numpy(ms, 1.0, cfg, int(cfg.max_time / cfg.dt))))
 
 
+# CLI invocations with a flag that is not a finite number, or a negative tolerance
+BAD_NUMBER_ARGV = [
+    *[[cmd, "configs/euclid3.json", *flags] for cmd in ("capacity", "solve")
+      for flags in (["--p", "nan", "--R", "2"], ["--p", "inf", "--R", "2"],
+                    ["--p", "3", "--R", "inf"], ["--p", "3", "--R", "2", "--rel-tol", "nan"],
+                    ["--p", "3", "--R", "2", "--rel-tol", "-1"])],
+    *[["simulate", "configs/euclid3.json", "--r0", "1", "--paths", "100", *flags]
+      for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"])],
+]
+
+
+def _cli(rc, argv):
+    """``(exit code, stderr, output without timings, ladders)`` of one
+    in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rc.cli.main(list(argv))
+    try:
+        doc = json.loads(out.getvalue())
+        doc.pop("timings", None)
+    except ValueError:
+        doc = out.getvalue()
+    doc, ladders = _split_ladders(doc)
+    return code, err.getvalue(), doc, ladders
+
+
 def record_cli(rec, rc, root: Path):
     reference = json.loads((root / "perfbench" / "reference.json").read_text())
     for i, case in enumerate(reference["cli"]):
-        argv = case["argv"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = rc.cli.main(list(argv))
-        try:
-            doc = json.loads(out.getvalue())
-            doc.pop("timings", None)
-        except ValueError:
-            doc = out.getvalue()
-        doc, ladders = _split_ladders(doc)
-        at = f"{i}:{' '.join(argv)}"
-        rec.put(f"cli:{at}", [code, err.getvalue(), doc])
+        code, err, doc, ladders = _cli(rc, case["argv"])
+        at = f"{i}:{' '.join(case['argv'])}"
+        rec.put(f"cli:{at}", [code, err, doc])
         rec.put(f"cli.ladder:{at}", ladders)
+
+
+def record_bad_numbers(rec, rc):
+    """Numeric inputs that are not finite, or a negative tolerance, through
+    the library and the CLI."""
+    nan, inf = float("nan"), float("inf")
+    c = rc.Constellation.from_functions(3, 3, "r")
+    drift_coeff = _drift_coeff(rc)
+
+    def weight(p, rel_tol):
+        wf = rc.constellation.WeightFunction(c, p, 1.0, rel_tol)
+        return [wf(2.0), wf.integral(4.0)]
+
+    rec.run("bad_number:balance:p=nan", rc.balance, c, nan, 1.0)
+    rec.run("bad_number:balance_sign:p=nan",
+            lambda: rc.balance_sign(c, nan, (0.1, 10.0)).to_dict())
+    rec.run("bad_number:coeff:p=nan", drift_coeff, c, nan, 1.0)
+    rec.run("bad_number:weight:p=nan", weight, nan, 1e-10)
+    rec.run("bad_number:shift_identity:p=nan", rc.balance_shift_identity_check,
+            c, nan, 3.0, [1.0, 2.0])
+    rec.run("bad_number:weight:rel_tol=nan", weight, 3.0, nan)
+    rec.run("bad_number:weight:rel_tol=-1e-10", weight, 3.0, -1e-10)
+    rec.run("bad_number:solve.closed:R=inf",
+            lambda: rc.solve_dirichlet_closed(c, 3.0, 1.0, inf).normalizer)
+    for name in ("dt", "r_outer", "max_time"):
+        rec.run(f"bad_number:DiffusionConfig:{name}",
+                lambda: repr(rc.DiffusionConfig(**{name: inf})))
+    for argv in BAD_NUMBER_ARGV:
+        rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 
 
 def record(out: Path, root: Path) -> int:
@@ -404,6 +465,7 @@ def record(out: Path, root: Path) -> int:
     record_solves(rec, rc, cs)
     record_criteria(rec, rc, cs)
     record_cli(rec, rc, root)
+    record_bad_numbers(rec, rc)
     out.write_text(json.dumps(rec.cases, indent=0, sort_keys=True) + "\n")
     print(f"{len(rec.cases)} cases from {Path(rc.__file__).parent} -> {out}")
     return 0

@@ -201,13 +201,6 @@ def _drift_coeff(rc):
     return lambda c, p, r: rc.DriftOperator(c, p).coeff(r)
 
 
-def _capacity_upper_bound(rc, c, p, rho, R, boundary_flux):
-    """The capacity bound from the names every recorded commit has, as the
-    deleted ``capacity_upper_bound`` composed them."""
-    cap = rc.drifted_capacity(c, p, rho, R)
-    return rc.dirichlet.flux_bound(cap, float(rc.sphere_volume(c.model, rho)), p, boundary_flux)
-
-
 def record_solves(rec, rc, cs):
     WeightFunction = rc.constellation.WeightFunction
     drift_coeff = _drift_coeff(rc)
@@ -229,8 +222,11 @@ def record_solves(rec, rc, cs):
                                 c, p, rho, R, closed)
                     rec.run(f"solve.ode:{at}", lambda: vars(rc.solve_dirichlet_ode(c, p, rho, R)))
                     rec.run(f"drifted_capacity:{at}", rc.drifted_capacity, c, p, rho, R)
-                    rec.run(f"capacity_upper_bound:{at}", _capacity_upper_bound,
-                            rc, c, p, rho, R, 2.0)
+                    # composed from names every recorded commit has, as the
+                    # deleted capacity_upper_bound composed them
+                    rec.run(f"capacity_upper_bound:{at}", lambda: rc.dirichlet.flux_bound(
+                        rc.drifted_capacity(c, p, rho, R), float(rc.sphere_volume(c.model, rho)),
+                        p, 2.0))
                 at = f"{name}:p={p}:rho={rho}"
                 rec.run(f"coeff:{at}", drift_coeff, c, p, np.geomspace(rho, 50.0 * rho, 101))
                 rec.run(f"coeff.scalar:{at}", drift_coeff, c, p, 2.5 * rho)

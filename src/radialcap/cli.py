@@ -92,21 +92,29 @@ def load_config(path: str) -> Constellation:
 
 # the settings a ConfigError names, as the flags that set them
 _FLAGS = {"k_max": "--horizon", "grid_points": "--grid-points", "conv_eps": "--conv-eps",
-          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rho": "--rho"}
+          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rho": "--rho",
+          "dt": "--dt", "max_time": "--max-time"}
 _FLAG_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+
+
+@contextlib.contextmanager
+def _by_flag():
+    """Report a ConfigError raised inside by the flags' names."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(_FLAG_RE.sub(lambda m: _FLAGS[m[0]], str(exc))) from None
 
 
 def _classify_config(args) -> ClassifyConfig:
     """The flags' ClassifyConfig, checked for a finite horizon; an invalid
     setting is reported by its flag."""
-    try:
+    with _by_flag():
         tail = TailConfig(k_max=args.horizon, conv_eps=args.conv_eps,
                           exp_band=args.exp_band)
         cfg = ClassifyConfig(grid_points=args.grid_points, tail=tail,
                              weight_rel_tol=args.rel_tol)
         cfg.horizon(args.rho)
-    except ConfigError as exc:
-        raise ConfigError(_FLAG_RE.sub(lambda m: _FLAGS[m[0]], str(exc))) from None
     return cfg
 
 
@@ -116,6 +124,12 @@ def _check_finite(args, *names) -> None:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _check_rel_tol(args) -> None:
+    """Reject a finite ``--rel-tol`` below 0, by flag."""
+    if args.rel_tol < 0:
+        raise ConfigError(f"--rel-tol must be >= 0, got {args.rel_tol}")
 
 
 def _write_csv(args, header, rows) -> None:
@@ -193,6 +207,7 @@ def cmd_capacity(args, c: Constellation) -> tuple:
     if not args.flux > 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
     _check_finite(args, "p", "rho", "R", "rel_tol", "flux")
+    _check_rel_tol(args)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -218,6 +233,7 @@ def cmd_solve(args, c: Constellation) -> tuple:
     if k < 2:
         raise ConfigError("--samples must be at least 2")
     _check_finite(args, "p", "rho", "R", "rel_tol")
+    _check_rel_tol(args)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,
@@ -239,7 +255,8 @@ def cmd_simulate(args, c: Constellation) -> tuple:
     cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
                           r_inner=args.rin, r_outer=args.rout,
                           max_time=args.max_time)
-    stats = simulate_radial(c.model, args.r0, cfg)
+    with _by_flag():
+        stats = simulate_radial(c.model, args.r0, cfg)
     exact = None
     if c.is_self_model():
         exact = exact_hitting_prob(c.model, args.r0, args.rin, args.rout)

@@ -119,18 +119,25 @@ def _eta(c: Constellation, r):
     return jw.d1 / jw.value
 
 
+def _at(e: RadialExpr, r):
+    """e at r; a constant is its number, which broadcasts like its values."""
+    return evaluate(e, r) if e.constant is None else e.constant
+
+
 def _balance_terms(c: Constellation, p: float, r, eta):
     """Balance value together with the magnitude scale of its terms, given
-    ``eta`` = w'/w at r; ``eta = 0.0`` leaves the w'/w term out."""
+    ``eta`` = w'/w at r; ``eta = 0.0`` leaves the w'/w term out.  A constant
+    h or lam enters as its number, not evaluated at r: the same floats, but
+    the result is a scalar when eta and every datum are."""
     t1 = (c.m + p - 2.0) * eta
-    t2 = c.m * evaluate(c.h, r)
+    t2 = c.m * _at(c.h, r)
     if p == 2.0:
         # the lam term carries the factor (p - 2) = 0: skip evaluation
         # entirely so outcomes are exactly lam-independent at p = 2
         value = t1 - t2
         scale = np.abs(t1) + np.abs(t2)
     else:
-        t3 = (p - 2.0) * evaluate(c.lam, r)
+        t3 = (p - 2.0) * _at(c.lam, r)
         value = t1 - t2 - t3
         scale = np.abs(t1) + np.abs(t2) + np.abs(t3)
     return value, scale
@@ -262,7 +269,9 @@ class WeightFunction:
         c = self.constellation
         value, _ = _balance_terms(c, self.p, t, 0.0 if self._g0 is not None else _eta(c, t))
         gv = _tangency_bound(c, t)
-        return value / ((self.p - 1.0) * gv * gv)
+        out = value / ((self.p - 1.0) * gv * gv)
+        # constant data give one number: spread it over t's shape
+        return out if np.ndim(out) == np.ndim(t) else np.full(np.shape(t), out)
 
     def integral(self, r):
         """integral_rho^r of the weight for scalar or ndarray r >= rho, read

@@ -52,6 +52,9 @@ _BRIDGE_CUT = 18.4
 
 CODE_CENSORED, CODE_INNER, CODE_OUTER = 0, 1, 2
 CODE_FAILED = -1  # the drift w'/w was not finite
+# the most steps per path, floor(max_time / dt), that a simulation may ask
+# for: 50x the 2e6 of the largest run the tests make
+_MAX_STEPS = 10 ** 8
 
 # rational minimax coefficients (Acklam) for the inverse normal CDF;
 # absolute error ~1e-9, far below Monte Carlo resolution
@@ -417,11 +420,17 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
     it can be built, else numpy with a one-time ``RuntimeWarning``).  Both
     give the same path outcomes.  A drift ``w'/w`` that is not finite
     raises :class:`DomainError` naming the lowest failed path and its radius.
+    More than 1e8 steps per path, ``floor(max_time / dt)``, is a
+    :class:`ConfigError`.
     """
     if not (cfg.r_inner < r0 < cfg.r_outer):
         raise ConfigError(f"need r_inner < r0 < r_outer, got "
                           f"{cfg.r_inner} < {r0} < {cfg.r_outer}")
-    max_steps = int(math.floor(cfg.max_time / cfg.dt))
+    steps = cfg.max_time / cfg.dt
+    if steps >= _MAX_STEPS + 1:
+        raise ConfigError(f"max_time / dt = {steps:.6g} steps per path, "
+                          f"more than the {_MAX_STEPS:.0e} allowed")
+    max_steps = int(math.floor(steps))
     if backend not in ("auto", "c", "numpy"):
         raise ConfigError(f"unknown backend {backend!r}")
     kernel = None if backend == "numpy" else _build_kernel(ms.w)

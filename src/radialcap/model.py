@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RadialCapError
 from .expr import RadialExpr, _check, eval_jet2, parse
 from .quadrature import geomgrid, integrate
 
@@ -132,4 +132,9 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> 
         return np.power(wv, expo)
 
     total, _ = integrate(integrand, rho, R, rel_tol=1e-11)
-    return unit_sphere_volume(ms.m) * total ** (1.0 - p)
+    try:
+        power = total ** (1.0 - p)
+    except OverflowError:
+        raise RadialCapError(f"exact annulus p-capacity overflows float range "
+                             f"(p={p:g}, rho={rho:g}, R={R:g})") from None
+    return unit_sphere_volume(ms.m) * power

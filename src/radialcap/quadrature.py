@@ -175,9 +175,11 @@ class CumulativeCache:
     interpolant, kept as Chebyshev coefficients.  Panel offsets are a
     cumulative sum, so a query is one ``searchsorted`` plus one Clenshaw sum,
     and a query at a panel's left edge returns the stored offset (the base
-    gives exactly 0).
+    gives exactly 0).  :meth:`grow` and :meth:`error` only grow the mesh and
+    make no Clenshaw sum; a query grows it through :meth:`grow` before its
+    sum.
 
-    A query past the mesh's right end ``reach`` meshes ``[reach, top]``
+    Growing past the mesh's right end ``reach`` meshes ``[reach, top]``
     (top: the query's largest point) from the doubling steps ``[reach,
     2*reach], ..., [., top]`` (one step if reach is 0).  Panels are bisected
     in batches until the last three Chebyshev coefficients of f are at most
@@ -220,11 +222,7 @@ class CumulativeCache:
         flat = np.maximum(flat, self.base)
         out = np.zeros(flat.shape)
         if flat.size:
-            top = float(flat.max())
-            if not math.isfinite(top):
-                raise ValueError(f"cumulative cache queried at {top}")
-            if top > self._reach:
-                self._extend(top)
+            self.grow(float(flat.max()))
             if len(self._lo):       # an empty mesh is only ever queried at the base
                 i = np.searchsorted(self._lo, flat, side="right") - 1
                 x = np.clip((flat - self._mid[i]) / self._half[i], -1.0, 1.0)
@@ -232,10 +230,18 @@ class CumulativeCache:
                 out = self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
+    def grow(self, top: float) -> None:
+        """Mesh ``[base, top]``, evaluating the primitive nowhere."""
+        if not math.isfinite(top):
+            raise ValueError(f"cumulative cache queried at {top}")
+        if top > self._reach:
+            self._extend(top)
+
     def error(self, r: float) -> float:
         """Summed GK15 error estimate of the panels meeting ``[base, r]``:
-        the error estimate of ``self(r)`` when r is a panel edge."""
-        self(r)
+        the error estimate of ``self(r)`` when r is a panel edge.  It only
+        grows the mesh to r; no primitive is evaluated."""
+        self.grow(r)
         n = np.searchsorted(self._lo, r, side="left")
         half = self._half[:n]
         return float(_gk(half, self._coef[:n] @ _FROM_PRIM.T / half[:, None])[1].sum())
@@ -448,11 +454,14 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
 
     The partial integrals are read off one :class:`CumulativeCache` of f
     based at rho, whose growth steps are the doublings; the ladder evaluates
-    f nowhere else.  A look-ahead queries the last doubling radius (the
-    cache's first call of f takes it, so a weight's remainder mesh grows
-    there in one extension), and the mesh ends where the growth and Cauchy
-    stops (:func:`_first_stop`) fire on the partials it has made final.  A
-    look-ahead that meets a NaN, an inf or a value past ``1e250`` retries up
+    f nowhere else.  A look-ahead grows the mesh toward the last doubling
+    radius (the cache's first call of f takes it, so a weight's remainder
+    mesh grows there in one extension), and the mesh ends where the growth
+    and Cauchy stops (:func:`_first_stop`) fire on the partials it has made
+    final.  The partials are the mesh's step-end offsets, and the look-ahead
+    and the error estimate (:meth:`CumulativeCache.error`) only grow the
+    mesh, so the ladder evaluates the primitive nowhere.  A look-ahead
+    that meets a NaN, an inf or a value past ``1e250`` retries up
     to the last doubling radius below the smallest such node; any other
     failure drops to one doubling at a time.  A query of one doubling that
     fails is the walk's: a NaN raises there, an overflow stops the ladder as
@@ -489,7 +498,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
         k = len(ladder)
         hi = min(max(k + 1, bisect.bisect_left(radii, limit) - 1), cfg.k_max)
         try:
-            prim(radii[hi])
+            prim.grow(radii[hi])
         except Exception as exc:
             if hi > k + 1:
                 # retry below the failure, or one doubling at a time if it

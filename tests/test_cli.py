@@ -347,6 +347,21 @@ def test_nonfinite_flags_exit_2(capsys, command, flags):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["capacity", "solve"])
+def test_negative_rel_tol_is_named_by_its_flag(capsys, command):
+    code = main([command, EUCLID3, "--p", "3", "--R", "2", "--rel-tol", "-1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: --rel-tol must be >= 0, got -1.0\n"
+
+
+def test_capacity_whose_exact_value_overflows_is_a_numeric_failure(capsys):
+    code = main(["capacity", EUCLID3, "--p", "1e308", "--R", "2"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: exact annulus p-capacity overflows float range "
+        "(p=1e+308, rho=1, R=2)\n")
+
+
 def test_capacity_nan_flux_is_an_input_error(capsys):
     code = main(["capacity", EUCLID3, "--p", "2", "--rho", "1", "--R", "2",
                  "--flux", "nan"])
@@ -406,6 +421,18 @@ def test_simulate_self_constellation_reports_exact(capsys):
 def test_simulate_bad_geometry_exit_2(capsys):
     code = main(["simulate", EUCLID3, "--r0", "9"])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("max_time", ["1e-290", "1e300"])
+def test_simulate_asking_too_many_steps_names_dt_and_max_time(capsys, max_time):
+    # 1e10 steps per path used to run until killed; 1e600 is inf
+    code = main(["simulate", EUCLID3, "--r0", "1", "--paths", "1", "--dt", "1e-300",
+                 "--max-time", max_time])
+    steps = "1e+10" if max_time == "1e-290" else "inf"
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: --max-time / --dt = {steps} steps per path, "
+        f"more than the 1e+08 allowed\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialcap.constellation as constellation
+import radialcap.dirichlet as dirichlet
 from radialcap.criteria import classify
 from radialcap.errors import DomainError
 from radialcap.expr import evaluate
@@ -157,6 +159,65 @@ def test_weight_with_a_remainder_accepts_2d_queries():
     flat = WeightFunction(c, 3.0, 1.0)(np.array([2.0, 3.0]))
     assert grid.shape == (1, 2)
     assert np.array_equal(grid.ravel(), flat)
+
+
+def _pointwise_balance_terms(c, p, r, eta):
+    """``_balance_terms`` with h and lam evaluated at every point, constants
+    too: the reference for reading a constant as its number."""
+    t1 = (c.m + p - 2.0) * eta
+    t2 = c.m * evaluate(c.h, r)
+    if p == 2.0:
+        return t1 - t2, np.abs(t1) + np.abs(t2)
+    t3 = (p - 2.0) * evaluate(c.lam, r)
+    return t1 - t2 - t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
+
+
+def _bits(x):
+    """x's type, shape and bytes: equal exactly when x is the same bit for bit."""
+    return type(x), np.shape(x), np.asarray(x).tobytes()
+
+
+# "0^-1" is the constant inf
+CONSTANTS = ["0", "-0", "0.25", "3", "-2.5", "-100", "0^-1"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(w=st.sampled_from(["r", "sinh(r)"]), g=st.sampled_from(["1", "0.8", "1/(1+r)"]),
+       h=st.sampled_from(CONSTANTS), lam=st.sampled_from(CONSTANTS),
+       p=st.one_of(st.just(2.0), st.floats(2.0, 8.0)),
+       radii=st.lists(st.floats(0.5, 50.0), min_size=1, max_size=12))
+def test_constant_h_and_lam_give_the_pointwise_floats(w, g, h, lam, p, radii):
+    c = Constellation.from_functions(3, 2, w, g=g, lam=lam, h=h)
+    rs = np.array(radii)
+
+    def answers():
+        prof = balance_sign(c, p, (0.5, 50.0), 64)
+        wf = WeightFunction(c, p, 0.5)
+        return [_bits(x) for x in (
+            balance(c, p, rs), balance(c, p, radii[0]), prof.values, prof.zero_tol,
+            prof.witnesses, dirichlet.drift_coeff(c, p, rs),
+            dirichlet.drift_coeff(c, p, radii[0]), wf.integrand(rs),
+            wf.integrand(radii[0]), wf.integrand(rs.reshape(1, -1)))]
+
+    got = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constellation, "_balance_terms", _pointwise_balance_terms)
+        mp.setattr(dirichlet, "_balance_terms", _pointwise_balance_terms)
+        want = answers()
+    assert got == want
+    # the integrand keeps its input's shape, also when all its data are constants
+    assert got[-3][1] == rs.shape and got[-1][1] == (1, len(rs))
+
+
+def test_constant_data_remainder_is_meshed_as_an_array():
+    # constant g and a constant nonzero h leave a constant remainder integrand,
+    # 200 at p = 2, which the mesh must still sample as an array
+    c = Constellation.from_functions(2, 2, "r", h="-100")
+    wf = WeightFunction(c, 2.0, 1.0)
+    rs = np.array([[1.0, 1.5], [2.0, 3.0]])
+    assert wf.integrand(rs).shape == rs.shape
+    assert wf.inner_integral(rs) == pytest.approx(2.0 * np.log(rs) + 200.0 * (rs - 1.0),
+                                                  rel=1e-13)
 
 
 def test_weight_dominates_w_when_balance_nonpositive():

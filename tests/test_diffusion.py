@@ -36,6 +36,22 @@ def test_config_validation():
         simulate_radial(ModelSpace.euclidean(2), 9.0, DiffusionConfig())
 
 
+def test_step_count_past_the_limit_is_rejected_before_any_step(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(diffusion, "_simulate_numpy", fail)
+    monkeypatch.setattr(diffusion, "_simulate_c", fail)
+    ms = ModelSpace.euclidean(3)
+    for dt, max_time in ((1e-300, 1e-290), (1e-300, 1e300), (1.0, 1e8 + 1.0)):
+        with pytest.raises(ConfigError, match="steps per path, more than the 1e\\+08 allowed"):
+            simulate_radial(ms, 1.0, DiffusionConfig(dt=dt, paths=1, max_time=max_time))
+    # exactly the limit passes the check
+    with pytest.raises(AssertionError, match="stepped"):
+        simulate_radial(ms, 1.0, DiffusionConfig(dt=1.0, paths=1, max_time=1e8 + 0.5),
+                        backend="numpy")
+
+
 def test_exact_hitting_prob_m3():
     p = exact_hitting_prob(ModelSpace.euclidean(3), 1.0, 0.5, 8.0)
     assert p == pytest.approx(7.0 / 15.0, rel=1e-10)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radialcap.errors import DomainError
+from radialcap.errors import DomainError, RadialCapError
 from radialcap.expr import parse
 from radialcap.model import (
     ModelSpace, exact_annulus_p_capacity, sphere_volume, unit_sphere_volume, validate_warping,
@@ -64,6 +64,12 @@ def test_exact_annulus_capacity_plane():
 def test_exact_annulus_capacity_p3():
     cap = exact_annulus_p_capacity(ModelSpace.euclidean(3), 1.0, 2.0, 3.0)
     assert cap == pytest.approx(4 * math.pi / math.log(2.0) ** 2, rel=1e-10)
+
+
+def test_exact_annulus_capacity_past_float_range_names_itself():
+    # the integral over [1, 2] is 1/2, so its power 1 - p overflows
+    with pytest.raises(RadialCapError, match=r"exact annulus p-capacity overflows .*p=1e\+308"):
+        exact_annulus_p_capacity(ModelSpace.euclidean(3), 1.0, 2.0, 1e308)
 
 
 def test_capacity_decreasing_in_R_and_positive():

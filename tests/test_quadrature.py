@@ -502,6 +502,61 @@ def test_classify_self_model_calls_the_weight_a_few_times(monkeypatch):
     assert len(calls) <= 10
 
 
+SELF_MODEL_CELLS = [("euclid3", 2.0), ("euclid3", 3.0), ("hyperbolic2", 3.0)]
+
+
+@pytest.mark.parametrize("name, p", SELF_MODEL_CELLS,
+                         ids=[f"{name}-p{p:g}" for name, p in SELF_MODEL_CELLS])
+def test_self_model_classify_makes_no_chebyshev_sum(monkeypatch, name, p):
+    # the ladder is the mesh's step-end offsets, so growing the mesh is all
+    # the look-ahead and the error estimate need; the reference reaches the
+    # mesh through a query of the primitive there, as a call does
+    sums = []
+    chebval = np.polynomial.chebyshev.chebval
+
+    def counted(*args, **kwargs):
+        sums.append(1)
+        return chebval(*args, **kwargs)
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", counted)
+    c = _config(name)
+    tail = classify(c, p, 1.0).tail
+    assert len(sums) == 0
+
+    grow, inside = CumulativeCache.grow, []
+
+    def grow_through_a_query(self, top):
+        if inside:              # the query's own growth
+            return grow(self, top)
+        inside.append(True)
+        try:
+            self(top)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(CumulativeCache, "grow", grow_through_a_query)
+    ref = classify(c, p, 1.0).tail
+    assert 1 <= len(sums) <= 2
+    # the ladder, value, error and alpha_hat, compared as floats
+    assert tail.to_dict() == ref.to_dict()
+    assert tail.kind == ("divergent" if (name, p) == ("euclid3", 3.0) else "convergent")
+
+
+def test_growing_the_mesh_matches_growing_it_by_a_query():
+    def f(t):
+        return (2.0 + np.sin(t)) / t ** 2
+
+    grown, queried = CumulativeCache(f, 1.0), CumulativeCache(f, 1.0)
+    for top in (3.0, 40.0, 40.0, 1e3):
+        grown.grow(top)
+        queried(top)
+        assert grown._reach == queried._reach == top
+        assert grown.error(top) == queried.error(top)
+    rs = np.geomspace(1.0, 1e3, 37)
+    assert np.array_equal(grown(rs), queried(rs))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="cumulative cache queried at"):
+            grown.grow(bad)
+
+
 # ---------------------------------------------------------------------------
 # grid and fit
 # ---------------------------------------------------------------------------

@@ -118,14 +118,6 @@ def _classify_config(args) -> ClassifyConfig:
     return cfg
 
 
-def _check_finite(args, *names) -> None:
-    """Reject a non-finite value of the flags with dests ``names``, by flag."""
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-
-
 def _check_rel_tol(args) -> None:
     """Reject a finite ``--rel-tol`` below 0, by flag."""
     if args.rel_tol < 0:
@@ -158,7 +150,6 @@ def _json_default(obj):
 # Commands that print a CSV table return no lines.
 
 def cmd_classify(args, c: Constellation) -> tuple:
-    _check_finite(args, "p")
     verdict = classify(c, args.p, args.rho, _classify_config(args))
     outcome = {"verdict": verdict.outcome, "by": verdict.by,
                "reason": verdict.reason.to_dict() if verdict.reason else None}
@@ -184,7 +175,6 @@ def cmd_classify(args, c: Constellation) -> tuple:
 
 
 def cmd_sweep(args, c: Constellation) -> tuple:
-    _check_finite(args, "p_from", "p_to", "p_step")
     rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:
@@ -206,7 +196,6 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 def cmd_capacity(args, c: Constellation) -> tuple:
     if not args.flux > 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
-    _check_finite(args, "p", "rho", "R", "rel_tol", "flux")
     _check_rel_tol(args)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
@@ -232,7 +221,6 @@ def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
     if k < 2:
         raise ConfigError("--samples must be at least 2")
-    _check_finite(args, "p", "rho", "R", "rel_tol")
     _check_rel_tol(args)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
@@ -251,7 +239,6 @@ def cmd_solve(args, c: Constellation) -> tuple:
 
 
 def cmd_simulate(args, c: Constellation) -> tuple:
-    _check_finite(args, "r0", "rin", "rout", "dt", "max_time")
     cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
                           r_inner=args.rin, r_outer=args.rout,
                           max_time=args.max_time)
@@ -358,7 +345,12 @@ def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         t0 = time.monotonic()
-        outcome, evidence, lines, code = args.fn(args, load_config(args.config))
+        c = load_config(args.config)
+        # the first float flag that is not finite is an input error, named by its flag
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        outcome, evidence, lines, code = args.fn(args, c)
         # every flag but the output switches, in the order the parser declares them
         settings = {key: value for key, value in vars(args).items()
                     if key not in ("command", "config", "out", "json", "fn")}

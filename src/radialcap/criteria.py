@@ -38,7 +38,7 @@ from .constellation import (
 )
 from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError
-from .expr import evaluate
+from .expr import _NAN_DETAIL, evaluate
 from .model import validate_warping
 from .quadrature import TailClass, TailConfig, classify_tail, geomgrid
 
@@ -64,9 +64,10 @@ SWEEP_CAP_DOUBLINGS = 10
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Grid and tail-classifier knobs; defaults match the module contracts."""
+    """Grid and tail-classifier knobs; defaults match the module contracts.
+    The hypothesis grid always starts at ``min(rho, 1e-3)``: the criteria
+    need their hypotheses on the whole submanifold."""
 
-    grid_min: Optional[float] = None       # default: min(rho, 1e-3)
     grid_points: int = 512
     tail: TailConfig = field(default_factory=TailConfig)
     weight_rel_tol: float = 1e-10
@@ -76,9 +77,6 @@ class ClassifyConfig:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
         if not self.weight_rel_tol >= 0:
             raise ConfigError(f"weight_rel_tol must be >= 0, got {self.weight_rel_tol}")
-
-    def lo(self, rho: float) -> float:
-        return self.grid_min if self.grid_min is not None else min(rho, 1e-3)
 
     def horizon(self, rho: float) -> float:
         """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""
@@ -146,8 +144,7 @@ class Verdict:
         }
 
 
-def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
-                    horizon: float) -> tuple:
+def _model_warnings(c: Constellation, rho: float, interval: tuple) -> tuple:
     warnings = []
     report = validate_warping(c.model.w, r_max=max(10.0, 4.0 * rho))
     for cond, witness, value in report.violations:
@@ -157,7 +154,7 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
             # a constant g is tested once, not on the grid
             gv = c.g.constant
             if gv is None:
-                gv = np.asarray(evaluate(c.g, geomgrid(cfg.lo(rho), min(horizon, 1e6), 256)))
+                gv = np.asarray(evaluate(c.g, geomgrid(interval[0], min(interval[1], 1e6), 256)))
             if np.any(gv > 1.0 + 1e-12):
                 warnings.append("tangency lower bound g exceeds 1 on the grid")
             if np.any(gv <= 0.0):
@@ -167,18 +164,18 @@ def _model_warnings(c: Constellation, cfg: ClassifyConfig, rho: float,
     return tuple(warnings)
 
 
-def _finite_radii(fn: Callable, rs: np.ndarray, idx: np.ndarray, flagged: list) -> np.ndarray:
+def _finite_radii(fn: Callable, rs: np.ndarray, idx: np.ndarray, flagged: dict) -> np.ndarray:
     """The indices in ``idx`` at which ``fn(rs[idx])`` is finite.  A
     :class:`DomainError` drops the indices its check flagged (its ``mask``),
-    appending the lowest with the error's detail to ``flagged``, and ``fn``
-    runs again on the rest."""
+    mapping each to the error's detail in ``flagged``, and ``fn`` runs again
+    on the rest."""
     while len(idx):
         try:
             with np.errstate(all="ignore"):
                 return idx[np.isfinite(fn(rs[idx]))]
         except DomainError as exc:
             bad = np.broadcast_to(exc.mask, idx.shape)
-            flagged.append((int(idx[bad][0]), exc.detail))
+            flagged.update(dict.fromkeys(idx[bad].tolist(), exc.detail))
             idx = idx[~bad]
     return idx
 
@@ -194,24 +191,30 @@ def _certified_horizon(c: Constellation, p: float, rho: float,
     radii in one array pass, then lam where the balance is finite.  A radius
     that a domain check flags is dropped and the pass repeats on the rest,
     so a radius counts exactly when a scalar evaluation there is finite and
-    raises nothing.  Returns ``(radius, doubling count, warnings)``; if no
-    radius counts, raises the error of the lowest radius that raised one.
+    raises nothing.  The warning of a capped horizon names the domain check
+    that dropped the radius above it, else float overflow.  Returns
+    ``(radius, doubling count, warnings)``; if no radius counts, raises the
+    error of the lowest radius that raised one.
     """
     rs = rho * 2.0 ** np.arange(cfg.tail.k_max + 1)
-    flagged = []
+    flagged = {}
     ok = _finite_radii(lambda r: balance(c, p, r), rs, np.arange(len(rs)), flagged)
     if lam:
         ok = _finite_radii(lambda r: evaluate(c.lam, r), rs, ok, flagged)
     if len(ok):
         k = int(ok[-1])
         hi = float(rs[k])
+        # the radius above failed a domain check, else it overflowed float
+        # range (to inf, or to the NaN of inf/inf)
+        detail = flagged.get(k + 1)
+        beyond = (f"{detail} at r={rs[k + 1]:.4g}" if detail not in (None, _NAN_DETAIL)
+                  else "float overflow beyond")
         warning = () if k == cfg.tail.k_max else (
-            f"balance evaluable only up to r={hi:.4g} "
-            f"(float overflow beyond); hypotheses certified there",)
+            f"balance evaluable only up to r={hi:.4g} ({beyond}); hypotheses certified there",)
         return hi, k, warning
     if flagged:
-        k, detail = min(flagged)
-        raise DomainError(detail, float(rs[k]))
+        k = min(flagged)
+        raise DomainError(flagged[k], float(rs[k]))
     raise DomainError("balance not evaluable anywhere on the grid", rho)
 
 
@@ -272,8 +275,9 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     # the monotone corollary's sandwich evaluates lam, which the balance at
     # q = 2 leaves out
     hi, k_cert, horizon_warnings = _certified_horizon(c, q, rho, cfg, lam=monotone)
-    warnings = _model_warnings(c, cfg, rho, hi) + horizon_warnings
-    run = _Run(c, q, rho, cfg, interval=(cfg.lo(rho), hi),
+    interval = (min(rho, 1e-3), hi)
+    warnings = _model_warnings(c, rho, interval) + horizon_warnings
+    run = _Run(c, q, rho, cfg, interval=interval,
                tail_cfg=replace(cfg.tail, k_max=min(cfg.tail.k_max, k_cert)))
     checks, reason = [], None
     for stage, *args in stages:
@@ -466,11 +470,11 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
             alpha = verdict.tail.alpha_hat if verdict.tail else None
             cap = None
             if p >= 2:
-                # keep the capacity horizon inside the evaluable range
-                hi = r_cap
-                if verdict.certified_interval is not None:
-                    hi = min(hi, verdict.certified_interval[1])
-                cap = drifted_capacity(c, p, rho, hi, rel_tol=1e-9)
+                # keep the capacity horizon inside the evaluable range; a
+                # horizon at rho leaves no annulus
+                hi = min(r_cap, verdict.certified_interval[1])
+                if hi > rho:
+                    cap = drifted_capacity(c, p, rho, hi, rel_tol=1e-9)
             return SweepRow(p=p, verdict=verdict, error=None,
                             alpha_hat=alpha, cap_at_horizon=cap)
         except RadialCapError as exc:

@@ -406,8 +406,7 @@ def _simulate_numpy(ms: ModelSpace, r0: float, cfg: DiffusionConfig, max_steps: 
     return codes, float(r[failed[0]]) if len(failed) else math.nan
 
 
-def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
-                    backend: str = "auto") -> HittingStats:
+def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig) -> HittingStats:
     """Run the absorbed radial diffusion and estimate the probability of
     hitting the inner barrier before the outer one.
 
@@ -415,11 +414,10 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
     of (seed, path index, step index), so the result does not depend on the
     number of worker threads or on path scheduling.
 
-    ``backend`` is ``"c"`` (the compiled kernel; :class:`ConfigError` when
-    no C compiler works), ``"numpy"`` (the reference) or ``"auto"`` (C when
-    it can be built, else numpy with a one-time ``RuntimeWarning``).  Both
-    give the same path outcomes.  A drift ``w'/w`` that is not finite
-    raises :class:`DomainError` naming the lowest failed path and its radius.
+    The compiled kernel runs when it can be built, else the numpy
+    reference with a one-time ``RuntimeWarning``; both give the same path
+    outcomes.  A drift ``w'/w`` that is not finite raises
+    :class:`DomainError` naming the lowest failed path and its radius.
     More than 1e8 steps per path, ``floor(max_time / dt)``, is a
     :class:`ConfigError`.
     """
@@ -431,22 +429,15 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig,
         raise ConfigError(f"max_time / dt = {steps:.6g} steps per path, "
                           f"more than the {_MAX_STEPS:.0e} allowed")
     max_steps = int(math.floor(steps))
-    if backend not in ("auto", "c", "numpy"):
-        raise ConfigError(f"unknown backend {backend!r}")
-    kernel = None if backend == "numpy" else _build_kernel(ms.w)
+    kernel = _build_kernel(ms.w)
     if isinstance(kernel, str):
-        if backend == "c":
-            raise ConfigError(f"C backend requested but unavailable: {kernel}")
         if kernel not in _WARNED:
             _WARNED.add(kernel)
             warnings.warn(f"Monte Carlo falls back to the numpy reference kernel, "
                           f"about 20x slower: {kernel}", RuntimeWarning, stacklevel=2)
-        kernel = None
-
-    if kernel is not None:
-        codes, bad_r = _simulate_c(kernel, ms, r0, cfg, max_steps)
-    else:
         codes, bad_r = _simulate_numpy(ms, r0, cfg, max_steps)
+    else:
+        codes, bad_r = _simulate_c(kernel, ms, r0, cfg, max_steps)
     failed = np.flatnonzero(codes == CODE_FAILED)
     if len(failed):
         raise DomainError(f"drift w'/w of w = {ms.w} is not finite (path {failed[0]})", bad_r)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -124,6 +124,8 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     if step_count < 100:
         raise ValueError("step_count must be at least 100")
     n = int(step_count)
@@ -180,14 +182,15 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
 
 
 def operator_residual(c: Constellation, p: float, rho: float, R: float,
-                      solution, fd_step: Optional[float] = None) -> float:
+                      solution) -> float:
     """Max |psi'' + c psi'| via finite differences on the profile
     (independent of how the profile was produced), at 257
     Chebyshev-distributed nodes pulled slightly inside the annulus so the
-    5-point stencil stays in range.
+    5-point stencil stays in range.  The stencil step is
+    ``min(2e-4 * (R - rho), 0.02 * rho)``.
     """
     profile = solution.profile if hasattr(solution, "profile") else solution
-    h = fd_step if fd_step is not None else min(2e-4 * (R - rho), 0.02 * rho)
+    h = min(2e-4 * (R - rho), 0.02 * rho)
     k = np.arange(257)
     cheb = np.cos(math.pi * k / 256.0)  # [-1, 1]
     lo, hi = rho + 2.5 * h, R - 2.5 * h

@@ -570,6 +570,11 @@ def _owned(x, rv, taken):
     return out
 
 
+# the detail of the NaN guard below: a NaN that no domain check caught,
+# such as inf/inf past float range
+_NAN_DETAIL = "evaluation produced NaN"
+
+
 def _run(fn, r) -> list:
     """The outputs of the compiled ``fn`` at ``r``: floats for a scalar r,
     else float arrays of r's shape that the caller owns.  Overflow to
@@ -581,12 +586,12 @@ def _run(fn, r) -> list:
     if isinstance(rv, float):
         out = [*map(float, out)]
         for x in out:
-            _check(x != x, rv, "evaluation produced NaN")
+            _check(x != x, rv, _NAN_DETAIL)
         return out
     bad = np.isnan(out[0])
     for x in out[1:]:
         bad = bad | np.isnan(x)
-    _check(bad, rv, "evaluation produced NaN")
+    _check(bad, rv, _NAN_DETAIL)
     arrays = []
     for x in out:
         arrays.append(_owned(x, rv, arrays))

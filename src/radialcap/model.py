@@ -122,7 +122,7 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> 
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     expo = (1.0 - ms.m) / (p - 1.0)
 

@@ -120,16 +120,17 @@ def _gk(half: np.ndarray, vals: np.ndarray):
     return kron, errs
 
 
-def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-              abs_tol: float = 0.0):
-    """Adaptively integrate f over [a, b]; f maps an array of nodes to an
-    array of the same shape.
+def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
+    """Adaptively integrate f over the finite interval [a, b]; f maps an
+    array of nodes to an array of the same shape.
 
     Returns ``(value, error_estimate)`` with
-    ``error_estimate <= max(rel_tol*|value|, abs_tol)`` on success; raises
+    ``error_estimate <= max(rel_tol*|value|, 1e-305)`` on success; raises
     :class:`~radialcap.errors.QuadratureError` carrying the worst
     subinterval when the budget of ``_MESH_PANELS`` panels is exhausted.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
     lo = np.array([float(a)])
@@ -138,7 +139,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     while True:
         total = float(vals.sum())
         err_total = float(errs.sum())
-        target = max(rel_tol * abs(total), abs_tol, 1e-305)
+        target = max(rel_tol * abs(total), 1e-305)
         if err_total <= target:
             return total, err_total
         splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
@@ -344,6 +345,11 @@ class TailConfig:
         for name in ("k_max", "conv_eps", "exp_band"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # an infinite threshold would call every tail convergent, and an
+        # infinite band would let no fitted exponent decide
+        for name in ("conv_eps", "exp_band"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -265,7 +265,8 @@ def test_sweep_empty_range_exit_2(capsys):
 
 BAD_HYPOTHESIS_FLAGS = [["--grid-points", "0"], ["--grid-points", "1"], ["--horizon", "-1"],
                         ["--horizon", "2000"], ["--rho", "1e300"], ["--conv-eps", "nan"],
-                        ["--exp-band", "-1"], ["--rel-tol", "nan"], ["--rel-tol=-1e-10"]]
+                        ["--conv-eps", "inf"], ["--exp-band", "-1"], ["--exp-band", "inf"],
+                        ["--rel-tol", "nan"], ["--rel-tol=-1e-10"]]
 
 
 @pytest.mark.parametrize("flags", BAD_HYPOTHESIS_FLAGS + [["--p", "nan"], ["--p", "inf"]],
@@ -327,6 +328,9 @@ def test_capacity_zero_flux_exit_2(capsys):
 NONFINITE_FLAGS = [(command, flags) for command in ("capacity", "solve")
                    for flags in (["--p", "nan"], ["--p", "inf"], ["--R", "inf"],
                                  ["--rel-tol", "nan"])]
+NONFINITE_FLAGS += [(command, flags) for command in ("classify", "sweep")
+                    for flags in (["--rho", "nan"], ["--rho", "inf"], ["--conv-eps", "inf"],
+                                  ["--exp-band", "nan"])]
 NONFINITE_FLAGS += [("simulate", flags)
                     for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"])]
 
@@ -337,7 +341,8 @@ def test_nonfinite_flags_exit_2(capsys, command, flags):
     # these used to end as a numeric failure ("integrand not finite"), a
     # library text ("cumulative cache queried at inf") or RuntimeWarnings
     given = {"capacity": ["--p", "3", "--R", "2"], "solve": ["--p", "3", "--R", "2"],
-             "simulate": ["--r0", "1", "--paths", "10"]}[command]
+             "simulate": ["--r0", "1", "--paths", "10"], "classify": ["--p", "3"],
+             "sweep": ["--p-from", "2", "--p-to", "3"]}[command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, EUCLID3, *given, *flags])
@@ -366,7 +371,7 @@ def test_capacity_nan_flux_is_an_input_error(capsys):
     code = main(["capacity", EUCLID3, "--p", "2", "--rho", "1", "--R", "2",
                  "--flux", "nan"])
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err == "input error: --flux must be positive, got nan\n"
+    assert capsys.readouterr().err == "input error: --flux must be finite, got nan\n"
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,10 @@ def test_upper_tangency_zero_balance_fires_growth():
 
 
 def test_never_parabolic_on_undetermined_tail():
-    # tuned h so the weight decays exactly like 1/(r log r): critical band
-    c = Constellation.from_functions(2, 2, "r", h="-1/(2*r*log(r))")
-    v = classify(c, 2.0, 2.0, ClassifyConfig(grid_min=2.0))
+    # tuned h so the weight decays like 1/(r log(1+r)): critical band; the
+    # shift keeps h free of poles on the whole grid
+    c = Constellation.from_functions(2, 2, "r", h="-1/(2*r*log(1+r))")
+    v = classify(c, 2.0, 2.0)
     assert not v.is_parabolic
     assert v.reason.code == "tail_undetermined"
     assert v.tail is not None and v.tail.kind == "undetermined"
@@ -302,6 +303,21 @@ def test_sweep_reports_the_first_overflowing_node_of_the_capacity_annulus():
                              "worst subinterval [1, 512] err=inf")
 
 
+def test_sweep_row_whose_horizon_is_rho_has_no_capacity():
+    # h = log(2 - r) leaves the domain at r = 2, so from rho = 1 the
+    # certified horizon is rho itself: no annulus to take a capacity over
+    c = Constellation.from_functions(2, 2, "r", h="log(2 - r)")
+    rows = sweep(c, 2.0, 4.0, 1.0, 1.0)
+    assert [row.p for row in rows] == [2.0, 3.0, 4.0]
+    for row in rows:
+        assert row.error is None and row.cap_at_horizon is None
+        assert row.verdict.summary() == "inconclusive (tail_undetermined)"
+        assert row.verdict.certified_interval == (1e-3, 1.0)
+        assert row.verdict.warnings == (
+            "balance evaluable only up to r=1 (log of non-positive value at r=2); "
+            "hypotheses certified there",)
+
+
 def test_sweep_capacity_matches_the_closed_form_of_the_bounded_cylinder():
     # at p = 2 the weight is tanh(rho)^2 coth(r), whose primitive is
     # log sinh; the capacity annulus is [2, 2**11]
@@ -330,7 +346,7 @@ def test_model_warnings_check_the_lower_tangency_bound(g, warning):
     # a constant g (sqrt(-1) has no value, so it is evaluated) is tested
     # once, any other g on the grid out to the horizon
     c = Constellation.from_functions(3, 2, "r", g=g)
-    warnings = _model_warnings(c, ClassifyConfig(), 1.0, 512.0)
+    warnings = _model_warnings(c, 1.0, (1e-3, 512.0))
     if warning is None:
         assert warnings == ()
     else:
@@ -363,7 +379,9 @@ def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions
     (ClassifyConfig, {"weight_rel_tol": -1e-10}),
     (TailConfig, {"k_max": -1}),
     (TailConfig, {"conv_eps": float("nan")}),
+    (TailConfig, {"conv_eps": float("inf")}),
     (TailConfig, {"exp_band": -0.05}),
+    (TailConfig, {"exp_band": float("inf")}),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={x}" for k, x in v.items()))
 def test_configs_that_certify_nothing_are_rejected(make, kwargs):
     with pytest.raises(ConfigError):
@@ -398,19 +416,25 @@ def test_zero_horizon_and_zero_tolerance_stay_valid():
 
 def horizon_scan(c, p, rho, cfg, lam):
     """Reference: the certified horizon scanned one scalar radius at a time,
-    from the top doubling down; the all-fail error is the last one met."""
-    last_exc = None
+    from the top doubling down; the all-fail error is the last one met, and
+    a capped horizon's warning names the error of the radius above it."""
+    last_exc = above = None
     for k in range(cfg.tail.k_max, -1, -1):
         hi = rho * 2.0 ** k
         try:
             value = balance(c, p, hi)
             if np.isfinite(value) and (not lam or np.isfinite(evaluate(c.lam, hi))):
+                beyond = ("float overflow beyond" if above is None
+                          else f"{above.detail} at r={2.0 * hi:.4g}")
                 warning = () if k == cfg.tail.k_max else (
-                    f"balance evaluable only up to r={hi:.4g} "
-                    f"(float overflow beyond); hypotheses certified there",)
+                    f"balance evaluable only up to r={hi:.4g} ({beyond}); "
+                    f"hypotheses certified there",)
                 return hi, k, warning
+            above = None
         except DomainError as exc:
+            # the NaN of inf/inf is float overflow, not a domain check
             last_exc = exc
+            above = None if exc.detail == "evaluation produced NaN" else exc
     raise last_exc if last_exc is not None else DomainError(
         "balance not evaluable anywhere on the grid", rho)
 
@@ -426,6 +450,8 @@ HORIZON_CASES = [
     # lam is out of domain at r <= 3, where only the monotone corollary looks
     ("lam_from_3", Constellation.from_functions(3, 3, "sinh(r)", lam="log(r - 3)", h="1",
                                                 tangency=Tangency.UPPER)),
+    # h is out of domain from r = 2 on: the horizon stops below it
+    ("h_below_2", Constellation.from_functions(2, 2, "r", h="log(2 - r)")),
 ]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import shutil
@@ -42,14 +43,14 @@ def test_step_count_past_the_limit_is_rejected_before_any_step(monkeypatch):
 
     monkeypatch.setattr(diffusion, "_simulate_numpy", fail)
     monkeypatch.setattr(diffusion, "_simulate_c", fail)
+    monkeypatch.setattr(diffusion, "_build_kernel", lambda w: fail)
     ms = ModelSpace.euclidean(3)
     for dt, max_time in ((1e-300, 1e-290), (1e-300, 1e300), (1.0, 1e8 + 1.0)):
         with pytest.raises(ConfigError, match="steps per path, more than the 1e\\+08 allowed"):
             simulate_radial(ms, 1.0, DiffusionConfig(dt=dt, paths=1, max_time=max_time))
     # exactly the limit passes the check
     with pytest.raises(AssertionError, match="stepped"):
-        simulate_radial(ms, 1.0, DiffusionConfig(dt=1.0, paths=1, max_time=1e8 + 0.5),
-                        backend="numpy")
+        simulate_radial(ms, 1.0, DiffusionConfig(dt=1.0, paths=1, max_time=1e8 + 0.5))
 
 
 def test_exact_hitting_prob_m3():
@@ -138,10 +139,12 @@ def test_single_path_reproducible():
 def test_backends_statistically_consistent():
     ms = ModelSpace.euclidean(3)
     cfg = DiffusionConfig(dt=1e-3, paths=2000, seed=11)
-    fast = simulate_radial(ms, 1.0, cfg, backend="c")
-    ref = simulate_radial(ms, 1.0, cfg, backend="numpy")
-    spread = np.hypot(fast.stderr, ref.stderr)
-    assert abs(fast.p_inner - ref.p_inner) <= 4.0 * spread + 1e-12
+    max_steps = int(math.floor(cfg.max_time / cfg.dt))
+    fast, _ = diffusion._simulate_c(diffusion._build_kernel(ms.w), ms, 1.0, cfg, max_steps)
+    ref, _ = diffusion._simulate_numpy(ms, 1.0, cfg, max_steps)
+    p_fast, p_ref = (np.mean(codes == diffusion.CODE_INNER) for codes in (fast, ref))
+    spread = np.hypot(*(math.sqrt(p * (1.0 - p) / cfg.paths) for p in (p_fast, p_ref)))
+    assert abs(p_fast - p_ref) <= 4.0 * spread + 1e-12
 
 
 @needs_cc
@@ -162,12 +165,25 @@ def test_c_kernel_matches_numpy_path_for_path(m, w):
     assert set(np.unique(codes)) == {diffusion.CODE_INNER, diffusion.CODE_OUTER}
 
 
+def without_compiler(monkeypatch, tmp_path):
+    """Make the compiled kernel unbuildable, as on a machine with no C
+    compiler, so that simulate_radial falls back to numpy and warns again."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", "no-such-compiler-radialcap")
+    monkeypatch.setattr(diffusion, "_KERNELS", {})
+    monkeypatch.setattr(diffusion, "_WARNED", set())
+
+
 @pytest.mark.parametrize("backend", [pytest.param("c", marks=needs_cc), "numpy"])
-def test_c_kernel_reports_non_finite_drift(backend):
+def test_c_kernel_reports_non_finite_drift(monkeypatch, tmp_path, backend):
     # w = r - 1 vanishes at the start radius: w'/w is infinite there
     cfg = DiffusionConfig(dt=1e-2, paths=50, seed=1, r_inner=0.5, r_outer=2.0)
-    with pytest.raises(DomainError) as info:
-        simulate_radial(ModelSpace(2, "r - 1"), 1.0, cfg, backend=backend)
+    fallback = contextlib.nullcontext()
+    if backend == "numpy":
+        without_compiler(monkeypatch, tmp_path)
+        fallback = pytest.warns(RuntimeWarning, match="no-such-compiler-radialcap")
+    with pytest.raises(DomainError) as info, fallback:
+        simulate_radial(ModelSpace(2, "r - 1"), 1.0, cfg)
     assert info.value.r == 1.0 and "path 0" in info.value.detail
 
 
@@ -184,21 +200,18 @@ def test_c_kernel_is_cached_on_disk(monkeypatch, tmp_path):
     assert not isinstance(diffusion._build_kernel(w), str)
 
 
-def test_without_compiler_auto_warns_and_c_raises(monkeypatch, tmp_path):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setenv("CC", "no-such-compiler-radialcap")
-    monkeypatch.setattr(diffusion, "_KERNELS", {})
-    monkeypatch.setattr(diffusion, "_WARNED", set())
+def test_without_compiler_warns_once_and_runs_numpy(monkeypatch, tmp_path):
+    without_compiler(monkeypatch, tmp_path)
     ms = ModelSpace.euclidean(3)
     cfg = DiffusionConfig(dt=1e-2, paths=20, seed=2, r_inner=0.5, r_outer=2.0)
     with pytest.warns(RuntimeWarning, match="no-such-compiler-radialcap"):
         auto = simulate_radial(ms, 1.0, cfg)
-    assert auto == simulate_radial(ms, 1.0, cfg, backend="numpy")
+    codes, _ = diffusion._simulate_numpy(ms, 1.0, cfg, int(math.floor(cfg.max_time / cfg.dt)))
+    assert auto.p_inner == np.count_nonzero(codes == diffusion.CODE_INNER) / cfg.paths
+    assert auto.censored == np.count_nonzero(codes == diffusion.CODE_CENSORED)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # warned once already
-        simulate_radial(ms, 1.0, cfg)
-    with pytest.raises(ConfigError, match="no-such-compiler-radialcap"):
-        simulate_radial(ms, 1.0, cfg, backend="c")
+        assert simulate_radial(ms, 1.0, cfg) == auto
 
 
 def test_simulation_matches_exact_m3():

@@ -7,13 +7,14 @@ from radialcap.constellation import (
     Constellation, Tangency, WeightFunction, balance, balance_shift_identity_check,
     balance_sign,
 )
+from radialcap.diffusion import exact_hitting_prob
 from radialcap.dirichlet import (
     RadialSolution, drift_coeff, drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from radialcap.errors import DomainError, QuadratureError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
-from radialcap.quadrature import CumulativeCache
+from radialcap.quadrature import CumulativeCache, integrate
 
 
 def euclid_self(m):
@@ -40,9 +41,10 @@ def test_closed_solution_constant_weight_gives_linear_profile():
     vol = float(sphere_volume(c.model, 1.0))
     assert drifted_capacity(c, 3.0, 1.0, 2.0) == pytest.approx(vol / 1.0, rel=1e-10)
     assert drifted_capacity(c, 3.0, 1.0, 3.5) == pytest.approx(vol / 2.5, rel=1e-10)
-    # linear profile: no truncation error, so a wide stencil leaves only
-    # rounding noise far below 1e-10
-    assert operator_residual(c, 3.0, 1.0, 2.0, sol, fd_step=0.01) <= 1e-10
+    # linear profile: no truncation error, so the 0.01-wide stencil of the
+    # annulus [1, 51] leaves only rounding noise far below 1e-10
+    wide = solve_dirichlet_closed(c, 3.0, 1.0, 51.0)
+    assert operator_residual(c, 3.0, 1.0, 51.0, wide) <= 1e-10
 
 
 def test_closed_solution_zero_balance_weight_is_warping():
@@ -237,8 +239,19 @@ def test_nonfinite_inputs_are_input_errors():
     for rel_tol in (math.nan, -1e-10):
         with pytest.raises(ValueError, match="rel_tol must be >= 0"):
             WeightFunction(c, 3.0, 1.0, rel_tol)
-    with pytest.raises(ValueError, match="R must be finite, got inf"):
-        solve_dirichlet_closed(c, 3.0, 1.0, math.inf)
+    for solve in (solve_dirichlet_closed, solve_dirichlet_ode):
+        with pytest.raises(ValueError, match="R must be finite, got inf"):
+            solve(c, 3.0, 1.0, math.inf)
+    # the exact oracles integrate over [rho, R] or [r0, R]
+    ms = ModelSpace.euclidean(3)
+    for call in (lambda: integrate(lambda t: 1.0 / t, 1.0, math.inf),
+                 lambda: integrate(lambda t: 1.0 / t, math.nan, 2.0),
+                 lambda: exact_annulus_p_capacity(ms, 1.0, math.inf, 3.0),
+                 lambda: exact_hitting_prob(ms, 1.0, 0.5, math.inf)):
+        with pytest.raises(ValueError, match="integration bounds must be finite"):
+            call()
+    with pytest.raises(ValueError, match="p must be >= 2, got nan"):
+        exact_annulus_p_capacity(ms, 1.0, 2.0, math.nan)
 
 
 def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():

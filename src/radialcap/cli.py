@@ -33,7 +33,7 @@ from .dirichlet import (
 from .errors import ConfigError, ParseError, RadialCapError
 from .expr import parse
 from .model import exact_annulus_p_capacity, sphere_volume
-from .quadrature import TailConfig
+from .quadrature import TailConfig, check_tolerance
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,14 +114,8 @@ def _classify_config(args) -> ClassifyConfig:
                           exp_band=args.exp_band)
         cfg = ClassifyConfig(grid_points=args.grid_points, tail=tail,
                              weight_rel_tol=args.rel_tol)
-        cfg.horizon(args.rho)
+        tail.horizon(args.rho)
     return cfg
-
-
-def _check_rel_tol(args) -> None:
-    """Reject a finite ``--rel-tol`` below 0, by flag."""
-    if args.rel_tol < 0:
-        raise ConfigError(f"--rel-tol must be >= 0, got {args.rel_tol}")
 
 
 def _write_csv(args, header, rows) -> None:
@@ -196,7 +190,7 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 def cmd_capacity(args, c: Constellation) -> tuple:
     if not args.flux > 0:
         raise ConfigError(f"--flux must be positive, got {args.flux}")
-    _check_rel_tol(args)
+    check_tolerance("--rel-tol", args.rel_tol, ConfigError)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -221,7 +215,7 @@ def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
     if k < 2:
         raise ConfigError("--samples must be at least 2")
-    _check_rel_tol(args)
+    check_tolerance("--rel-tol", args.rel_tol, ConfigError)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .expr import RadialExpr, _check, eval_jet2, evaluate, parse
 from .model import ModelSpace, _as_expr
-from .quadrature import CumulativeCache, geomgrid
+from .quadrature import CumulativeCache, check_tolerance, geomgrid
 
 __all__ = [
     "Tangency",
@@ -232,17 +232,16 @@ class WeightFunction:
     R lives on a :class:`~radialcap.quadrature.CumulativeCache` panel mesh
     that grows with the largest radius queried, so a query inside it runs
     no quadrature.  :meth:`integral` is the weight's own primitive, which
-    the Dirichlet solution and the monotone corollary share.  Instances are
-    cheap to build and not safe for concurrent mutation; build one per
-    thread.
+    the Dirichlet solution and the monotone corollary share.  rel_tol
+    must be finite and >= 0.  Instances are cheap to build and not safe for
+    concurrent mutation; build one per thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
         _check_p(p)
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
-        if not rel_tol >= 0:
-            raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
+        check_tolerance("rel_tol", rel_tol)
         self.constellation = c
         self.p = p
         self.rho = float(rho)

@@ -28,6 +28,7 @@ that fails ends the run with its reason::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -40,7 +41,7 @@ from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError
 from .expr import _NAN_DETAIL, evaluate
 from .model import validate_warping
-from .quadrature import TailClass, TailConfig, classify_tail, geomgrid
+from .quadrature import TailClass, TailConfig, check_tolerance, classify_tail, geomgrid
 
 __all__ = [
     "ClassifyConfig",
@@ -66,7 +67,10 @@ SWEEP_CAP_DOUBLINGS = 10
 class ClassifyConfig:
     """Grid and tail-classifier knobs; defaults match the module contracts.
     The hypothesis grid always starts at ``min(rho, 1e-3)``: the criteria
-    need their hypotheses on the whole submanifold."""
+    need their hypotheses on the whole submanifold.  grid_points must be an
+    integer >= 2 and weight_rel_tol finite and >= 0, or
+    :class:`ConfigError` names the field; the ladder's horizon is
+    :meth:`TailConfig.horizon`."""
 
     grid_points: int = 512
     tail: TailConfig = field(default_factory=TailConfig)
@@ -75,16 +79,9 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not self.weight_rel_tol >= 0:
-            raise ConfigError(f"weight_rel_tol must be >= 0, got {self.weight_rel_tol}")
-
-    def horizon(self, rho: float) -> float:
-        """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""
-        top = rho * 2.0 ** self.tail.k_max if self.tail.k_max < 1024 else math.inf
-        if not math.isfinite(top):
-            raise ConfigError(f"horizon rho * 2**k_max is not a finite float "
-                              f"(rho={rho}, k_max={self.tail.k_max})")
-        return top
+        if not isinstance(self.grid_points, numbers.Integral):
+            raise ConfigError(f"grid_points must be an integer, got {self.grid_points}")
+        check_tolerance("weight_rel_tol", self.weight_rel_tol, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     for name, value in {"p": p, letter: q}.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    cfg.horizon(rho)
+    cfg.tail.horizon(rho)
     if q < 2:
         return Verdict("inconclusive", p=p, rho=rho,
                        reason=InconclusiveReason("p_below_2",
@@ -459,7 +456,7 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
     if not math.isfinite(p_step):
         raise ConfigError(f"p_step must be finite, got {p_step}")
     cfg = cfg or ClassifyConfig()
-    cfg.horizon(rho)
+    cfg.tail.horizon(rho)
     ps = [round(p_from + i * p_step, 12)
           for i in range(int(np.floor((p_to - p_from) / p_step + 1e-9)) + 1)]
     r_cap = rho * 2.0 ** SWEEP_CAP_DOUBLINGS

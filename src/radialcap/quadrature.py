@@ -11,6 +11,12 @@ Repeated primitives ``r -> integral(base, r)`` live on a panel mesh that
 grows to the right (:class:`CumulativeCache`): each panel holds the
 antiderivative of f's interpolant at the same 15 nodes, so within a panel
 the primitive is one polynomial and a query costs no further quadrature.
+The polynomials' Chebyshev coefficients are the columns of one (16, n)
+array.  A query at one radius sums its column in Python floats; an array
+query gathers its columns once, as 16 rows, and sums every point at once.
+Both run one Clenshaw helper (:func:`_clenshaw`) in the order of
+operations of numpy's ``chebval``, so either answer is chebval's bit for
+bit.  A tolerance must be finite and >= 0 (:func:`check_tolerance`).
 
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +71,29 @@ _TO_PRIM = np.polynomial.chebyshev.chebint(np.eye(15), lbnd=-1.0)
 _FROM_PRIM = (np.polynomial.chebyshev.chebvander(_NODES, 14)
               @ np.polynomial.chebyshev.chebder(np.eye(16)))
 _MESH_PANELS = 4000     # per extension: the budget integrate gives one interval
+
+
+def _clenshaw(c, x):
+    """``sum_k c[k] T_k(x)`` over the 16 coefficients ``c[0..15]`` of a
+    panel's primitive, by Clenshaw's recurrence in the order of operations
+    of numpy's ``chebval``, so its bits are chebval's.  Floats ``c[k]`` and
+    ``x`` give a float; rows ``c[k]`` and an array ``x`` of their length
+    give the sums at every point."""
+    x2 = 2 * x
+    c0, c1 = c[14], c[15]
+    for k in range(13, -1, -1):
+        c0, c1 = c[k] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def check_tolerance(name: str, value: float, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is a finite number >= 0:
+    a NaN or negative tolerance never certifies, an infinite one certifies
+    anything."""
+    if not value >= 0:
+        raise error(f"{name} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
 
 
 def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -128,11 +158,14 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
     ``error_estimate <= max(rel_tol*|value|, 1e-305)`` on success; raises
     :class:`~radialcap.errors.QuadratureError` carrying the worst
     subinterval when the budget of ``_MESH_PANELS`` panels is exhausted.
+    Non-finite bounds, and a rel_tol that is NaN, negative or infinite,
+    raise ``ValueError``.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    check_tolerance("rel_tol", rel_tol)
     lo = np.array([float(a)])
     hi = np.array([float(b)])
     vals, errs = _gk(*_sample(f, lo, hi))
@@ -173,12 +206,16 @@ class CumulativeCache:
 
     Each panel samples f once at the 15 GK nodes; within a panel the
     primitive is one polynomial, the exact antiderivative of f's degree-14
-    interpolant, kept as Chebyshev coefficients.  Panel offsets are a
-    cumulative sum, so a query is one ``searchsorted`` plus one Clenshaw sum,
-    and a query at a panel's left edge returns the stored offset (the base
-    gives exactly 0).  :meth:`grow` and :meth:`error` only grow the mesh and
-    make no Clenshaw sum; a query grows it through :meth:`grow` before its
-    sum.
+    interpolant, kept as the 16 Chebyshev coefficients of one column of a
+    (16, n) array.  Panel offsets are a cumulative sum, so a query is one
+    panel lookup plus one Clenshaw sum (:func:`_clenshaw`), and a query at
+    a panel's left edge returns the stored offset (the base gives exactly
+    0).  A float, numpy scalar or 0-d array is looked up by ``bisect`` and
+    summed in Python floats, and gives a float; an array is looked up by
+    one ``searchsorted``, gathers its columns once and gives an array of
+    its shape.  The two agree bit for bit.  :meth:`grow` and :meth:`error`
+    only grow the mesh and make no Clenshaw sum; a query grows it through
+    :meth:`grow` before its sum.
 
     Growing past the mesh's right end ``reach`` meshes ``[reach, top]``
     (top: the query's largest point) from the doubling steps ``[reach,
@@ -204,6 +241,8 @@ class CumulativeCache:
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
                  abs_tol: float = 0.0):
+        check_tolerance("rel_tol", rel_tol)
+        check_tolerance("abs_tol", abs_tol)
         self.fn = fn
         self.base = float(base)
         self.rel_tol = rel_tol
@@ -212,10 +251,23 @@ class CumulativeCache:
         self._total = 0.0           # integral(base, reach)
         self._fmax = 0.0
         self._lo = self._mid = self._half = self._off = np.empty(0)
-        self._coef = np.empty((0, 16))
+        self._coef = np.empty((16, 0))  # column j: panel j's primitive
         self._stop = None           # the tail ladder's stop rule (classify_tail)
 
     def __call__(self, r):
+        if isinstance(r, float) or np.ndim(r) == 0:     # one point, in Python floats
+            x = float(r)
+            if x < self.base * (1.0 - 1e-15) - 1e-300:
+                raise ValueError(f"cumulative cache is based at {self.base}; query below it")
+            x = max(x, self.base)
+            self.grow(x)
+            if not len(self._lo):   # an empty mesh is only ever queried at the base
+                return 0.0
+            i = bisect.bisect_right(self._lo, x) - 1
+            if x == self._lo.item(i):
+                return self._off.item(i)
+            t = min(max((x - self._mid.item(i)) / self._half.item(i), -1.0), 1.0)
+            return self._off.item(i) + _clenshaw(self._coef[:, i].tolist(), t)
         pts = np.asarray(r, dtype=float)
         flat = pts.ravel()
         if np.any(flat < self.base * (1.0 - 1e-15) - 1e-300):
@@ -224,12 +276,12 @@ class CumulativeCache:
         out = np.zeros(flat.shape)
         if flat.size:
             self.grow(float(flat.max()))
-            if len(self._lo):       # an empty mesh is only ever queried at the base
+            if len(self._lo):
                 i = np.searchsorted(self._lo, flat, side="right") - 1
                 x = np.clip((flat - self._mid[i]) / self._half[i], -1.0, 1.0)
-                inner = np.polynomial.chebyshev.chebval(x, self._coef[i].T, tensor=False)
+                inner = _clenshaw(self._coef.take(i, axis=1), x)   # 16 rows of len(x)
                 out = self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
-        return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+        return out.reshape(pts.shape)
 
     def grow(self, top: float) -> None:
         """Mesh ``[base, top]``, evaluating the primitive nowhere."""
@@ -245,7 +297,10 @@ class CumulativeCache:
         self.grow(r)
         n = np.searchsorted(self._lo, r, side="left")
         half = self._half[:n]
-        return float(_gk(half, self._coef[:n] @ _FROM_PRIM.T / half[:, None])[1].sum())
+        # a C-ordered (n, 16) operand, so the product's bits do not depend
+        # on how the panels are stored
+        coef = np.ascontiguousarray(self._coef[:, :n].T)
+        return float(_gk(half, coef @ _FROM_PRIM.T / half[:, None])[1].sum())
 
     def _extend(self, top: float) -> None:
         steps = [self._reach]
@@ -268,10 +323,14 @@ class CumulativeCache:
             cheb = vals @ _TO_CHEB.T
             tail = np.abs(cheb[:, -3:]).max(axis=1)
             ok = (tail <= self.rel_tol * fmax[step]) | (half * tail <= self.abs_tol)
-            done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
-            n_done += int(ok.sum())
-            todo = ~ok
-            lo, hi, step, err = lo[todo], hi[todo], step[todo], (half * tail)[todo]
+            if ok.all():            # the round ends the extension: no index copies
+                done.append((lo, half[:, None] * (cheb @ _TO_PRIM.T)))
+                lo = lo[:0]
+            else:
+                done.append((lo[ok], half[ok, None] * (cheb[ok] @ _TO_PRIM.T)))
+                n_done += int(ok.sum())
+                todo = ~ok
+                lo, hi, step, err = lo[todo], hi[todo], step[todo], (half * tail)[todo]
             # steps left of the first open panel (the stop rule reads them)
             final = len(ends) if not len(lo) else int(step.min()) if self._stop is not None else 0
             if final > n_final:
@@ -301,11 +360,12 @@ class CumulativeCache:
             n = int(np.searchsorted(new_lo, top))
             new_lo, coef, edges = new_lo[:n], coef[:n], edges[:n + 1]
         new_hi = np.append(new_lo[1:], top)
-        self._lo = np.concatenate([self._lo, new_lo])
-        self._mid = np.concatenate([self._mid, 0.5 * (new_lo + new_hi)])
-        self._half = np.concatenate([self._half, 0.5 * (new_hi - new_lo)])
-        self._coef = np.concatenate([self._coef, coef])
-        self._off = np.concatenate([self._off, edges[:-1]])
+        mesh = (new_lo, 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo), coef.T, edges[:-1])
+        if len(self._lo):           # an empty mesh is replaced, not joined
+            mesh = [np.concatenate(pair, axis=-1) for pair in
+                    zip((self._lo, self._mid, self._half, self._coef, self._off), mesh)]
+        self._lo, self._mid, self._half, self._coef, self._off = mesh
+        self._coef = np.ascontiguousarray(self._coef)   # rows gather fastest in C order
         self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax[kept - 1])
 
 
@@ -335,21 +395,31 @@ class TailConfig:
     """Knobs of the doubling-horizon divergence classifier: the number of
     doublings, the Cauchy threshold on relative increments and the width of
     the critical band around -1 that a fitted tail exponent must clear on
-    the left.  The mesh tolerance (1e-9) and growth factor (1e12) are fixed."""
+    the left.  The mesh tolerance (1e-9) and growth factor (1e12) are fixed.
+    k_max must be an integer >= 0, and conv_eps and exp_band finite and
+    >= 0, or :class:`ConfigError` names the field."""
 
     k_max: int = 40
     conv_eps: float = 1e-8
     exp_band: float = 0.05
 
     def __post_init__(self):
-        for name in ("k_max", "conv_eps", "exp_band"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.k_max >= 0:
+            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
+        if not isinstance(self.k_max, numbers.Integral):
+            raise ConfigError(f"k_max must be an integer, got {self.k_max}")
         # an infinite threshold would call every tail convergent, and an
         # infinite band would let no fitted exponent decide
-        for name in ("conv_eps", "exp_band"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        check_tolerance("conv_eps", self.conv_eps, ConfigError)
+        check_tolerance("exp_band", self.exp_band, ConfigError)
+
+    def horizon(self, rho: float) -> float:
+        """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""
+        top = rho * 2.0 ** self.k_max if self.k_max < 1024 else math.inf
+        if not math.isfinite(top):
+            raise ConfigError(f"horizon rho * 2**k_max is not a finite float "
+                              f"(rho={rho}, k_max={self.k_max})")
+        return top
 
 
 @dataclass(frozen=True)
@@ -476,6 +546,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     cfg = cfg or TailConfig()
     if rho <= 0:
         raise ValueError("rho must be positive")
+    cfg.horizon(rho)
 
     def guarded(t):
         with np.errstate(all="ignore"):

@@ -377,14 +377,17 @@ def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions
     (ClassifyConfig, {"grid_points": 1}),
     (ClassifyConfig, {"weight_rel_tol": float("nan")}),
     (ClassifyConfig, {"weight_rel_tol": -1e-10}),
+    (ClassifyConfig, {"weight_rel_tol": float("inf")}),
+    (ClassifyConfig, {"grid_points": 2.5}),
     (TailConfig, {"k_max": -1}),
+    (TailConfig, {"k_max": 2.5}),
     (TailConfig, {"conv_eps": float("nan")}),
     (TailConfig, {"conv_eps": float("inf")}),
     (TailConfig, {"exp_band": -0.05}),
     (TailConfig, {"exp_band": float("inf")}),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={x}" for k, x in v.items()))
 def test_configs_that_certify_nothing_are_rejected(make, kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))} must be "):
         make(**kwargs)
 
 

@@ -239,6 +239,11 @@ def test_nonfinite_inputs_are_input_errors():
     for rel_tol in (math.nan, -1e-10):
         with pytest.raises(ValueError, match="rel_tol must be >= 0"):
             WeightFunction(c, 3.0, 1.0, rel_tol)
+    # an infinite tolerance would accept the first estimate unrefined
+    for call in (lambda: WeightFunction(c, 3.0, 1.0, math.inf),
+                 lambda: drifted_capacity(c, 3.0, 1.0, 2.0, rel_tol=math.inf)):
+        with pytest.raises(ValueError, match="rel_tol must be finite, got inf"):
+            call()
     for solve in (solve_dirichlet_closed, solve_dirichlet_ode):
         with pytest.raises(ValueError, match="R must be finite, got inf"):
             solve(c, 3.0, 1.0, math.inf)

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from radialcap.cli import load_config
 from radialcap.constellation import Constellation, WeightFunction
 from radialcap.criteria import classify
-from radialcap.errors import DomainError, QuadratureError
+from radialcap import quadrature
+from radialcap.errors import ConfigError, DomainError, QuadratureError
 from radialcap.quadrature import (
     _TAIL_REL_TOL, CumulativeCache, TailConfig, _first_stop, _fit_exponent, classify_tail,
     geomgrid, integrate,
@@ -105,6 +107,81 @@ def test_cumulative_unsorted_repeated_and_shaped_queries_equal_sorted():
     grid = CumulativeCache(_decay_plus_log, 1.0)(pts[:6].reshape(2, 3))
     assert grid.shape == (2, 3)
     assert np.array_equal(grid.ravel(), unsorted[:6])
+
+
+def _chebval_query(cache, r):
+    """The query through numpy's chebval over the stored coefficients, one
+    column per point, as the cache answered before its own Clenshaw sum."""
+    pts = np.asarray(r, dtype=float)
+    flat = np.maximum(pts.ravel(), cache.base)
+    i = np.searchsorted(cache._lo, flat, side="right") - 1
+    x = np.clip((flat - cache._mid[i]) / cache._half[i], -1.0, 1.0)
+    inner = np.polynomial.chebyshev.chebval(x, cache._coef[:, i], tensor=False)
+    out = cache._off[i] + np.where(flat == cache._lo[i], 0.0, inner)
+    return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+
+@st.composite
+def mesh_queries(draw):
+    """A meshed cache and points on it: the base, panel left edges, points
+    inside panels and the reach, in drawn order and with repeats."""
+    f = draw(st.sampled_from([_decay_plus_log, lambda t: (2.0 + np.sin(t)) / t ** 2,
+                              lambda t: np.exp(-t) * t ** 3]))
+    cache = CumulativeCache(f, 1.0, rel_tol=draw(st.sampled_from([1e-12, 1e-8])))
+    cache.grow(draw(st.floats(1.5, 300.0)))
+    n = len(cache._lo)
+    ends = np.append(cache._lo, cache._reach)
+
+    def point(kind):
+        j = draw(st.integers(0, n - 1))
+        if kind == "inside":
+            u = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+            return float(ends[j] + u * (ends[j + 1] - ends[j]))
+        return {"base": cache.base, "edge": float(ends[j]), "reach": cache._reach}[kind]
+    kinds = st.sampled_from(["base", "edge", "inside", "inside", "reach"])
+    pts = [point(kind) for kind in draw(st.lists(kinds, min_size=1, max_size=24))]
+    pts = draw(st.permutations(pts + draw(st.lists(st.sampled_from(pts), max_size=4))))
+    return cache, np.array(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh_queries())
+def test_queries_equal_numpy_chebval_bit_for_bit(case):
+    cache, pts = case
+    # a float, a numpy scalar, a 0-d and a 1-d array of one point, then
+    # whole arrays: drawn order, reversed, each point twice, and 2-d
+    queries = [form(x) for x in pts[:4] for form in (float, np.float64, np.array)]
+    queries += [pts[:1], pts, pts[::-1], np.repeat(pts, 2)]
+    if len(pts) % 2 == 0:
+        queries.append(pts.reshape(2, -1))
+    for q in queries:
+        got, want = cache(q), _chebval_query(cache, q)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.all(got == want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1.0, 40.0))
+def test_weight_with_remainder_answers_a_float_as_a_one_point_array(x):
+    c = Constellation.from_functions(3, 2, "sinh(r)", h="1/(1 + r)", lam="0.1/(1 + r)")
+    w = WeightFunction(c, 3.0, 1.0)
+    assert w._cache is not None
+    assert w(x) == w(np.array([x]))[0]
+    assert w.integral(x) == w.integral(np.array([x]))[0]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-10, math.inf])
+@pytest.mark.parametrize("name, make", [
+    ("rel_tol", lambda tol: integrate(lambda t: 1.0 / t, 1.0, 2.0, rel_tol=tol)),
+    ("rel_tol", lambda tol: CumulativeCache(lambda t: 1.0 / t, 1.0, rel_tol=tol)),
+    ("abs_tol", lambda tol: CumulativeCache(lambda t: 1.0 / t, 1.0, abs_tol=tol)),
+], ids=["integrate", "cache-rel_tol", "cache-abs_tol"])
+def test_tolerances_that_certify_nothing_are_input_errors(name, make, tol):
+    # a NaN or negative tolerance ran to the panel budget, an infinite one
+    # returned the first GK15 estimate unrefined
+    text = f"{name} must be finite, got inf" if tol == math.inf else f"{name} must be >= 0, got {tol}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        make(tol)
 
 
 def test_cumulative_piecewise_growth_matches_one_shot():
@@ -229,6 +306,13 @@ def test_falling_increments_with_a_shallow_fit_are_not_divergent():
     assert tc.kind == "undetermined"
     assert abs(tc.alpha_hat + 1.0) >= TailConfig().exp_band
     assert "critical band" not in tc.detail
+
+
+def test_ladder_past_float_range_is_a_config_error():
+    # listing the radii rho * 2**k raised a bare OverflowError
+    with pytest.raises(ConfigError, match=r"^horizon rho \* 2\*\*k_max is not a finite float "
+                                          r"\(rho=1.0, k_max=1000000\)$"):
+        classify_tail(lambda t: t ** -2.0, 1.0, TailConfig(k_max=10 ** 6))
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 2])
@@ -512,12 +596,12 @@ def test_self_model_classify_makes_no_chebyshev_sum(monkeypatch, name, p):
     # the look-ahead and the error estimate need; the reference reaches the
     # mesh through a query of the primitive there, as a call does
     sums = []
-    chebval = np.polynomial.chebyshev.chebval
+    clenshaw = quadrature._clenshaw
 
     def counted(*args, **kwargs):
         sums.append(1)
-        return chebval(*args, **kwargs)
-    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", counted)
+        return clenshaw(*args, **kwargs)
+    monkeypatch.setattr(quadrature, "_clenshaw", counted)
     c = _config(name)
     tail = classify(c, p, 1.0).tail
     assert len(sums) == 0

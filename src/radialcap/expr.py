@@ -1,19 +1,19 @@
 """Radial expression language: parsing, printing and evaluation of smooth
 functions of the radial variable ``r > 0``.
 
-Expressions are built from numeric literals, the variable ``r``, the unary
-functions sin, cos, sinh, cosh, tanh, coth, exp, log, sqrt, abs and the
-binary operators ``+ - * / ^`` (``^`` right-associative).
+Expressions are built from numeric literals, the variable ``r``, the ten
+functions of ``FUNCTIONS`` and ``+ - * / ^`` (``^`` right-associative).
 
 One walk of the AST (:class:`_CodeGen`) lowers an expression to
 straight-line code in three forms: a numpy value function behind
 :func:`evaluate`, a numpy order-2 jet function behind :func:`eval_jet2`,
 which propagates (value, first, second derivative) triplets exactly through
 the chain and product rules, and the C ``value_d1`` of the Monte Carlo
-kernel (:func:`c_value_d1`).  The numpy functions are compiled once per
-expression.  Warping functions and bound functions never go through finite
-differencing.  An exponent without ``r`` is a number when the code is
-generated, so the power rule and its domain checks are fixed then; an
+kernel (:func:`c_value_d1`), each function by its row of one table of f',
+f'' and domain checks (``_RULES``).  The numpy functions are compiled once
+per expression; no derivative is a finite difference.  An exponent without
+``r`` is a number a when the code is generated, so the power rule is fixed
+then (at a zero base, a < 0 is a division by zero and a >= 2 is smooth); an
 exponent with ``r`` takes exp(b log u), which needs a positive base.
 
 Out-of-domain evaluation (log of a non-positive value, division by zero,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Union
@@ -42,7 +43,28 @@ __all__ = [
     "FUNCTIONS",
 ]
 
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tanh", "coth", "exp", "log", "sqrt", "abs")
+# One row per function f, read by _CodeGen.call: f' and f'' as templates in
+# {u} (the argument), {f} (the value), {fp} (f') and function names ({cos} is
+# cos(u) as the mode spells it), None for f'' = 0; the checks (bad, detail,
+# modes); the C name where numpy's differs; and whether f' precedes f.  coth
+# is cosh/sinh, a quotient of chains in call: a closed-form f' moves bits.
+_Rule = namedtuple("_Rule", "fp fpp checks c fp_first", defaults=("", None, (), "", False))
+_RULES = {
+    "sin": _Rule("{cos}", "-{f}"),
+    "cos": _Rule("-{sin}", "-{f}"),
+    "sinh": _Rule("{cosh}", "{f}"),
+    "cosh": _Rule("{sinh}", "{f}"),
+    "tanh": _Rule("1.0 - {f}*{f}", "-2.0*{f}*{fp}"),
+    "coth": _Rule(),
+    "exp": _Rule("{f}", "{f}"),
+    "log": _Rule("1.0/{u}", "-{fp}*{fp}", (("{u} <= 0", "log of non-positive value",
+                                            ("value", "jet")),), fp_first=True),
+    "sqrt": _Rule("0.5/{f}", "-0.5*{fp}/{u}", (("{u} < 0", "sqrt of negative value", ("value",)),
+                  ("{u} <= 0", "sqrt of non-positive value (derivative pole at 0)", ("jet",)))),
+    "abs": _Rule("{sign}", None, (("{u} == 0", "abs is not differentiable at 0", ("jet",)),),
+                 c="fabs", fp_first=True),
+}
+FUNCTIONS = tuple(_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +185,11 @@ def _tokenize(text: str):
     n = len(text)
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip leading spaces manually to report a clean position
-            stripped = pos
-            while stripped < n and text[stripped].isspace():
-                stripped += 1
-            if stripped >= n:
+        if m is None:  # trailing spaces, or a character that starts no token
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[stripped]!r}", stripped)
+            raise ParseError(f"unexpected character {rest[0]!r}", n - len(rest))
         if m.group("num") is not None:
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.group("ident") is not None:
@@ -194,7 +213,6 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -262,7 +280,7 @@ class _Parser:
         if kind == "ident":
             if value == "r":
                 return Var()
-            if value in FUNCTIONS:
+            if value in _RULES:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -351,6 +369,14 @@ def _prod(*factors):
     return "*".join(str(f) for f in factors if f != "1.0") or "1.0"
 
 
+class _At(dict):
+    """A rule's template fields at the argument ``u``: a function name is
+    spelled at ``u``, by the mode's ``fn``, only when a template uses it."""
+
+    def __missing__(self, name):
+        return self["fn"](name, self["u"])
+
+
 class _CodeGen:
     """Straight-line code for an expression, one temporary per step.
 
@@ -358,9 +384,9 @@ class _CodeGen:
     rules of :func:`evaluate`), ``"jet"`` (numpy, value, d1 and d2, the
     rules of :func:`eval_jet2`) or ``"c"`` (C, value and d1, no checks).
     A jet is a (value, d1, d2) tuple of source names; the derivatives a
-    mode does not carry are None.  Every rule is picked here, so the
-    generated code holds no ``if`` but the value mode's run-time integer
-    test of an exponent with ``r``.
+    mode does not carry are None.  Every rule (a function's is its row of
+    ``_RULES``) is picked here, so the generated code holds no ``if`` but
+    the value mode's run-time integer test of an exponent with ``r``.
     """
 
     def __init__(self, mode: str):
@@ -381,9 +407,11 @@ class _CodeGen:
         self.line(f"double {name} = {src};" if self.c else f"{name} = {src}")
         return name
 
-    def deriv(self, src, order=1):
-        """A temporary needed only for derivatives up to ``order``."""
-        return self.tmp(src) if self.order >= order else None
+    def deriv(self, src, order=1, at=None):
+        """A temporary for derivatives up to ``order`` only; ``at`` fills a template ``src``."""
+        if self.order < order:
+            return None
+        return self.tmp(src if at is None else src.format_map(at))
 
     def out(self, *srcs):
         """Temporaries for a value and the derivatives this mode carries."""
@@ -398,7 +426,7 @@ class _CodeGen:
             return f"np.{name}({arg})"
         if name == "sign":
             return f"(double)(({arg} > 0) - ({arg} < 0))"
-        return f"{ {'abs': 'fabs', 'power': 'pow'}.get(name, name)}({arg})"
+        return f"{'pow' if name == 'power' else _RULES[name].c or name}({arg})"
 
     def num(self, v):
         """Source for v, which is never NaN (see RadialExpr.constant)."""
@@ -410,8 +438,9 @@ class _CodeGen:
 
     # -- rules ----------------------------------------------------------------
     def chain(self, u, f, fp, fpp):
-        """Jet of f(u) from the names of f, f' and f'' at u's value."""
-        return self.out(f, _prod(fp, u[1]), f"{_prod(fpp, u[1], u[1])} + {_prod(fp, u[2])}")
+        """Jet of f(u) from the names of f, f' and f'' (None: 0) at u's value."""
+        d2 = _prod(fp, u[2]) if fpp is None else f"{_prod(fpp, u[1], u[1])} + {_prod(fp, u[2])}"
+        return self.out(f, _prod(fp, u[1]), d2)
 
     def mul(self, a, b):
         return self.out(_prod(a[0], b[0]), f"{_prod(a[1], b[0])} + {_prod(a[0], b[1])}",
@@ -426,80 +455,51 @@ class _CodeGen:
         return self.out(w, w1, f"({a[2]} - {_prod('2.0', w1, b[1])} - {_prod(w, b[2])})/{b[0]}")
 
     def call(self, name, u):
-        v, fn = u[0], self.fn
-        if name == "sin":
-            s = self.tmp(fn("sin", v))
-            return self.chain(u, s, self.deriv(fn("cos", v)), self.deriv(f"-{s}", 2))
-        if name == "cos":
-            c = self.tmp(fn("cos", v))
-            return self.chain(u, c, self.deriv("-" + fn("sin", v)), self.deriv(f"-{c}", 2))
-        if name == "sinh":
-            s = self.tmp(fn("sinh", v))
-            return self.chain(u, s, self.deriv(fn("cosh", v)), s)
-        if name == "cosh":
-            c = self.tmp(fn("cosh", v))
-            return self.chain(u, c, self.deriv(fn("sinh", v)), c)
-        if name == "tanh":
-            t = self.tmp(fn("tanh", v))
-            sech2 = self.deriv(f"1.0 - {t}*{t}")
-            return self.chain(u, t, sech2, self.deriv(f"-2.0*{t}*{sech2}", 2))
+        """The jet of ``name(u)``, by the function's row of ``_RULES``."""
+        v = u[0]
         if name == "coth":
-            s = self.tmp(fn("sinh", v))
+            s = self.tmp(self.fn("sinh", v))
             self.check(f"{s} == 0", "pole of coth")
-            c = self.tmp(fn("cosh", v))
+            c = self.tmp(self.fn("cosh", v))
             return self.div(self.chain(u, c, s, c), self.chain(u, s, c, s), checked=True)
-        if name == "exp":
-            e = self.tmp(fn("exp", v))
-            return self.chain(u, e, e, e)
-        if name == "log":
-            self.check(f"{v} <= 0", "log of non-positive value")
-            inv = self.deriv(f"1.0/{v}")
-            return self.chain(u, self.tmp(fn("log", v)), inv, self.deriv(f"-{inv}*{inv}", 2))
-        if name == "sqrt":
-            self.check(f"{v} < 0", "sqrt of negative value", ("value",))
-            self.check(f"{v} <= 0", "sqrt of non-positive value (derivative pole at 0)",
-                       ("jet",))
-            s = self.tmp(fn("sqrt", v))
-            fp = self.deriv(f"0.5/{s}")
-            return self.chain(u, s, fp, self.deriv(f"-0.5*{fp}/{v}", 2))
-        if name == "abs":
-            self.check(f"{v} == 0", "abs is not differentiable at 0", ("jet",))
-            sign = self.deriv(fn("sign", v))
-            return self.out(fn("abs", v), _prod(sign, u[1]), _prod(sign, u[2]))
-        raise DomainError(f"unknown function {name}")  # pragma: no cover
+        rule, at = _RULES[name], _At(u=v, fn=self.fn)
+        for bad, detail, modes in rule.checks:
+            self.check(bad.format(u=v), detail, modes)
+        if rule.fp_first:
+            at["fp"] = self.deriv(rule.fp, 1, at)
+        at["f"] = self.tmp(self.fn(name, v))
+        if not rule.fp_first:
+            at["fp"] = self.deriv(rule.fp, 1, at)
+        return self.chain(u, at["f"], at["fp"], rule.fpp and self.deriv(rule.fpp, 2, at))
 
     def pow(self, u, expo: Node):
         """The jet of ``u^expo``.  An exponent without r is a number ``a``
-        here, so its rule and domain checks are picked now; an exponent with
-        r takes exp(b log u), which needs a positive base.  Values take
-        ``np.power`` either way."""
+        here, so its rule and checks, one for every mode, are picked now; an
+        exponent with r takes exp(b log u) in the jet, which needs a positive
+        base.  Values take ``np.power`` either way."""
         a = RadialExpr(expo).constant
         b = self.emit(expo if a is None else Num(a))
-        if self.mode == "value":
-            if a is None:
-                self.check(f"{u[0]} < 0", "fractional power of negative value",
-                           guard=f"if not np.all({b[0]} == np.floor({b[0]})): ")
-            elif np.floor(a) != a:
+        if a is None:
+            if self.mode != "value":
+                self.check(f"{u[0]} <= 0", "power with varying exponent needs positive base")
+                return self.call("exp", self.mul(b, self.call("log", u)))
+            self.check(f"{u[0]} < 0", "fractional power of negative value",
+                       guard=f"if not np.all({b[0]} == np.floor({b[0]})): ")
+        elif self.mode != "value" and a in (0.0, 1.0):
+            return ("1.0", "0.0", "0.0") if a == 0.0 else u
+        else:
+            if not float(a).is_integer():
                 self.check(f"{u[0]} < 0", "fractional power of negative value")
-            v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
+            if a < 0.0:
+                self.check(f"{u[0]} == 0", "division by zero")
+            elif a < 2.0:  # u^(a-2) is singular at u == 0
+                self.check(f"{u[0]} == 0", "fractional power at 0 has singular derivatives",
+                           ("jet",))
+        v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
+        if self.mode == "value":
             self.check(f"np.isnan({v})", "power out of domain")
             return v, None, None
-        if a is None:
-            self.check(f"{u[0]} <= 0", "power with varying exponent needs positive base")
-            return self.call("exp", self.mul(b, self.call("log", u)))
-        if a == 0.0:
-            return "1.0", "0.0", "0.0"
-        if a == 1.0:
-            return u
-        whole = float(a).is_integer()
-        smooth = whole and a >= 2.0  # u^a has derivatives at u == 0
-        if not whole:
-            self.check(f"{u[0]} < 0", "fractional power of negative value")
-        if not smooth:
-            self.check(f"{u[0]} == 0", "power at 0 with exponent below 2" if whole or a >= 2.0
-                       else "fractional power at 0 has singular derivatives")
-        v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
-        if smooth:  # exact at u == 0 as well: u^0 == 1
+        if a >= 2.0:  # exact at u == 0 as well: u^0 == 1
             vm1 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 1.0)}"))
             vm2 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 2.0)}"), 2)
         else:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from radialcap.errors import DomainError, ParseError, UnknownIdentifierError
 from radialcap.expr import (
     BinOp, Call, Neg, Num, Var,
-    Jet2, RadialExpr, eval_jet2, evaluate, parse,
+    FUNCTIONS, Jet2, RadialExpr, eval_jet2, evaluate, parse,
 )
 
 
@@ -128,7 +128,7 @@ def test_array_domain_error_reports_first_point():
 # randomized AD-vs-finite-difference property (200 pairs, depth <= 4)
 # ---------------------------------------------------------------------------
 
-_UNARY = ["sin", "cos", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs", "coth"]
+_UNARY = FUNCTIONS
 
 
 def _random_tree(rng, depth):
@@ -167,6 +167,19 @@ def test_ad_matches_finite_differences_200_pairs():
         assert abs(j.d1 - d1_fd) <= 1e-6 * (1 + abs(j.d1)), str(expr)
         assert abs(j.d2 - d2_fd) <= 1e-4 * (1 + abs(j.d2)), str(expr)
         checked += 1
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.1, 4.0))
+def test_each_function_rule_matches_centred_differences(name, r):
+    # both arguments stay >= 0.1 away from coth's pole, log's and sqrt's 0
+    # and abs's kink
+    for e in (parse(f"{name}(r)"), parse(f"{name}(r/2 + 0.25)")):
+        j = eval_jet2(e, r)
+        d1_fd, d2_fd = fd12(e, r)
+        assert abs(j.d1 - d1_fd) <= 1e-6 * (1 + abs(j.d1)), (str(e), r)
+        assert abs(j.d2 - d2_fd) <= 1e-4 * (1 + abs(j.d2)), (str(e), r)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +250,32 @@ def test_power_rule_is_fixed_by_whether_the_exponent_uses_r():
     assert info.value.r == 0.5
 
 
+@pytest.mark.parametrize("text", ["(r - 1)^2.5", "(r - 1)^3.7", "0^-1", "(r - 1)^-1"])
+def test_power_at_a_zero_base(text):
+    e = parse(text)
+    if text.endswith("-1"):  # u^a with a < 0 at u == 0 is a division by zero, as 1/0 is
+        for f in (evaluate, eval_jet2):
+            with pytest.raises(DomainError, match=r"^division by zero at r=1\.0$"):
+                f(e, 1.0)
+        return
+    # u^a with a >= 2 has a zero value, d1 and d2 at u == 0
+    assert eval_jet2(e, 1.0) == Jet2(0.0, 0.0, 0.0)
+    j = eval_jet2(e, 1.0 + 1e-2)
+    d1_fd, d2_fd = fd12(e, 1.0 + 1e-2)
+    assert abs(j.d1 - d1_fd) <= 1e-6 * (1 + abs(j.d1))
+    assert abs(j.d2 - d2_fd) <= 1e-4 * (1 + abs(j.d2))
+    # below r = 1 the base is negative, where a non-integer power has no value
+    with pytest.raises(DomainError, match="fractional power of negative value"):
+        eval_jet2(e, 1.0 - 1e-2)
+
+
+def test_values_and_jets_share_the_constant_power_rule():
+    # an infinite exponent is no integer, so a negative base has no power
+    for f in (evaluate, eval_jet2):
+        with pytest.raises(DomainError, match="^fractional power of negative value"):
+            f(parse("(-2)^exp(1000)"), 1.0)
+
+
 def _outcome(f, e, r):
     """The bytes of f(e, r), or the text and point of its DomainError."""
     try:
@@ -267,7 +306,7 @@ def test_compiled_expression_pickles_without_its_functions():
 @pytest.mark.parametrize("text, value", [
     ("1", 1.0), ("0.8", 0.8), ("2*3 - 1", 5.0), ("-0", 0.0), ("exp(1000)", math.inf),
     ("r", None), ("r - r", None), ("sinh(2*r)", None),
-    ("log(0)", None), ("1/0", None), ("sqrt(-1)", None),
+    ("log(0)", None), ("1/0", None), ("sqrt(-1)", None), ("0^-1", None),
 ])
 def test_constant_is_the_value_of_an_expression_without_r(text, value):
     # out-of-domain constants read None: pointwise evaluation raises there

@@ -11,6 +11,8 @@ and text; no timing is recorded, so two records of one commit are identical.
 Each case id starts with its kind (``classify``, ``classify.ladder``,
 ``expr.eval_jet2``, ...): partial-integral ladders are recorded apart from
 the rest of a verdict, so a last-bit move of a ladder shows as its own kind.
+Generated code is recorded as hashes of its text: ``expr.numpy_source`` (the
+numpy value and jet functions), ``expr.c_value_d1`` and ``kernel_source``.
 
 ``diff`` prints the cases that differ, grouped by kind, and exits 1 if any
 case differs or is recorded on one side only.
@@ -326,6 +328,21 @@ def _random_text(rng: random.Random, depth: int) -> str:
     return f"({_random_text(rng, depth - 1)}) {op} ({_random_text(rng, depth - 1)})"
 
 
+def _numpy_sources(expr, e) -> str:
+    """The generated numpy value and jet sources of ``e``: the text that
+    ``_numpy_fn`` hands to ``_exec`` last (an exponent without ``r`` is
+    compiled and evaluated first, while the code is generated)."""
+    compile_src, handed, outer = expr._exec, [], []
+    expr._exec = lambda src: handed.append(src) or compile_src(src)
+    try:
+        for mode in ("value", "jet"):
+            expr._numpy_fn(e.root, mode)
+            outer.append(handed[-1])
+    finally:
+        expr._exec = compile_src
+    return "".join(outer)
+
+
 def record_expressions(rec, rc):
     expr = rc.expr
     rng = random.Random(20261019)
@@ -350,6 +367,8 @@ def record_expressions(rec, rc):
                     lambda: _typed(*vars(rc.eval_jet2(e, r)).values()))
         rec.run(f"expr.c_value_d1:{at}",
                 lambda: hashlib.sha256(expr.c_value_d1(e).encode()).hexdigest()[:16])
+        rec.run(f"expr.numpy_source:{at}", lambda: hashlib.sha256(
+            _numpy_sources(expr, e).encode()).hexdigest()[:16])
     # a parse of a non-string is a TypeError
     rec.run("expr.parse:non-string", rc.parse, 3)
 

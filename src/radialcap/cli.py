@@ -93,7 +93,8 @@ def load_config(path: str) -> Constellation:
 # the settings a ConfigError names, as the flags that set them
 _FLAGS = {"k_max": "--horizon", "grid_points": "--grid-points", "conv_eps": "--conv-eps",
           "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rho": "--rho",
-          "dt": "--dt", "max_time": "--max-time"}
+          "dt": "--dt", "max_time": "--max-time", "paths": "--paths", "r_inner": "--rin",
+          "r_outer": "--rout", "r0": "--r0"}
 _FLAG_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
 
 
@@ -169,6 +170,8 @@ def cmd_classify(args, c: Constellation) -> tuple:
 
 
 def cmd_sweep(args, c: Constellation) -> tuple:
+    if not args.p_step > 0:
+        raise ConfigError(f"--p-step must be positive, got {args.p_step}")
     rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:
@@ -233,10 +236,9 @@ def cmd_solve(args, c: Constellation) -> tuple:
 
 
 def cmd_simulate(args, c: Constellation) -> tuple:
-    cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
-                          r_inner=args.rin, r_outer=args.rout,
-                          max_time=args.max_time)
     with _by_flag():
+        cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
+                              r_inner=args.rin, r_outer=args.rout, max_time=args.max_time)
         stats = simulate_radial(c.model, args.r0, cfg)
     exact = None
     if c.is_self_model():

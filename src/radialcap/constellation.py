@@ -241,6 +241,8 @@ class WeightFunction:
         _check_p(p)
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
+        if not math.isfinite(rho):
+            raise ValueError(f"rho must be finite, got {rho}")
         check_tolerance("rel_tol", rel_tol)
         self.constellation = c
         self.p = p

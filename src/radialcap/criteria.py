@@ -394,6 +394,9 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
         raise ValueError("lower_const must be positive")
     if rho <= 0 or r0 <= 0:
         raise ValueError("rho and r0 must be positive")
+    for name, value in (("r0", r0), ("lower_const", lower_const)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
         (_balance_stage, "balance_non_positive", "non_positive",
          "balance is not non-positive on the certified grid"),

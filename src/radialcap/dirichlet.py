@@ -128,6 +128,8 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
         raise ValueError(f"R must be finite, got {R}")
     if step_count < 100:
         raise ValueError("step_count must be at least 100")
+    if not float(step_count).is_integer():
+        raise ValueError(f"step_count must be an integer, got {step_count}")
     n = int(step_count)
     h = (R - rho) / n
     nodes = rho + h * np.arange(n + 1)
@@ -178,6 +180,8 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
     """
     if not (boundary_flux > 0):
         raise ValueError(f"boundary_flux must be positive, got {boundary_flux}")
+    if not math.isfinite(boundary_flux):
+        raise ValueError(f"boundary_flux must be finite, got {boundary_flux}")
     return boundary_flux * (cap / vol) ** (p - 1.0)
 
 

@@ -14,7 +14,10 @@ f'' and domain checks (``_RULES``).  The numpy functions are compiled once
 per expression; no derivative is a finite difference.  An exponent without
 ``r`` is a number a when the code is generated, so the power rule is fixed
 then (at a zero base, a < 0 is a division by zero and a >= 2 is smooth); an
-exponent with ``r`` takes exp(b log u), which needs a positive base.
+exponent with ``r`` needs a positive base, and its derivatives are those
+of exp(b log u).  A jet's value is the value, bit for bit, and values and
+jets share every domain check but the derivative poles: sqrt and abs at 0,
+and u^a at u = 0 for a non-integer 0 < a < 2.
 
 Out-of-domain evaluation (log of a non-positive value, division by zero,
 the pole of coth, ...) raises :class:`~radialcap.errors.DomainError`; a NaN
@@ -45,10 +48,10 @@ __all__ = [
 
 # One row per function f, read by _CodeGen.call: f' and f'' as templates in
 # {u} (the argument), {f} (the value), {fp} (f') and function names ({cos} is
-# cos(u) as the mode spells it), None for f'' = 0; the checks (bad, detail,
-# modes); the C name where numpy's differs; and whether f' precedes f.  coth
-# is cosh/sinh, a quotient of chains in call: a closed-form f' moves bits.
-_Rule = namedtuple("_Rule", "fp fpp checks c fp_first", defaults=("", None, (), "", False))
+# cos(u) as the mode spells it), None for f'' = 0; the domain check and the
+# derivative pole (jets only), each (bad, detail); the C name where numpy's
+# differs.  coth is cosh/sinh in call, as a closed-form f' would move bits.
+_Rule = namedtuple("_Rule", "fp fpp check pole c", defaults=("", None, None, None, ""))
 _RULES = {
     "sin": _Rule("{cos}", "-{f}"),
     "cos": _Rule("-{sin}", "-{f}"),
@@ -57,12 +60,10 @@ _RULES = {
     "tanh": _Rule("1.0 - {f}*{f}", "-2.0*{f}*{fp}"),
     "coth": _Rule(),
     "exp": _Rule("{f}", "{f}"),
-    "log": _Rule("1.0/{u}", "-{fp}*{fp}", (("{u} <= 0", "log of non-positive value",
-                                            ("value", "jet")),), fp_first=True),
-    "sqrt": _Rule("0.5/{f}", "-0.5*{fp}/{u}", (("{u} < 0", "sqrt of negative value", ("value",)),
-                  ("{u} <= 0", "sqrt of non-positive value (derivative pole at 0)", ("jet",)))),
-    "abs": _Rule("{sign}", None, (("{u} == 0", "abs is not differentiable at 0", ("jet",)),),
-                 c="fabs", fp_first=True),
+    "log": _Rule("1.0/{u}", "-{fp}*{fp}", ("{u} <= 0", "log of non-positive value")),
+    "sqrt": _Rule("0.5/{f}", "-0.5*{fp}/{u}", ("{u} < 0", "sqrt of negative value"),
+                  ("{u} == 0", "sqrt of non-positive value (derivative pole at 0)")),
+    "abs": _Rule("{sign}", None, pole=("{u} == 0", "abs is not differentiable at 0"), c="fabs"),
 }
 FUNCTIONS = tuple(_RULES)
 
@@ -385,8 +386,7 @@ class _CodeGen:
     rules of :func:`eval_jet2`) or ``"c"`` (C, value and d1, no checks).
     A jet is a (value, d1, d2) tuple of source names; the derivatives a
     mode does not carry are None.  Every rule (a function's is its row of
-    ``_RULES``) is picked here, so the generated code holds no ``if`` but
-    the value mode's run-time integer test of an exponent with ``r``.
+    ``_RULES``) is picked here, so the generated code holds no ``if``.
     """
 
     def __init__(self, mode: str):
@@ -417,9 +417,10 @@ class _CodeGen:
         """Temporaries for a value and the derivatives this mode carries."""
         return tuple(self.tmp(s) if k <= self.order else None for k, s in enumerate(srcs))
 
-    def check(self, bad, detail, modes=("value", "jet"), guard=""):
-        if self.mode in modes:
-            self.line(f"{guard}_check({bad}, r, {detail!r})")
+    def check(self, bad, detail, pole=False):
+        """Raise where ``bad`` holds, in values and jets; at a derivative ``pole``, in jets."""
+        if self.mode == "jet" or (self.mode == "value" and not pole):
+            self.line(f"_check({bad}, r, {detail!r})")
 
     def fn(self, name, arg):
         if not self.c:
@@ -463,29 +464,22 @@ class _CodeGen:
             c = self.tmp(self.fn("cosh", v))
             return self.div(self.chain(u, c, s, c), self.chain(u, s, c, s), checked=True)
         rule, at = _RULES[name], _At(u=v, fn=self.fn)
-        for bad, detail, modes in rule.checks:
-            self.check(bad.format(u=v), detail, modes)
-        if rule.fp_first:
-            at["fp"] = self.deriv(rule.fp, 1, at)
+        for check, pole in ((rule.check, False), (rule.pole, True)):
+            if check:
+                self.check(check[0].format(u=v), check[1], pole)
         at["f"] = self.tmp(self.fn(name, v))
-        if not rule.fp_first:
-            at["fp"] = self.deriv(rule.fp, 1, at)
+        at["fp"] = self.deriv(rule.fp, 1, at)
         return self.chain(u, at["f"], at["fp"], rule.fpp and self.deriv(rule.fpp, 2, at))
 
     def pow(self, u, expo: Node):
         """The jet of ``u^expo``.  An exponent without r is a number ``a``
-        here, so its rule and checks, one for every mode, are picked now; an
-        exponent with r takes exp(b log u) in the jet, which needs a positive
-        base.  Values take ``np.power`` either way."""
+        here, so its rule and checks are picked now; an exponent with r
+        needs a positive base.  The value is ``np.power`` in every mode."""
         a = RadialExpr(expo).constant
         b = self.emit(expo if a is None else Num(a))
         if a is None:
-            if self.mode != "value":
-                self.check(f"{u[0]} <= 0", "power with varying exponent needs positive base")
-                return self.call("exp", self.mul(b, self.call("log", u)))
-            self.check(f"{u[0]} < 0", "fractional power of negative value",
-                       guard=f"if not np.all({b[0]} == np.floor({b[0]})): ")
-        elif self.mode != "value" and a in (0.0, 1.0):
+            self.check(f"{u[0]} <= 0", "power with varying exponent needs positive base")
+        elif a in (0.0, 1.0):
             return ("1.0", "0.0", "0.0") if a == 0.0 else u
         else:
             if not float(a).is_integer():
@@ -494,11 +488,12 @@ class _CodeGen:
                 self.check(f"{u[0]} == 0", "division by zero")
             elif a < 2.0:  # u^(a-2) is singular at u == 0
                 self.check(f"{u[0]} == 0", "fractional power at 0 has singular derivatives",
-                           ("jet",))
+                           pole=True)
         v = self.tmp(self.fn("power", f"{u[0]}, {b[0]}"))
         if self.mode == "value":
-            self.check(f"np.isnan({v})", "power out of domain")
             return v, None, None
+        if a is None:  # v = exp(b log u), so the exp rule on the jet of b log u
+            return self.chain(self.mul(b, self.call("log", u)), v, v, v)
         if a >= 2.0:  # exact at u == 0 as well: u^0 == 1
             vm1 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 1.0)}"))
             vm2 = self.deriv(self.fn("power", f"{u[0]}, {self.num(a - 2.0)}"), 2)
@@ -612,10 +607,10 @@ def eval_jet2(expr: RadialExpr, r) -> Jet2:
 def evaluate(expr: RadialExpr, r):
     """Value-only evaluation.
 
-    Same domain rules as :func:`eval_jet2` except derivative-only poles
-    (``sqrt`` and ``abs`` at 0 have well-defined values), and no derivative
-    work, so values near float overflow stay inf instead of turning into
-    NaN through ``inf * 0`` derivative terms.
+    Same domain rules as :func:`eval_jet2` except its derivative poles (see
+    the module docstring), and no derivative work, so values near float
+    overflow stay inf instead of turning into NaN through ``inf * 0``
+    derivative terms.
     """
     return _run(expr._value, r)[0]
 

@@ -78,6 +78,8 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     w = _as_expr(w)
     violations = []
     eps = 1e-6

@@ -428,6 +428,26 @@ def test_simulate_bad_geometry_exit_2(capsys):
     assert code == EXIT_INPUT
 
 
+OUT_OF_RANGE_FLAGS = [
+    ("simulate", ["--dt", "-1"], "--dt must be positive, got -1.0"),
+    ("simulate", ["--paths", "0"], "--paths must be >= 1, got 0"),
+    ("simulate", ["--max-time", "-1"], "--max-time must be positive"),
+    ("simulate", ["--rin", "0"], "need 0 < --rin < --rout"),
+    ("simulate", ["--rin", "2"], "need --rin < --r0 < --rout, got 2.0 < 1.0 < 8.0"),
+    ("sweep", ["--p-step", "0"], "--p-step must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command, flags, text", OUT_OF_RANGE_FLAGS,
+                         ids=[f"{c} {' '.join(f)}" for c, f, _ in OUT_OF_RANGE_FLAGS])
+def test_out_of_range_flags_are_named_by_their_flags(capsys, command, flags, text):
+    given = {"simulate": ["--r0", "1", "--paths", "10"],
+             "sweep": ["--p-from", "2", "--p-to", "3"]}[command]
+    code = main([command, EUCLID3, *given, *flags])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {text}\n"
+
+
 @pytest.mark.parametrize("max_time", ["1e-290", "1e300"])
 def test_simulate_asking_too_many_steps_names_dt_and_max_time(capsys, max_time):
     # 1e10 steps per path used to run until killed; 1e600 is inf

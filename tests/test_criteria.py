@@ -455,6 +455,8 @@ HORIZON_CASES = [
                                                 tangency=Tangency.UPPER)),
     # h is out of domain from r = 2 on: the horizon stops below it
     ("h_below_2", Constellation.from_functions(2, 2, "r", h="log(2 - r)")),
+    # h is the constant inf: no radius has a finite balance and none fails a check
+    ("h_inf", Constellation.from_functions(3, 3, "r", h="exp(1000)")),
 ]
 
 
@@ -472,6 +474,13 @@ def test_one_pass_horizon_matches_the_scalar_scan(name, c):
                             _certified_horizon(c, p, rho, cfg, lam)
                     else:
                         assert _certified_horizon(c, p, rho, cfg, lam) == want
+
+
+def test_a_nan_from_overflow_caps_the_horizon_as_float_overflow():
+    # coth(r) is inf/inf past r ~ 710, and its square is NaN too
+    v = classify(Constellation.from_functions(3, 3, "r", h="0.1*coth(r)^2"), 3.0, 1.0)
+    assert v.warnings == ("balance evaluable only up to r=512 (float overflow beyond); "
+                          "hypotheses certified there",)
 
 
 def test_interior_pole_keeps_the_top_horizon_and_fails_the_balance():

@@ -7,13 +7,14 @@ from radialcap.constellation import (
     Constellation, Tangency, WeightFunction, balance, balance_shift_identity_check,
     balance_sign,
 )
+from radialcap.criteria import classify_bounded_w
 from radialcap.diffusion import exact_hitting_prob
 from radialcap.dirichlet import (
     RadialSolution, drift_coeff, drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
 from radialcap.errors import DomainError, QuadratureError
-from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
+from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume, validate_warping
 from radialcap.quadrature import CumulativeCache, integrate
 
 
@@ -257,6 +258,23 @@ def test_nonfinite_inputs_are_input_errors():
             call()
     with pytest.raises(ValueError, match="p must be >= 2, got nan"):
         exact_annulus_p_capacity(ms, 1.0, 2.0, math.nan)
+    # these ran on to "evaluation produced NaN", a RuntimeWarning, a verdict
+    # against "warping drops below nan" or an inf bound
+    upper = Constellation.from_functions(3, 2, "sinh(r)", lam="coth(r)", h="1.2*coth(r)",
+                                         tangency=Tangency.UPPER)
+    for x in (math.nan, math.inf):
+        for name, call in (("r0", lambda: classify_bounded_w(upper, 2.0, 1.0, x, 0.1)),
+                           ("lower_const", lambda: classify_bounded_w(upper, 2.0, 1.0, 1.0, x)),
+                           ("r_max", lambda: validate_warping("r", r_max=x)),
+                           ("rho", lambda: WeightFunction(c, 3.0, x))):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {x}$"):
+                call()
+    with pytest.raises(ValueError, match="^boundary_flux must be finite, got inf$"):
+        flux_bound(1.0, 1.0, 3.0, math.inf)
+    # NaN raised Python's own conversion error, and 150.5 ran 150 steps
+    for steps in (math.nan, math.inf, 150.5):
+        with pytest.raises(ValueError, match=f"^step_count must be an integer, got {steps}$"):
+            solve_dirichlet_ode(c, 3.0, 1.0, 4.0, step_count=steps)
 
 
 def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():

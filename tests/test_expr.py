@@ -232,6 +232,34 @@ def test_roundtrip_random_trees(tree):
     assert parse(str(e)).root == tree
 
 
+# the texts of the checks jets make and values do not: a value exists there,
+# its derivatives do not
+DERIVATIVE_POLES = ("sqrt of non-positive value (derivative pole at 0)",
+                    "abs is not differentiable at 0",
+                    "fractional power at 0 has singular derivatives")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(3), st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 5.0)))
+def test_values_and_jets_differ_only_at_derivative_poles(tree, r):
+    # where values raise, jets raise at the same r with the same text or a
+    # pole's; where both exist, the jet's value is the value, bit for bit
+    e = RadialExpr(tree)
+    try:
+        value = evaluate(e, r)
+    except DomainError as err:
+        with pytest.raises(DomainError) as jet:
+            eval_jet2(e, r)
+        assert jet.value.r == err.r
+        assert jet.value.detail in (err.detail, *DERIVATIVE_POLES), str(e)
+        return
+    try:
+        jet_value = eval_jet2(e, r).value
+    except DomainError:
+        return  # a pole, or a derivative past float range
+    assert np.asarray(jet_value).tobytes() == np.asarray(value).tobytes(), str(e)
+
+
 @pytest.mark.parametrize("text", ["sqrt(r - 1)", "abs(r - 1)"])
 def test_value_and_jet_domains_differ_at_derivative_poles(text):
     # sqrt and abs have values at 0 but no derivatives there
@@ -267,6 +295,26 @@ def test_power_at_a_zero_base(text):
     # below r = 1 the base is negative, where a non-integer power has no value
     with pytest.raises(DomainError, match="fractional power of negative value"):
         eval_jet2(e, 1.0 - 1e-2)
+
+
+@pytest.mark.parametrize("text, r2", [("0^(-r)", 2.0), ("(r - 1)^(r - 2)", 0.5), ("(-2)^r", 2.0),
+                                     ("0^r", 2.0)])
+def test_an_exponent_with_r_needs_a_positive_base_in_every_mode(text, r2):
+    # the base is non-positive at r = 1 and at r2; values used to give inf,
+    # -2 or 0 there, or another text, where jets raised
+    e, want = parse(text), "^power with varying exponent needs positive base at r="
+    for r in (1.0, r2, np.array([r2, 1.0])):
+        for f in (evaluate, eval_jet2):
+            with pytest.raises(DomainError, match=want) as info:
+                f(e, r)
+            assert info.value.r == np.ravel(r)[0]
+
+
+@pytest.mark.parametrize("text", ["sqrt(-r)", "sqrt(r - 2)"])
+def test_sqrt_of_a_negative_value_has_one_text_in_every_mode(text):
+    for f in (evaluate, eval_jet2):
+        with pytest.raises(DomainError, match=r"^sqrt of negative value at r=1\.0$"):
+            f(parse(text), 1.0)
 
 
 def test_values_and_jets_share_the_constant_power_rule():

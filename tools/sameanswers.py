@@ -397,14 +397,17 @@ def record_diffusion(rec, rc, cs):
                 d._simulate_numpy(ms, 1.0, cfg, int(cfg.max_time / cfg.dt))))
 
 
-# CLI invocations with a flag that is not a finite number, or a negative tolerance
+# CLI invocations with a flag that is not a finite number, a negative tolerance or
+# a value out of range
 BAD_NUMBER_ARGV = [
     *[[cmd, "configs/euclid3.json", *flags] for cmd in ("capacity", "solve")
       for flags in (["--p", "nan", "--R", "2"], ["--p", "inf", "--R", "2"],
                     ["--p", "3", "--R", "inf"], ["--p", "3", "--R", "2", "--rel-tol", "nan"],
                     ["--p", "3", "--R", "2", "--rel-tol", "-1"])],
     *[["simulate", "configs/euclid3.json", "--r0", "1", "--paths", "100", *flags]
-      for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"])],
+      for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"], ["--dt", "-1"],
+                    ["--paths", "0"], ["--max-time", "-1"], ["--rin", "0"], ["--rin", "2"])],
+    ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "3", "--p-step", "0"],
 ]
 
 
@@ -433,8 +436,8 @@ def record_cli(rec, rc, root: Path):
 
 
 def record_bad_numbers(rec, rc):
-    """Numeric inputs that are not finite, or a negative tolerance, through
-    the library and the CLI."""
+    """Numeric inputs that are not finite, a negative tolerance, or a value
+    out of range, through the library and the CLI."""
     nan, inf = float("nan"), float("inf")
     c = rc.Constellation.from_functions(3, 3, "r")
     drift_coeff = _drift_coeff(rc)
@@ -457,6 +460,22 @@ def record_bad_numbers(rec, rc):
     for name in ("dt", "r_outer", "max_time"):
         rec.run(f"bad_number:DiffusionConfig:{name}",
                 lambda: repr(rc.DiffusionConfig(**{name: inf})))
+    upper = rc.Constellation.from_functions(3, 2, "sinh(r)", lam="coth(r)", h="1.2*coth(r)",
+                                            tangency="upper")
+    for x in (nan, inf):
+        rec.run(f"bad_number:classify_bounded_w:r0={x}",
+                lambda: rc.classify_bounded_w(upper, 2.0, 1.0, x, 0.1).to_dict())
+        rec.run(f"bad_number:classify_bounded_w:lower_const={x}",
+                lambda: rc.classify_bounded_w(upper, 2.0, 1.0, 1.0, x).to_dict())
+        rec.run(f"bad_number:validate_warping:r_max={x}",
+                lambda: rc.validate_warping("r", r_max=x).violations)
+        rec.run(f"bad_number:weight:rho={x}",
+                lambda: rc.constellation.WeightFunction(c, 3.0, x)(2.0))
+        rec.run(f"bad_number:flux_bound:boundary_flux={x}",
+                rc.dirichlet.flux_bound, 1.0, 1.0, 3.0, x)
+    for steps in (nan, 150.5):
+        rec.run(f"bad_number:solve.ode:step_count={steps}",
+                lambda: vars(rc.solve_dirichlet_ode(c, 3.0, 1.0, 4.0, step_count=steps)))
     for argv in BAD_NUMBER_ARGV:
         rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 

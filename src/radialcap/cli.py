@@ -14,7 +14,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -30,10 +29,10 @@ from .dirichlet import (
     drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
-from .errors import ConfigError, ParseError, RadialCapError
+from .errors import ConfigError, ParseError, RadialCapError, check_number
 from .expr import parse
 from .model import exact_annulus_p_capacity, sphere_volume
-from .quadrature import TailConfig, check_tolerance
+from .quadrature import TailConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -170,8 +169,7 @@ def cmd_classify(args, c: Constellation) -> tuple:
 
 
 def cmd_sweep(args, c: Constellation) -> tuple:
-    if not args.p_step > 0:
-        raise ConfigError(f"--p-step must be positive, got {args.p_step}")
+    check_number("--p-step", args.p_step, positive=True, error=ConfigError)
     rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:
@@ -191,9 +189,8 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 
 
 def cmd_capacity(args, c: Constellation) -> tuple:
-    if not args.flux > 0:
-        raise ConfigError(f"--flux must be positive, got {args.flux}")
-    check_tolerance("--rel-tol", args.rel_tol, ConfigError)
+    check_number("--flux", args.flux, positive=True, error=ConfigError)
+    check_number("--rel-tol", args.rel_tol, at_least=0, error=ConfigError)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -216,9 +213,8 @@ def cmd_capacity(args, c: Constellation) -> tuple:
 
 def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
-    if k < 2:
-        raise ConfigError("--samples must be at least 2")
-    check_tolerance("--rel-tol", args.rel_tol, ConfigError)
+    check_number("--samples", k, at_least=2, error=ConfigError)
+    check_number("--rel-tol", args.rel_tol, at_least=0, error=ConfigError)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,
@@ -344,8 +340,8 @@ def main(argv: Optional[list] = None) -> int:
         c = load_config(args.config)
         # the first float flag that is not finite is an input error, named by its flag
         for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+            if isinstance(value, float):
+                check_number(f"--{name.replace('_', '-')}", value, error=ConfigError)
         outcome, evidence, lines, code = args.fn(args, c)
         # every flag but the output switches, in the order the parser declares them
         settings = {key: value for key, value in vars(args).items()

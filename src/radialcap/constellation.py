@@ -27,10 +27,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 from .expr import RadialExpr, _check, eval_jet2, evaluate, parse
 from .model import ModelSpace, _as_expr
-from .quadrature import CumulativeCache, check_tolerance, geomgrid
+from .quadrature import CumulativeCache, geomgrid
 
 __all__ = [
     "Tangency",
@@ -75,6 +75,8 @@ class Constellation:
         object.__setattr__(self, "g", _as_expr("1" if tang is Tangency.UPPER else self.g))
         object.__setattr__(self, "lam", _as_expr(self.lam))
         object.__setattr__(self, "h", _as_expr(self.h))
+        for name in ("n", "m"):
+            check_number(name, getattr(self, name), integer=True)
         if not (2 <= self.m <= self.n):
             raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={self.n}")
         if self.model.m != self.m:
@@ -102,14 +104,6 @@ class Constellation:
         constants 1, 0 and 0."""
         return bool(self.g.constant == 1.0 and self.lam.constant == 0.0
                     and self.h.constant == 0.0)
-
-
-def _check_p(p: float) -> None:
-    """Raise :class:`ValueError` unless p is a finite number >= 2."""
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
 
 
 def _eta(c: Constellation, r):
@@ -148,7 +142,7 @@ def balance(c: Constellation, p: float, r) -> Union[float, np.ndarray]:
 
     At ``p = 2`` the ``lam`` term has coefficient zero and is not evaluated.
     """
-    _check_p(p)
+    check_number("p", p, at_least=2)
     value, _ = _balance_terms(c, p, r, _eta(c, r))
     return value
 
@@ -198,10 +192,11 @@ class BalanceProfile:
 def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> BalanceProfile:
     """Sample the balance function on a geometric grid over ``interval``
     and classify its sign, recording up to 5 sign-change witnesses."""
-    _check_p(p)
+    check_number("p", p, at_least=2)
     lo, hi = interval
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    check_number("hi", hi)
     rs = geomgrid(lo, hi, grid_size)
     values, scale = _balance_terms(c, p, rs, _eta(c, rs))
     values = np.asarray(values, dtype=float)
@@ -238,12 +233,9 @@ class WeightFunction:
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
-        _check_p(p)
-        if rho <= 0:
-            raise ValueError(f"rho must be positive, got {rho}")
-        if not math.isfinite(rho):
-            raise ValueError(f"rho must be finite, got {rho}")
-        check_tolerance("rel_tol", rel_tol)
+        check_number("p", p, at_least=2)
+        check_number("rho", rho, positive=True)
+        check_number("rel_tol", rel_tol, at_least=0)
         self.constellation = c
         self.p = p
         self.rho = float(rho)
@@ -351,10 +343,8 @@ def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> 
 
     Relative means measured against ``1 + |balance_p| + |balance_q|``.
     """
-    if p < 2 or q < 2:
-        raise ValueError("p and q must be >= 2")
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise ValueError(f"p and q must be finite, got p={p}, q={q}")
+    check_number("p", p, at_least=2)
+    check_number("q", q, at_least=2)
     rs = np.asarray(grid, dtype=float)
     eta = _eta(c, rs)
     bp, _ = _balance_terms(c, p, rs, eta)

@@ -27,8 +27,6 @@ that fails ends the run with its reason::
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -38,10 +36,10 @@ from .constellation import (
     BalanceProfile, Constellation, Tangency, WeightFunction, _eta, balance, balance_sign,
 )
 from .dirichlet import drifted_capacity
-from .errors import ConfigError, DomainError, RadialCapError
+from .errors import ConfigError, DomainError, RadialCapError, check_number
 from .expr import _NAN_DETAIL, evaluate
 from .model import validate_warping
-from .quadrature import TailClass, TailConfig, check_tolerance, classify_tail, geomgrid
+from .quadrature import TailClass, TailConfig, classify_tail, geomgrid
 
 __all__ = [
     "ClassifyConfig",
@@ -77,11 +75,9 @@ class ClassifyConfig:
     weight_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not isinstance(self.grid_points, numbers.Integral):
-            raise ConfigError(f"grid_points must be an integer, got {self.grid_points}")
-        check_tolerance("weight_rel_tol", self.weight_rel_tol, ConfigError)
+        check_number("grid_points", self.grid_points, integer=True, at_least=2,
+                     error=ConfigError)
+        check_number("weight_rel_tol", self.weight_rel_tol, at_least=0, error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,7 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     monotone = q is not None
     letter, q = ("q", q) if monotone else ("p", p)
     for name, value in {"p": p, letter: q}.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        check_number(name, value, error=ConfigError)
     cfg.tail.horizon(rho)
     if q < 2:
         return Verdict("inconclusive", p=p, rho=rho,
@@ -370,8 +365,7 @@ def classify(c: Constellation, p: float, rho: float,
     weight taken with g == 1.  The verdict is invariant under changes of the
     base point rho (the weight rescales by a positive constant).
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    check_number("rho", rho, positive=True)
     lower = c.tangency is Tangency.LOWER
     want = "non_negative" if lower else "non_positive"
     return _decide(c, p, rho, cfg, THEOREM_LOWER if lower else THEOREM_UPPER, [
@@ -390,13 +384,8 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
     no tail quadrature (the weight dominates w, so its integral diverges)."""
     if c.tangency is not Tangency.UPPER:
         raise ValueError("bounded-warping corollary needs an upper-tangency constellation")
-    if lower_const <= 0:
-        raise ValueError("lower_const must be positive")
-    if rho <= 0 or r0 <= 0:
-        raise ValueError("rho and r0 must be positive")
-    for name, value in (("r0", r0), ("lower_const", lower_const)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("lower_const", lower_const), ("rho", rho), ("r0", r0)):
+        check_number(name, value, positive=True)
     return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
         (_balance_stage, "balance_non_positive", "non_positive",
          "balance is not non-positive on the certified grid"),
@@ -416,8 +405,7 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
         raise ValueError("monotone corollary needs an upper-tangency constellation")
     if p < q:
         raise ValueError(f"need q <= p, got q={q}, p={p}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_number("rho", rho, positive=True)
     return _decide(c, p, rho, cfg, COR_MONOTONE, [
         (_sandwich_stage,),
         (_balance_stage, f"balance_non_positive_at_q={q:g}", "non_positive",
@@ -450,14 +438,11 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
           cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
     failures recorded per row without aborting the sweep."""
-    if p_step <= 0:
-        raise ValueError("p_step must be positive")
-    if not (math.isfinite(p_from) and math.isfinite(p_to)):
-        raise ConfigError(f"sweep range must be finite, got [{p_from}, {p_to}]")
+    check_number("p_step", p_step, positive=True, error=ConfigError)
+    for name, value in (("p_from", p_from), ("p_to", p_to)):
+        check_number(name, value, error=ConfigError)
     if p_to < p_from:
         raise ValueError("empty sweep range")
-    if not math.isfinite(p_step):
-        raise ConfigError(f"p_step must be finite, got {p_step}")
     cfg = cfg or ClassifyConfig()
     cfg.tail.horizon(rho)
     ps = [round(p_from + i * p_step, 12)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_number
 from .expr import RadialExpr, c_value_d1, eval_jet2
 from .model import ModelSpace
 from .quadrature import integrate
@@ -116,17 +116,13 @@ class DiffusionConfig:
     max_time: float = 100.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths}")
+        check_number("dt", self.dt, positive=True, error=ConfigError)
+        check_number("paths", self.paths, integer=True, at_least=1, error=ConfigError)
+        check_number("seed", self.seed, integer=True, error=ConfigError)
+        check_number("r_outer", self.r_outer, error=ConfigError)
         if not (0 < self.r_inner < self.r_outer):
             raise ConfigError("need 0 < r_inner < r_outer")
-        if self.max_time <= 0:
-            raise ConfigError("max_time must be positive")
-        for name in ("dt", "r_outer", "max_time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        check_number("max_time", self.max_time, positive=True, error=ConfigError)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from typing import Union
 import numpy as np
 
 from .constellation import (
-    Constellation, WeightFunction, _balance_terms, _check_p, _eta, _tangency_bound,
+    Constellation, WeightFunction, _balance_terms, _eta, _tangency_bound,
 )
-from .errors import DomainError, RadialCapError
+from .errors import DomainError, RadialCapError, check_number
 from .model import sphere_volume
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 def drift_coeff(c: Constellation, p: float, r) -> Union[float, np.ndarray]:
     """c(r) = balance/((p-1) g^2) - w'/w, with the tangency bound g (the
     constant 1 under upper tangency); it never reads the weight."""
-    _check_p(p)
+    check_number("p", p, at_least=2)
     eta = _eta(c, r)
     value, _ = _balance_terms(c, p, r, eta)
     gv = _tangency_bound(c, r)
@@ -91,8 +91,7 @@ def solve_dirichlet_closed(c: Constellation, p: float, rho: float, R: float,
     """Explicit Dirichlet solution: normalized primitive of the weight."""
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if not math.isfinite(R):
-        raise ValueError(f"R must be finite, got {R}")
+    check_number("R", R)
     return RadialSolution(WeightFunction(c, p, rho, rel_tol), R)
 
 
@@ -124,12 +123,8 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if not math.isfinite(R):
-        raise ValueError(f"R must be finite, got {R}")
-    if step_count < 100:
-        raise ValueError("step_count must be at least 100")
-    if not float(step_count).is_integer():
-        raise ValueError(f"step_count must be an integer, got {step_count}")
+    check_number("R", R)
+    check_number("step_count", step_count, integer=True, at_least=100)
     n = int(step_count)
     h = (R - rho) / n
     nodes = rho + h * np.arange(n + 1)
@@ -176,12 +171,13 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
     ``boundary_flux`` is the integral of the (p-1)-th power of the radial
     tangency over the inner boundary; it depends on the actual immersion and
     is supplied by the caller (any positive value keeps the bound's decisive
-    R -> infinity behavior).
+    R -> infinity behavior).  Each input must be finite, with cap >= 0,
+    vol > 0, p >= 2 and boundary_flux > 0.
     """
-    if not (boundary_flux > 0):
-        raise ValueError(f"boundary_flux must be positive, got {boundary_flux}")
-    if not math.isfinite(boundary_flux):
-        raise ValueError(f"boundary_flux must be finite, got {boundary_flux}")
+    check_number("cap", cap, at_least=0)
+    check_number("vol", vol, positive=True)
+    check_number("p", p, at_least=2)
+    check_number("boundary_flux", boundary_flux, positive=True)
     return boundary_flux * (cap / vol) ** (p - 1.0)
 
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all radialcap modules."""
+"""Exception hierarchy shared by all radialcap modules, and the one rule
+for a number a caller passes in (:func:`check_number`)."""
+
+import functools
+import math
+import numbers
 
 
 class RadialCapError(Exception):
@@ -66,3 +71,33 @@ class QuadratureError(RadialCapError):
 
 class ConfigError(RadialCapError):
     """Invalid run configuration (bad field values, unknown keys, ...)."""
+
+
+@functools.cache
+def _number_kind(kind: type):
+    """None unless ``kind`` is a real number type other than bool, else
+    whether it is an integer type; cached, as the ABC checks cost more than
+    the rest of :func:`check_number`."""
+    if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+        return None
+    return issubclass(kind, numbers.Integral)
+
+
+def check_number(name, value, *, integer=False, positive=False, at_least=None,
+                 error=ValueError):
+    """Raise ``error`` naming ``name`` at the first of these rules that
+    ``value`` breaks, in this order: it is a real number and not a bool
+    (numpy scalars count), it is finite, it is an integer if ``integer``,
+    it is > 0 if ``positive``, and it is >= ``at_least`` if given."""
+    integral = _number_kind(type(value))
+    if integral is None:
+        raise error(f"{name} must be a real number, got {value!r}")
+    # an int is finite, however large; math.isfinite would overflow on it
+    if not (integral or math.isfinite(value)):
+        raise error(f"{name} must be finite, got {value}")
+    if integer and not integral:
+        raise error(f"{name} must be an integer, got {value}")
+    if positive and not value > 0:
+        raise error(f"{name} must be positive, got {value}")
+    if at_least is not None and not value >= at_least:
+        raise error(f"{name} must be >= {at_least}, got {value}")

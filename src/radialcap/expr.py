@@ -62,7 +62,7 @@ _RULES = {
     "exp": _Rule("{f}", "{f}"),
     "log": _Rule("1.0/{u}", "-{fp}*{fp}", ("{u} <= 0", "log of non-positive value")),
     "sqrt": _Rule("0.5/{f}", "-0.5*{fp}/{u}", ("{u} < 0", "sqrt of negative value"),
-                  ("{u} == 0", "sqrt of non-positive value (derivative pole at 0)")),
+                  ("{u} == 0", "sqrt is not differentiable at 0")),
     "abs": _Rule("{sign}", None, pole=("{u} == 0", "abs is not differentiable at 0"), c="fabs"),
 }
 FUNCTIONS = tuple(_RULES)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, RadialCapError
+from .errors import DomainError, RadialCapError, check_number
 from .expr import RadialExpr, _check, eval_jet2, parse
 from .quadrature import geomgrid, integrate
 
@@ -47,8 +47,7 @@ class ModelSpace:
     w: RadialExpr
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.m}")
+        check_number("dimension", self.m, integer=True, at_least=2)
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "w", _as_expr(self.w))
 
@@ -76,10 +75,7 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
     """Check ``w(0)=0``, ``w'(0)=1`` (sampled at 1e-6, tolerance 1e-4) and
     positivity of ``w`` on a 1024-point geometric grid in ``(1e-6, r_max]``.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-    if not math.isfinite(r_max):
-        raise ValueError(f"r_max must be finite, got {r_max}")
+    check_number("r_max", r_max, positive=True)
     w = _as_expr(w)
     violations = []
     eps = 1e-6
@@ -124,8 +120,7 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> 
     """
     if not (0 < rho < R):
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    check_number("p", p, at_least=2)
     expo = (1.0 - ms.m) / (p - 1.0)
 
     def integrand(t):

@@ -16,7 +16,8 @@ array.  A query at one radius sums its column in Python floats; an array
 query gathers its columns once, as 16 rows, and sums every point at once.
 Both run one Clenshaw helper (:func:`_clenshaw`) in the order of
 operations of numpy's ``chebval``, so either answer is chebval's bit for
-bit.  A tolerance must be finite and >= 0 (:func:`check_tolerance`).
+bit.  A tolerance must be finite and >= 0
+(:func:`~radialcap.errors.check_number`).
 
 The tail classifier computes partial integrals at doubling radii.  A single
 huge upper limit would hide logarithmic divergence; constant per-doubling
@@ -29,13 +30,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, QuadratureError, check_number
 
 __all__ = ["integrate", "CumulativeCache", "TailClass", "TailConfig", "classify_tail"]
 
@@ -84,16 +84,6 @@ def _clenshaw(c, x):
     for k in range(13, -1, -1):
         c0, c1 = c[k] - c1, c0 + c1 * x2
     return c0 + c1 * x
-
-
-def check_tolerance(name: str, value: float, error: type = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless value is a finite number >= 0:
-    a NaN or negative tolerance never certifies, an infinite one certifies
-    anything."""
-    if not value >= 0:
-        raise error(f"{name} must be >= 0, got {value}")
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value}")
 
 
 def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -165,7 +155,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if not (a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    check_tolerance("rel_tol", rel_tol)
+    check_number("rel_tol", rel_tol, at_least=0)
     lo = np.array([float(a)])
     hi = np.array([float(b)])
     vals, errs = _gk(*_sample(f, lo, hi))
@@ -241,8 +231,8 @@ class CumulativeCache:
 
     def __init__(self, fn: Callable, base: float, rel_tol: float = 1e-12,
                  abs_tol: float = 0.0):
-        check_tolerance("rel_tol", rel_tol)
-        check_tolerance("abs_tol", abs_tol)
+        check_number("rel_tol", rel_tol, at_least=0)
+        check_number("abs_tol", abs_tol, at_least=0)
         self.fn = fn
         self.base = float(base)
         self.rel_tol = rel_tol
@@ -404,14 +394,11 @@ class TailConfig:
     exp_band: float = 0.05
 
     def __post_init__(self):
-        if not self.k_max >= 0:
-            raise ConfigError(f"k_max must be >= 0, got {self.k_max}")
-        if not isinstance(self.k_max, numbers.Integral):
-            raise ConfigError(f"k_max must be an integer, got {self.k_max}")
+        check_number("k_max", self.k_max, integer=True, at_least=0, error=ConfigError)
         # an infinite threshold would call every tail convergent, and an
         # infinite band would let no fitted exponent decide
-        check_tolerance("conv_eps", self.conv_eps, ConfigError)
-        check_tolerance("exp_band", self.exp_band, ConfigError)
+        check_number("conv_eps", self.conv_eps, at_least=0, error=ConfigError)
+        check_number("exp_band", self.exp_band, at_least=0, error=ConfigError)
 
     def horizon(self, rho: float) -> float:
         """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""
@@ -544,8 +531,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     divergent, anything else is raised.
     """
     cfg = cfg or TailConfig()
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_number("rho", rho, positive=True)
     cfg.horizon(rho)
 
     def guarded(t):

@@ -396,7 +396,7 @@ def test_solve_csv_euclidean_profile(tmp_path):
 def test_solve_needs_two_samples(capsys):
     code = main(["solve", EUCLID3, "--p", "2", "--R", "2", "--samples", "1"])
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err == "input error: --samples must be at least 2\n"
+    assert capsys.readouterr().err == "input error: --samples must be >= 2, got 1\n"
 
 
 def test_solve_json_summary(capsys):
@@ -431,7 +431,7 @@ def test_simulate_bad_geometry_exit_2(capsys):
 OUT_OF_RANGE_FLAGS = [
     ("simulate", ["--dt", "-1"], "--dt must be positive, got -1.0"),
     ("simulate", ["--paths", "0"], "--paths must be >= 1, got 0"),
-    ("simulate", ["--max-time", "-1"], "--max-time must be positive"),
+    ("simulate", ["--max-time", "-1"], "--max-time must be positive, got -1.0"),
     ("simulate", ["--rin", "0"], "need 0 < --rin < --rout"),
     ("simulate", ["--rin", "2"], "need --rin < --r0 < --rout, got 2.0 < 1.0 < 8.0"),
     ("sweep", ["--p-step", "0"], "--p-step must be positive, got 0.0"),

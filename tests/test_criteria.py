@@ -12,6 +12,7 @@ from radialcap.criteria import (
     ClassifyConfig, _certified_horizon, _model_warnings, classify, classify_bounded_w,
     classify_monotone, sweep,
 )
+from radialcap.diffusion import DiffusionConfig
 from radialcap.errors import ConfigError, DomainError
 from radialcap.expr import evaluate
 from radialcap.model import ModelSpace, sphere_volume
@@ -385,6 +386,9 @@ def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions
     (TailConfig, {"conv_eps": float("inf")}),
     (TailConfig, {"exp_band": -0.05}),
     (TailConfig, {"exp_band": float("inf")}),
+    (TailConfig, {"k_max": True}),
+    (DiffusionConfig, {"paths": 1.5}),
+    (DiffusionConfig, {"seed": 1.5}),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "".join(f"{k}={x}" for k, x in v.items()))
 def test_configs_that_certify_nothing_are_rejected(make, kwargs):
     with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))} must be "):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,11 +235,13 @@ def test_nonfinite_inputs_are_input_errors():
                 call()
     with pytest.raises(ValueError, match="p must be >= 2, got 1.5"):
         drift_coeff(c, 1.5, 1.0)
-    for p, q in ((math.nan, 3.0), (3.0, math.inf)):
-        with pytest.raises(ValueError, match="p and q must be finite"):
+    for p, q, text in ((math.nan, 3.0, "p must be finite, got nan"),
+                       (3.0, math.inf, "q must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{text}$"):
             balance_shift_identity_check(c, p, q, [1.0, 2.0])
-    for rel_tol in (math.nan, -1e-10):
-        with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+    for rel_tol, text in ((math.nan, "rel_tol must be finite, got nan"),
+                          (-1e-10, "rel_tol must be >= 0, got -1e-10")):
+        with pytest.raises(ValueError, match=f"^{text}$"):
             WeightFunction(c, 3.0, 1.0, rel_tol)
     # an infinite tolerance would accept the first estimate unrefined
     for call in (lambda: WeightFunction(c, 3.0, 1.0, math.inf),
@@ -256,8 +259,9 @@ def test_nonfinite_inputs_are_input_errors():
                  lambda: exact_hitting_prob(ms, 1.0, 0.5, math.inf)):
         with pytest.raises(ValueError, match="integration bounds must be finite"):
             call()
-    with pytest.raises(ValueError, match="p must be >= 2, got nan"):
-        exact_annulus_p_capacity(ms, 1.0, 2.0, math.nan)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^p must be finite, got {p}$"):
+            exact_annulus_p_capacity(ms, 1.0, 2.0, p)
     # these ran on to "evaluation produced NaN", a RuntimeWarning, a verdict
     # against "warping drops below nan" or an inf bound
     upper = Constellation.from_functions(3, 2, "sinh(r)", lam="coth(r)", h="1.2*coth(r)",
@@ -272,9 +276,24 @@ def test_nonfinite_inputs_are_input_errors():
     with pytest.raises(ValueError, match="^boundary_flux must be finite, got inf$"):
         flux_bound(1.0, 1.0, 3.0, math.inf)
     # NaN raised Python's own conversion error, and 150.5 ran 150 steps
-    for steps in (math.nan, math.inf, 150.5):
-        with pytest.raises(ValueError, match=f"^step_count must be an integer, got {steps}$"):
+    for steps, rule in ((math.nan, "be finite"), (math.inf, "be finite"),
+                        (150.5, "be an integer")):
+        with pytest.raises(ValueError, match=f"^step_count must {rule}, got {steps}$"):
             solve_dirichlet_ode(c, 3.0, 1.0, 4.0, step_count=steps)
+    # these returned 1.0, nan, 1.0, a bare ZeroDivisionError, a sign after a
+    # numpy RuntimeWarning, inf, Python's "cannot convert float NaN to
+    # integer" and a constellation with n = 3.5
+    for text, call in (
+            ("p must be finite, got nan", lambda: flux_bound(1.0, 1.0, math.nan, 1.0)),
+            ("cap must be finite, got nan", lambda: flux_bound(math.nan, 1.0, 3.0, 1.0)),
+            ("cap must be >= 0, got -1.0", lambda: flux_bound(-1.0, 1.0, 3.0, 1.0)),
+            ("vol must be positive, got 0.0", lambda: flux_bound(1.0, 0.0, 3.0, 1.0)),
+            ("hi must be finite, got inf", lambda: balance_sign(c, 3.0, (1.0, math.inf))),
+            ("p must be finite, got inf", lambda: exact_annulus_p_capacity(ms, 1.0, 2.0, math.inf)),
+            ("dimension must be finite, got nan", lambda: ModelSpace(math.nan, "r")),
+            ("n must be an integer, got 3.5", lambda: Constellation.from_functions(3.5, 3, "r"))):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call()
 
 
 def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():

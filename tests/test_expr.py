@@ -234,7 +234,7 @@ def test_roundtrip_random_trees(tree):
 
 # the texts of the checks jets make and values do not: a value exists there,
 # its derivatives do not
-DERIVATIVE_POLES = ("sqrt of non-positive value (derivative pole at 0)",
+DERIVATIVE_POLES = ("sqrt is not differentiable at 0",
                     "abs is not differentiable at 0",
                     "fractional power at 0 has singular derivatives")
 

@@ -436,8 +436,8 @@ def record_cli(rec, rc, root: Path):
 
 
 def record_bad_numbers(rec, rc):
-    """Numeric inputs that are not finite, a negative tolerance, or a value
-    out of range, through the library and the CLI."""
+    """Numeric inputs that are not finite, not an integer, a negative
+    tolerance, or a value out of range, through the library and the CLI."""
     nan, inf = float("nan"), float("inf")
     c = rc.Constellation.from_functions(3, 3, "r")
     drift_coeff = _drift_coeff(rc)
@@ -476,6 +476,20 @@ def record_bad_numbers(rec, rc):
     for steps in (nan, 150.5):
         rec.run(f"bad_number:solve.ode:step_count={steps}",
                 lambda: vars(rc.solve_dirichlet_ode(c, 3.0, 1.0, 4.0, step_count=steps)))
+    for name, args in (("p=nan", (1.0, 1.0, nan, 1.0)), ("cap=nan", (nan, 1.0, 3.0, 1.0)),
+                       ("vol=0", (1.0, 0.0, 3.0, 1.0))):
+        rec.run(f"bad_number:flux_bound:{name}", rc.dirichlet.flux_bound, *args)
+    rec.run("bad_number:balance_sign:hi=inf",
+            lambda: rc.balance_sign(c, 3.0, (1.0, inf)).to_dict())
+    rec.run("bad_number:exact_annulus_p_capacity:p=inf",
+            rc.exact_annulus_p_capacity, rc.ModelSpace.euclidean(3), 1.0, 2.0, inf)
+    for name in ("paths", "seed"):
+        rec.run(f"bad_number:DiffusionConfig:{name}=1.5",
+                lambda: repr(rc.DiffusionConfig(**{name: 1.5})))
+    rec.run("bad_number:ModelSpace:m=nan", lambda: repr(rc.ModelSpace(nan, "r")))
+    rec.run("bad_number:Constellation:n=3.5",
+            lambda: rc.Constellation.from_functions(3.5, 3, "r").n)
+    rec.run("bad_number:TailConfig:k_max=True", lambda: repr(rc.TailConfig(k_max=True)))
     for argv in BAD_NUMBER_ARGV:
         rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 

@@ -89,32 +89,30 @@ def load_config(path: str) -> Constellation:
         raise ConfigError(f"invalid config {path!r}: {exc}") from exc
 
 
-# the settings a ConfigError names, as the flags that set them
+# the names an input error inside a command can give, as the flags that set them
 _FLAGS = {"k_max": "--horizon", "grid_points": "--grid-points", "conv_eps": "--conv-eps",
-          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rho": "--rho",
-          "dt": "--dt", "max_time": "--max-time", "paths": "--paths", "r_inner": "--rin",
-          "r_outer": "--rout", "r0": "--r0"}
-_FLAG_RE = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rel_tol": "--rel-tol",
+          "p": "--p", "rho": "--rho", "R": "--R", "p_from": "--p-from", "p_to": "--p-to",
+          "p_step": "--p-step", "dt": "--dt", "max_time": "--max-time", "paths": "--paths",
+          "r_inner": "--rin", "r_outer": "--rout", "r0": "--r0"}
+# a name is a whole word that is not part of a flag: "p" but not "--p-step"
+_FLAG_RE = re.compile(r"(?<![-\w])(" + "|".join(_FLAGS) + r")(?![-\w])")
 
 
 @contextlib.contextmanager
 def _by_flag():
-    """Report a ConfigError raised inside by the flags' names."""
+    """Report an input error raised inside by the flags' names."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(_FLAG_RE.sub(lambda m: _FLAGS[m[0]], str(exc))) from None
 
 
 def _classify_config(args) -> ClassifyConfig:
-    """The flags' ClassifyConfig, checked for a finite horizon; an invalid
-    setting is reported by its flag."""
-    with _by_flag():
-        tail = TailConfig(k_max=args.horizon, conv_eps=args.conv_eps,
-                          exp_band=args.exp_band)
-        cfg = ClassifyConfig(grid_points=args.grid_points, tail=tail,
-                             weight_rel_tol=args.rel_tol)
-        tail.horizon(args.rho)
+    """The flags' ClassifyConfig, checked for a finite horizon."""
+    tail = TailConfig(k_max=args.horizon, conv_eps=args.conv_eps, exp_band=args.exp_band)
+    cfg = ClassifyConfig(grid_points=args.grid_points, tail=tail, weight_rel_tol=args.rel_tol)
+    tail.horizon(args.rho)
     return cfg
 
 
@@ -169,7 +167,6 @@ def cmd_classify(args, c: Constellation) -> tuple:
 
 
 def cmd_sweep(args, c: Constellation) -> tuple:
-    check_number("--p-step", args.p_step, positive=True, error=ConfigError)
     rows = sweep(c, args.p_from, args.p_to, args.p_step, args.rho, _classify_config(args))
     table = []
     for row in rows:
@@ -189,8 +186,7 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 
 
 def cmd_capacity(args, c: Constellation) -> tuple:
-    check_number("--flux", args.flux, positive=True, error=ConfigError)
-    check_number("--rel-tol", args.rel_tol, at_least=0, error=ConfigError)
+    check_number("--flux", args.flux, above=0, error=ConfigError)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -214,7 +210,6 @@ def cmd_capacity(args, c: Constellation) -> tuple:
 def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
     check_number("--samples", k, at_least=2, error=ConfigError)
-    check_number("--rel-tol", args.rel_tol, at_least=0, error=ConfigError)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,
@@ -232,10 +227,9 @@ def cmd_solve(args, c: Constellation) -> tuple:
 
 
 def cmd_simulate(args, c: Constellation) -> tuple:
-    with _by_flag():
-        cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
-                              r_inner=args.rin, r_outer=args.rout, max_time=args.max_time)
-        stats = simulate_radial(c.model, args.r0, cfg)
+    cfg = DiffusionConfig(dt=args.dt, paths=args.paths, seed=args.seed,
+                          r_inner=args.rin, r_outer=args.rout, max_time=args.max_time)
+    stats = simulate_radial(c.model, args.r0, cfg)
     exact = None
     if c.is_self_model():
         exact = exact_hitting_prob(c.model, args.r0, args.rin, args.rout)
@@ -342,7 +336,8 @@ def main(argv: Optional[list] = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float):
                 check_number(f"--{name.replace('_', '-')}", value, error=ConfigError)
-        outcome, evidence, lines, code = args.fn(args, c)
+        with _by_flag():
+            outcome, evidence, lines, code = args.fn(args, c)
         # every flag but the output switches, in the order the parser declares them
         settings = {key: value for key, value in vars(args).items()
                     if key not in ("command", "config", "out", "json", "fn")}

@@ -75,10 +75,8 @@ class Constellation:
         object.__setattr__(self, "g", _as_expr("1" if tang is Tangency.UPPER else self.g))
         object.__setattr__(self, "lam", _as_expr(self.lam))
         object.__setattr__(self, "h", _as_expr(self.h))
-        for name in ("n", "m"):
-            check_number(name, getattr(self, name), integer=True)
-        if not (2 <= self.m <= self.n):
-            raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={self.n}")
+        check_number("m", self.m, integer=True, at_least=2)
+        check_number("n", self.n, integer=True, at_least=("m", self.m))
         if self.model.m != self.m:
             raise ValueError(f"model dimension {self.model.m} != m={self.m}")
 
@@ -194,9 +192,9 @@ def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> 
     and classify its sign, recording up to 5 sign-change witnesses."""
     check_number("p", p, at_least=2)
     lo, hi = interval
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    check_number("hi", hi)
+    check_number("lo", lo, above=0)
+    check_number("hi", hi, above=("lo", lo))
+    check_number("grid_size", grid_size, integer=True, at_least=2)
     rs = geomgrid(lo, hi, grid_size)
     values, scale = _balance_terms(c, p, rs, _eta(c, rs))
     values = np.asarray(values, dtype=float)
@@ -234,7 +232,7 @@ class WeightFunction:
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
         check_number("p", p, at_least=2)
-        check_number("rho", rho, positive=True)
+        check_number("rho", rho, above=0)
         check_number("rel_tol", rel_tol, at_least=0)
         self.constellation = c
         self.p = p

@@ -259,6 +259,8 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     letter, q = ("q", q) if monotone else ("p", p)
     for name, value in {"p": p, letter: q}.items():
         check_number(name, value, error=ConfigError)
+    if monotone:
+        check_number("p", p, at_least=("q", q))
     cfg.tail.horizon(rho)
     if q < 2:
         return Verdict("inconclusive", p=p, rho=rho,
@@ -365,7 +367,7 @@ def classify(c: Constellation, p: float, rho: float,
     weight taken with g == 1.  The verdict is invariant under changes of the
     base point rho (the weight rescales by a positive constant).
     """
-    check_number("rho", rho, positive=True)
+    check_number("rho", rho, above=0)
     lower = c.tangency is Tangency.LOWER
     want = "non_negative" if lower else "non_positive"
     return _decide(c, p, rho, cfg, THEOREM_LOWER if lower else THEOREM_UPPER, [
@@ -385,7 +387,7 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
     if c.tangency is not Tangency.UPPER:
         raise ValueError("bounded-warping corollary needs an upper-tangency constellation")
     for name, value in (("lower_const", lower_const), ("rho", rho), ("r0", r0)):
-        check_number(name, value, positive=True)
+        check_number(name, value, above=0)
     return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
         (_balance_stage, "balance_non_positive", "non_positive",
          "balance is not non-positive on the certified grid"),
@@ -403,9 +405,7 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
     (balance and weight monotonicity between q and p)."""
     if c.tangency is not Tangency.UPPER:
         raise ValueError("monotone corollary needs an upper-tangency constellation")
-    if p < q:
-        raise ValueError(f"need q <= p, got q={q}, p={p}")
-    check_number("rho", rho, positive=True)
+    check_number("rho", rho, above=0)
     return _decide(c, p, rho, cfg, COR_MONOTONE, [
         (_sandwich_stage,),
         (_balance_stage, f"balance_non_positive_at_q={q:g}", "non_positive",
@@ -438,11 +438,10 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
           cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
     failures recorded per row without aborting the sweep."""
-    check_number("p_step", p_step, positive=True, error=ConfigError)
+    check_number("p_step", p_step, above=0, error=ConfigError)
     for name, value in (("p_from", p_from), ("p_to", p_to)):
         check_number(name, value, error=ConfigError)
-    if p_to < p_from:
-        raise ValueError("empty sweep range")
+    check_number("p_to", p_to, at_least=("p_from", p_from))
     cfg = cfg or ClassifyConfig()
     cfg.tail.horizon(rho)
     ps = [round(p_from + i * p_step, 12)

@@ -116,13 +116,12 @@ class DiffusionConfig:
     max_time: float = 100.0
 
     def __post_init__(self):
-        check_number("dt", self.dt, positive=True, error=ConfigError)
+        check_number("dt", self.dt, above=0, error=ConfigError)
         check_number("paths", self.paths, integer=True, at_least=1, error=ConfigError)
         check_number("seed", self.seed, integer=True, error=ConfigError)
-        check_number("r_outer", self.r_outer, error=ConfigError)
-        if not (0 < self.r_inner < self.r_outer):
-            raise ConfigError("need 0 < r_inner < r_outer")
-        check_number("max_time", self.max_time, positive=True, error=ConfigError)
+        check_number("r_inner", self.r_inner, above=0, error=ConfigError)
+        check_number("r_outer", self.r_outer, above=("r_inner", self.r_inner), error=ConfigError)
+        check_number("max_time", self.max_time, above=0, error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -417,9 +416,8 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig) -> HittingS
     More than 1e8 steps per path, ``floor(max_time / dt)``, is a
     :class:`ConfigError`.
     """
-    if not (cfg.r_inner < r0 < cfg.r_outer):
-        raise ConfigError(f"need r_inner < r0 < r_outer, got "
-                          f"{cfg.r_inner} < {r0} < {cfg.r_outer}")
+    check_number("r0", r0, above=("r_inner", cfg.r_inner), error=ConfigError)
+    check_number("r_outer", cfg.r_outer, above=("r0", r0), error=ConfigError)
     steps = cfg.max_time / cfg.dt
     if steps >= _MAX_STEPS + 1:
         raise ConfigError(f"max_time / dt = {steps:.6g} steps per path, "
@@ -452,10 +450,12 @@ def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float) -> float
         integral_r0^R w**(1-m) dt / integral_rho^R w**(1-m) dt
 
     (the scale-function ratio; equals one minus the harmonic annulus profile
-    at r0).  Both integrals are taken to 1e-12 relative.
+    at r0).  Both integrals are taken to 1e-12 relative, over finite radii
+    with 0 < rho <= r0 <= R.
     """
-    if not (rho <= r0 <= R):
-        raise ValueError(f"need rho <= r0 <= R, got {rho}, {r0}, {R}")
+    check_number("rho", rho, above=0)
+    check_number("r0", r0, at_least=("rho", rho))
+    check_number("R", R, at_least=("r0", r0))
     if r0 == rho:
         return 1.0
     if r0 == R:

@@ -89,9 +89,8 @@ class RadialSolution:
 def solve_dirichlet_closed(c: Constellation, p: float, rho: float, R: float,
                            rel_tol: float = 1e-11) -> RadialSolution:
     """Explicit Dirichlet solution: normalized primitive of the weight."""
-    if not (0 < rho < R):
-        raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    check_number("R", R)
+    check_number("rho", rho, above=0)
+    check_number("R", R, above=("rho", rho))
     return RadialSolution(WeightFunction(c, p, rho, rel_tol), R)
 
 
@@ -121,9 +120,8 @@ def solve_dirichlet_ode(c: Constellation, p: float, rho: float, R: float,
     so growth past float range stays finite.  A non-finite c(r) at a node
     or midpoint raises :class:`DomainError` at the first such r.
     """
-    if not (0 < rho < R):
-        raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    check_number("R", R)
+    check_number("rho", rho, above=0)
+    check_number("R", R, above=("rho", rho))
     check_number("step_count", step_count, integer=True, at_least=100)
     n = int(step_count)
     h = (R - rho) / n
@@ -175,9 +173,9 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
     vol > 0, p >= 2 and boundary_flux > 0.
     """
     check_number("cap", cap, at_least=0)
-    check_number("vol", vol, positive=True)
+    check_number("vol", vol, above=0)
     check_number("p", p, at_least=2)
-    check_number("boundary_flux", boundary_flux, positive=True)
+    check_number("boundary_flux", boundary_flux, above=0)
     return boundary_flux * (cap / vol) ** (p - 1.0)
 
 
@@ -187,8 +185,11 @@ def operator_residual(c: Constellation, p: float, rho: float, R: float,
     (independent of how the profile was produced), at 257
     Chebyshev-distributed nodes pulled slightly inside the annulus so the
     5-point stencil stays in range.  The stencil step is
-    ``min(2e-4 * (R - rho), 0.02 * rho)``.
+    ``min(2e-4 * (R - rho), 0.02 * rho)``.  rho must be > 0 and R finite
+    and > rho.
     """
+    check_number("rho", rho, above=0)
+    check_number("R", R, above=("rho", rho))
     profile = solution.profile if hasattr(solution, "profile") else solution
     h = min(2e-4 * (R - rho), 0.02 * rho)
     k = np.arange(257)

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all radialcap modules, and the one rule
-for a number a caller passes in (:func:`check_number`)."""
+for a number a caller passes in (:func:`check_number`): its type, its
+finiteness and its range, where a range's bound may be another input."""
 
 import functools
 import math
@@ -83,12 +84,19 @@ def _number_kind(kind: type):
     return issubclass(kind, numbers.Integral)
 
 
-def check_number(name, value, *, integer=False, positive=False, at_least=None,
+def _shown(bound):
+    """A bound as an error text shows it: the number, or ``name (value)``."""
+    return f"{bound[0]} ({bound[1]})" if isinstance(bound, tuple) else bound
+
+
+def check_number(name, value, *, integer=False, above=None, at_least=None,
                  error=ValueError):
     """Raise ``error`` naming ``name`` at the first of these rules that
     ``value`` breaks, in this order: it is a real number and not a bool
     (numpy scalars count), it is finite, it is an integer if ``integer``,
-    it is > 0 if ``positive``, and it is >= ``at_least`` if given."""
+    it is > ``above`` and it is >= ``at_least``, each if given.  A bound is
+    a number or a ``(name, value)`` pair naming another input, which the
+    caller checks first: "R must be > rho (1.0), got 0.5"."""
     integral = _number_kind(type(value))
     if integral is None:
         raise error(f"{name} must be a real number, got {value!r}")
@@ -97,7 +105,8 @@ def check_number(name, value, *, integer=False, positive=False, at_least=None,
         raise error(f"{name} must be finite, got {value}")
     if integer and not integral:
         raise error(f"{name} must be an integer, got {value}")
-    if positive and not value > 0:
-        raise error(f"{name} must be positive, got {value}")
-    if at_least is not None and not value >= at_least:
-        raise error(f"{name} must be >= {at_least}, got {value}")
+    if above is not None and not value > (above[1] if isinstance(above, tuple) else above):
+        raise error(f"{name} must be > {_shown(above)}, got {value}")
+    if at_least is not None and not value >= (at_least[1] if isinstance(at_least, tuple)
+                                              else at_least):
+        raise error(f"{name} must be >= {_shown(at_least)}, got {value}")

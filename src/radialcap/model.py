@@ -75,7 +75,7 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
     """Check ``w(0)=0``, ``w'(0)=1`` (sampled at 1e-6, tolerance 1e-4) and
     positivity of ``w`` on a 1024-point geometric grid in ``(1e-6, r_max]``.
     """
-    check_number("r_max", r_max, positive=True)
+    check_number("r_max", r_max, above=0)
     w = _as_expr(w)
     violations = []
     eps = 1e-6
@@ -98,7 +98,8 @@ def validate_warping(w: Union[str, RadialExpr], r_max: float = 20.0) -> Validati
 
 def unit_sphere_volume(m: int) -> float:
     """Volume of the unit (m-1)-sphere, computed via log-gamma so large
-    dimensions cannot overflow."""
+    dimensions cannot overflow; m follows :class:`ModelSpace`'s rule."""
+    check_number("dimension", m, integer=True, at_least=2)
     return math.exp(math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m))
 
 
@@ -118,8 +119,8 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> 
     Classical closed form; independent oracle for the drifted capacities.
     The integral is taken to 1e-11 relative.
     """
-    if not (0 < rho < R):
-        raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
+    check_number("rho", rho, above=0)
+    check_number("R", R, above=("rho", rho))
     check_number("p", p, at_least=2)
     expo = (1.0 - ms.m) / (p - 1.0)
 

@@ -148,13 +148,11 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
     ``error_estimate <= max(rel_tol*|value|, 1e-305)`` on success; raises
     :class:`~radialcap.errors.QuadratureError` carrying the worst
     subinterval when the budget of ``_MESH_PANELS`` panels is exhausted.
-    Non-finite bounds, and a rel_tol that is NaN, negative or infinite,
-    raise ``ValueError``.
+    Bounds that are not finite with a < b, and a rel_tol that is NaN,
+    negative or infinite, raise ``ValueError``.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
-    if not (a < b):
-        raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    check_number("a", a)
+    check_number("b", b, above=("a", a))
     check_number("rel_tol", rel_tol, at_least=0)
     lo = np.array([float(a)])
     hi = np.array([float(b)])
@@ -531,7 +529,7 @@ def classify_tail(f: Callable, rho: float, cfg: Optional[TailConfig] = None) -> 
     divergent, anything else is raised.
     """
     cfg = cfg or TailConfig()
-    check_number("rho", rho, positive=True)
+    check_number("rho", rho, above=0)
     cfg.horizon(rho)
 
     def guarded(t):

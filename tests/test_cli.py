@@ -65,7 +65,7 @@ def test_load_config_reports_missing_and_bad_fields(tmp_path):
                         (json.dumps(good | {"m": True}), "'m': expected an integer"),
                         (json.dumps(good | {"w": 1}), "'w': expected an expression string"),
                         (json.dumps(good | {"tangency": "side"}), "'tangency': expected"),
-                        (json.dumps(good | {"m": 4}), "need 2 <= m <= n")]:
+                        (json.dumps(good | {"m": 4}), r"n must be >= m \(4\), got 3$")]:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=match):
             load_config(str(path))
@@ -429,12 +429,15 @@ def test_simulate_bad_geometry_exit_2(capsys):
 
 
 OUT_OF_RANGE_FLAGS = [
-    ("simulate", ["--dt", "-1"], "--dt must be positive, got -1.0"),
+    ("simulate", ["--dt", "-1"], "--dt must be > 0, got -1.0"),
     ("simulate", ["--paths", "0"], "--paths must be >= 1, got 0"),
-    ("simulate", ["--max-time", "-1"], "--max-time must be positive, got -1.0"),
-    ("simulate", ["--rin", "0"], "need 0 < --rin < --rout"),
-    ("simulate", ["--rin", "2"], "need --rin < --r0 < --rout, got 2.0 < 1.0 < 8.0"),
-    ("sweep", ["--p-step", "0"], "--p-step must be positive, got 0.0"),
+    ("simulate", ["--max-time", "-1"], "--max-time must be > 0, got -1.0"),
+    ("simulate", ["--rin", "0"], "--rin must be > 0, got 0.0"),
+    ("simulate", ["--rin", "2"], "--r0 must be > --rin (2.0), got 1.0"),
+    ("sweep", ["--p-step", "0"], "--p-step must be > 0, got 0.0"),
+    ("sweep", ["--p-to", "1"], "--p-to must be >= --p-from (2.0), got 1.0"),
+    ("capacity", ["--rho", "3"], "--R must be > --rho (3.0), got 2.0"),
+    ("capacity", ["--p", "1.5"], "--p must be >= 2, got 1.5"),
 ]
 
 
@@ -442,7 +445,8 @@ OUT_OF_RANGE_FLAGS = [
                          ids=[f"{c} {' '.join(f)}" for c, f, _ in OUT_OF_RANGE_FLAGS])
 def test_out_of_range_flags_are_named_by_their_flags(capsys, command, flags, text):
     given = {"simulate": ["--r0", "1", "--paths", "10"],
-             "sweep": ["--p-from", "2", "--p-to", "3"]}[command]
+             "sweep": ["--p-from", "2", "--p-to", "3"],
+             "capacity": ["--p", "3", "--R", "2"]}[command]
     code = main([command, EUCLID3, *given, *flags])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {text}\n"

@@ -103,6 +103,19 @@ def test_balance_sign_identically_zero_counts_both_ways():
     assert prof.is_non_negative and prof.is_non_positive
 
 
+@pytest.mark.parametrize("interval, grid_size, text", [
+    ((0.1, 10.0), 0, "grid_size must be >= 2, got 0"),
+    ((0.1, 10.0), 1, "grid_size must be >= 2, got 1"),
+    ((0.1, 10.0), 2.5, "grid_size must be an integer, got 2.5"),
+    ((0.0, 1.0), 512, "lo must be > 0, got 0.0"),
+    ((2.0, 1.0), 512, r"hi must be > lo \(2.0\), got 1.0")])
+def test_balance_sign_names_the_input_it_rejects(interval, grid_size, text):
+    # 0 and 1 points certified a sign, and 2.5 was a TypeError from np.linspace
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        balance_sign(euclid_self(3), 3.0, interval, grid_size)
+    assert len(balance_sign(euclid_self(3), 3.0, (0.1, 10.0), 2).rs) == 2
+
+
 def test_lambda_weight_euclidean_m3():
     # balance/(p-1) = 3/t, so the weight is r * exp(-3 log r) = r**-2
     c = euclid_self(3)

@@ -28,7 +28,7 @@ def test_config_validation():
         DiffusionConfig(paths=0)
     with pytest.raises(ConfigError):
         DiffusionConfig(r_inner=2.0, r_outer=1.0)
-    with pytest.raises(ConfigError, match="max_time must be positive"):
+    with pytest.raises(ConfigError, match="^max_time must be > 0, got 0.0$"):
         DiffusionConfig(max_time=0.0)
     for name, value in (("dt", math.nan), ("r_outer", math.inf), ("max_time", math.inf)):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
@@ -67,6 +67,19 @@ def test_exact_hitting_prob_boundaries():
     ms = ModelSpace.euclidean(3)
     assert exact_hitting_prob(ms, 0.5, 0.5, 8.0) == 1.0
     assert exact_hitting_prob(ms, 8.0, 0.5, 8.0) == 0.0
+
+
+@pytest.mark.parametrize("r0, rho, R, text", [
+    (1.0, 0.0, 8.0, "rho must be > 0, got 0.0"), (1.0, -1.0, 8.0, "rho must be > 0, got -1.0"),
+    (0.25, 0.5, 8.0, r"r0 must be >= rho \(0.5\), got 0.25"),
+    (9.0, 0.5, 8.0, r"R must be >= r0 \(9.0\), got 8.0")])
+def test_exact_hitting_prob_needs_0_below_rho_r0_R_in_order(r0, rho, R, text):
+    # rho = 0 was a QuadratureError after a numpy RuntimeWarning, and rho = -1
+    # a DomainError at a negative radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            exact_hitting_prob(ModelSpace.euclidean(3), r0, rho, R)
 
 
 def test_exact_hitting_prob_links_to_dirichlet_profile():

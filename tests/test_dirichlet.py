@@ -253,11 +253,15 @@ def test_nonfinite_inputs_are_input_errors():
             solve(c, 3.0, 1.0, math.inf)
     # the exact oracles integrate over [rho, R] or [r0, R]
     ms = ModelSpace.euclidean(3)
-    for call in (lambda: integrate(lambda t: 1.0 / t, 1.0, math.inf),
-                 lambda: integrate(lambda t: 1.0 / t, math.nan, 2.0),
-                 lambda: exact_annulus_p_capacity(ms, 1.0, math.inf, 3.0),
-                 lambda: exact_hitting_prob(ms, 1.0, 0.5, math.inf)):
-        with pytest.raises(ValueError, match="integration bounds must be finite"):
+    for text, call in (("b must be finite, got inf",
+                        lambda: integrate(lambda t: 1.0 / t, 1.0, math.inf)),
+                       ("a must be finite, got nan",
+                        lambda: integrate(lambda t: 1.0 / t, math.nan, 2.0)),
+                       ("R must be finite, got inf",
+                        lambda: exact_annulus_p_capacity(ms, 1.0, math.inf, 3.0)),
+                       ("R must be finite, got inf",
+                        lambda: exact_hitting_prob(ms, 1.0, 0.5, math.inf))):
+        with pytest.raises(ValueError, match=f"^{text}$"):
             call()
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^p must be finite, got {p}$"):
@@ -287,7 +291,7 @@ def test_nonfinite_inputs_are_input_errors():
             ("p must be finite, got nan", lambda: flux_bound(1.0, 1.0, math.nan, 1.0)),
             ("cap must be finite, got nan", lambda: flux_bound(math.nan, 1.0, 3.0, 1.0)),
             ("cap must be >= 0, got -1.0", lambda: flux_bound(-1.0, 1.0, 3.0, 1.0)),
-            ("vol must be positive, got 0.0", lambda: flux_bound(1.0, 0.0, 3.0, 1.0)),
+            ("vol must be > 0, got 0.0", lambda: flux_bound(1.0, 0.0, 3.0, 1.0)),
             ("hi must be finite, got inf", lambda: balance_sign(c, 3.0, (1.0, math.inf))),
             ("p must be finite, got inf", lambda: exact_annulus_p_capacity(ms, 1.0, 2.0, math.inf)),
             ("dimension must be finite, got nan", lambda: ModelSpace(math.nan, "r")),
@@ -345,6 +349,18 @@ def test_operator_residual_closed_solution_small():
     c = euclid_self(3)
     sol = solve_dirichlet_closed(c, 2.0, 1.0, 2.0)
     assert operator_residual(c, 2.0, 1.0, 2.0, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("rho, R, text", [
+    (1.0, math.inf, "R must be finite, got inf"), (math.nan, 2.0, "rho must be finite, got nan"),
+    (2.0, 1.0, r"R must be > rho \(2.0\), got 1.0"), (0.0, 2.0, "rho must be > 0, got 0.0")])
+def test_operator_residual_checks_rho_and_R_first(rho, R, text):
+    # inf and nan raised "cumulative cache queried at nan", and rho > R gave a residual
+    def profile(r):
+        raise AssertionError("the profile was evaluated")
+
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        operator_residual(euclid_self(3), 2.0, rho, R, profile)
 
 
 def test_closed_solution_samples_the_remainder_once_per_panel(monkeypatch):

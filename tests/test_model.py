@@ -51,6 +51,16 @@ def test_unit_sphere_volume_large_dimension_no_overflow():
     assert 0.0 < v < math.inf
 
 
+@pytest.mark.parametrize("m, text", [(math.nan, "dimension must be finite, got nan"),
+                                     (1, "dimension must be >= 2, got 1"),
+                                     (3.0, "dimension must be an integer, got 3.0")])
+def test_unit_sphere_volume_applies_the_dimension_rule(m, text):
+    # nan returned nan
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        unit_sphere_volume(m)
+    assert unit_sphere_volume(np.int64(3)) == pytest.approx(4 * math.pi, rel=1e-15)
+
+
 def test_exact_annulus_capacity_newtonian():
     cap = exact_annulus_p_capacity(ModelSpace.euclidean(3), 1.0, 2.0, 2.0)
     assert cap == pytest.approx(8 * math.pi, rel=1e-10)

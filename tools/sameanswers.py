@@ -408,6 +408,8 @@ BAD_NUMBER_ARGV = [
       for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"], ["--dt", "-1"],
                     ["--paths", "0"], ["--max-time", "-1"], ["--rin", "0"], ["--rin", "2"])],
     ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "3", "--p-step", "0"],
+    ["capacity", "configs/euclid3.json", "--p", "3", "--rho", "3", "--R", "2"],
+    ["capacity", "configs/euclid3.json", "--p", "1.5", "--R", "2"],
 ]
 
 
@@ -490,6 +492,17 @@ def record_bad_numbers(rec, rc):
     rec.run("bad_number:Constellation:n=3.5",
             lambda: rc.Constellation.from_functions(3.5, 3, "r").n)
     rec.run("bad_number:TailConfig:k_max=True", lambda: repr(rc.TailConfig(k_max=True)))
+    sol = rc.solve_dirichlet_closed(c, 3.0, 1.0, 2.0)
+    for rho, R in ((1.0, inf), (nan, 2.0), (2.0, 1.0)):
+        rec.run(f"bad_number:operator_residual:rho={rho},R={R}",
+                rc.operator_residual, c, 3.0, rho, R, sol)
+    for size in (0, 1, 2.5):
+        rec.run(f"bad_number:balance_sign:grid_size={size}",
+                lambda: rc.balance_sign(c, 3.0, (0.1, 10.0), size).to_dict())
+    rec.run("bad_number:unit_sphere_volume:m=nan", rc.model.unit_sphere_volume, nan)
+    for rho in (0.0, -1.0):
+        rec.run(f"bad_number:exact_hitting_prob:rho={rho}",
+                rc.exact_hitting_prob, rc.ModelSpace.euclidean(3), 1.0, rho, 8.0)
     for argv in BAD_NUMBER_ARGV:
         rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 

@@ -3,13 +3,16 @@
 Constellation configs are strict UTF-8 JSON files with exactly the fields
 ``n, m, w, g, lambda, h, tangency`` (unknown fields are rejected so that a
 misspelled "lambda" cannot silently flip a verdict).  Exit codes: 0 success
-or p-parabolic, 10 inconclusive, 2 input error, 3 numeric failure.  All
-tolerances and horizons are flag-overridable and echoed in the output.
+or p-parabolic, 10 inconclusive, 2 input error, 3 numeric failure.  Each
+flag is one row of ``_FLAG_TABLE``; one that sets a config field takes that
+field's default, which ``--help`` shows.  All tolerances and horizons are
+flag-overridable and echoed in the output, in the order of ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -89,12 +92,36 @@ def load_config(path: str) -> Constellation:
         raise ConfigError(f"invalid config {path!r}: {exc}") from exc
 
 
+# a flag's type, its default (None: the flag is required), its help and the
+# library names an error may give for it (None: its dest)
+_Flag = collections.namedtuple("_Flag", "type default help names", defaults=(None, None, None))
+_TAIL, _CLASSIFY, _DIFFUSION = TailConfig(), ClassifyConfig(), DiffusionConfig()
+_FLAG_TABLE = {
+    "--p": _Flag(float),
+    "--rho": _Flag(float, 1.0),
+    "--R": _Flag(float),
+    "--horizon": _Flag(int, _TAIL.k_max, "tail horizon in doublings of rho", ("k_max",)),
+    "--grid-points": _Flag(int, _CLASSIFY.grid_points, "hypothesis grid size"),
+    "--conv-eps": _Flag(float, _TAIL.conv_eps, "Cauchy convergence threshold"),
+    "--exp-band": _Flag(float, _TAIL.exp_band, "undetermined band around exponent -1"),
+    "--rel-tol": _Flag(float, _CLASSIFY.weight_rel_tol, "weight quadrature relative tolerance",
+                       ("rel_tol", "weight_rel_tol")),
+    "--p-from": _Flag(float),
+    "--p-to": _Flag(float),
+    "--p-step": _Flag(float, 0.5),
+    "--flux": _Flag(float, 1.0, "boundary flux of the tangency power"),
+    "--samples": _Flag(int, 101),
+    "--r0": _Flag(float),
+    "--rin": _Flag(float, _DIFFUSION.r_inner, names=("r_inner",)),
+    "--rout": _Flag(float, _DIFFUSION.r_outer, names=("r_outer",)),
+    "--paths": _Flag(int, _DIFFUSION.paths),
+    "--dt": _Flag(float, _DIFFUSION.dt),
+    "--seed": _Flag(int, _DIFFUSION.seed),
+    "--max-time": _Flag(float, _DIFFUSION.max_time),
+}
 # the names an input error inside a command can give, as the flags that set them
-_FLAGS = {"k_max": "--horizon", "grid_points": "--grid-points", "conv_eps": "--conv-eps",
-          "exp_band": "--exp-band", "weight_rel_tol": "--rel-tol", "rel_tol": "--rel-tol",
-          "p": "--p", "rho": "--rho", "R": "--R", "p_from": "--p-from", "p_to": "--p-to",
-          "p_step": "--p-step", "dt": "--dt", "max_time": "--max-time", "paths": "--paths",
-          "r_inner": "--rin", "r_outer": "--rout", "r0": "--r0"}
+_FLAGS = {name: flag for flag, row in _FLAG_TABLE.items()
+          for name in row.names or (flag[2:].replace("-", "_"),)}
 # a name is a whole word that is not part of a flag: "p" but not "--p-step"
 _FLAG_RE = re.compile(r"(?<![-\w])(" + "|".join(_FLAGS) + r")(?![-\w])")
 
@@ -248,78 +275,50 @@ def cmd_simulate(args, c: Constellation) -> tuple:
 # parser
 # ---------------------------------------------------------------------------
 
+# the classifier's knobs, taken by classify and sweep
+_TAIL_FLAGS = ("--horizon", "--grid-points", "--conv-eps", "--exp-band", "--rel-tol")
+# a command's help and function, its flags in the order they are declared and
+# echoed, whether it takes --out for its CSV, and defaults that replace the table's
+_Command = collections.namedtuple("_Command", "help fn flags csv defaults", defaults=(False, None))
+_COMMANDS = {
+    "classify": _Command("apply the sufficient criteria", cmd_classify,
+                         ("--p", "--rho", *_TAIL_FLAGS)),
+    "sweep": _Command("classify over a grid of exponents (CSV)", cmd_sweep,
+                      ("--p-from", "--p-to", "--p-step", "--rho", *_TAIL_FLAGS), csv=True),
+    "capacity": _Command("drifted capacity and upper bound", cmd_capacity,
+                         ("--p", "--rho", "--R", "--rel-tol", "--flux"),
+                         defaults={"--rel-tol": 1e-11}),
+    "solve": _Command("annulus profile: closed form vs ODE (CSV)", cmd_solve,
+                      ("--p", "--rho", "--R", "--samples", "--rel-tol"), csv=True,
+                      defaults={"--rel-tol": 1e-11}),
+    "simulate": _Command("radial diffusion hitting probabilities", cmd_simulate,
+                         ("--r0", "--rin", "--rout", "--paths", "--dt", "--seed", "--max-time")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_COMMANDS`` row: the config path, the row's flags
+    from ``_FLAG_TABLE``, then ``--out`` for a CSV command and ``--json``.
+    The help of a flag that has a default shows it."""
     parser = argparse.ArgumentParser(
         prog="radialcap",
         description="Sufficient p-parabolicity criteria and radial capacities "
                     "on warped-product models")
     parser.add_argument("--version", action="version", version=f"radialcap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_tail_flags(p):
-        p.add_argument("--horizon", type=int, default=40,
-                       help="tail horizon in doublings of rho (default 40)")
-        p.add_argument("--grid-points", type=int, default=512,
-                       help="hypothesis grid size (default 512)")
-        p.add_argument("--conv-eps", type=float, default=1e-8,
-                       help="Cauchy convergence threshold (default 1e-8)")
-        p.add_argument("--exp-band", type=float, default=0.05,
-                       help="undetermined band around exponent -1 (default 0.05)")
-        p.add_argument("--rel-tol", type=float, default=1e-10,
-                       help="weight quadrature relative tolerance (default 1e-10)")
-
-    p = sub.add_parser("classify", help="apply the sufficient criteria")
-    p.add_argument("config")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--rho", type=float, default=1.0)
-    add_tail_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("sweep", help="classify over a grid of exponents (CSV)")
-    p.add_argument("config")
-    p.add_argument("--p-from", type=float, required=True)
-    p.add_argument("--p-to", type=float, required=True)
-    p.add_argument("--p-step", type=float, default=0.5)
-    p.add_argument("--rho", type=float, default=1.0)
-    add_tail_flags(p)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("capacity", help="drifted capacity and upper bound")
-    p.add_argument("config")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-11)
-    p.add_argument("--flux", type=float, default=1.0,
-                   help="boundary flux of the tangency power (default 1.0)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_capacity)
-
-    p = sub.add_parser("solve", help="annulus profile: closed form vs ODE (CSV)")
-    p.add_argument("config")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--rel-tol", type=float, default=1e-11)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("simulate", help="radial diffusion hitting probabilities")
-    p.add_argument("config")
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--rin", type=float, default=0.5)
-    p.add_argument("--rout", type=float, default=8.0)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-time", type=float, default=100.0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_simulate)
+    for command, cmd in _COMMANDS.items():
+        p = sub.add_parser(command, help=cmd.help)
+        p.add_argument("config")
+        for flag in cmd.flags:
+            row = _FLAG_TABLE[flag]
+            default = (cmd.defaults or {}).get(flag, row.default)
+            shown = row.help if default is None else f"{row.help or ''} (default %(default)s)"
+            p.add_argument(flag, type=row.type, default=default, required=default is None,
+                           help=shown and shown.lstrip())
+        if cmd.csv:
+            p.add_argument("--out", help="CSV output path (default stdout)")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd.fn)
     return parser
 
 

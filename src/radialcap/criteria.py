@@ -57,8 +57,10 @@ THEOREM_UPPER = "theorem_upper_tangency"
 COR_BOUNDED_W = "corollary_bounded_warping"
 COR_MONOTONE = "corollary_monotone_in_p"
 
-# sweep rows take the drifted capacity out to rho * 2**10 at most
+# sweep rows take the drifted capacity out to rho * 2**10 at most, meshed at
+# 1e-9 relative whatever the weight tolerance of the classification
 SWEEP_CAP_DOUBLINGS = 10
+SWEEP_CAP_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -458,7 +460,7 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
                 # horizon at rho leaves no annulus
                 hi = min(r_cap, verdict.certified_interval[1])
                 if hi > rho:
-                    cap = drifted_capacity(c, p, rho, hi, rel_tol=1e-9)
+                    cap = drifted_capacity(c, p, rho, hi, rel_tol=SWEEP_CAP_REL_TOL)
             return SweepRow(p=p, verdict=verdict, error=None,
                             alpha_hat=alpha, cap_at_horizon=cap)
         except RadialCapError as exc:

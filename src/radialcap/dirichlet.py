@@ -185,9 +185,10 @@ def operator_residual(c: Constellation, p: float, rho: float, R: float,
     (independent of how the profile was produced), at 257
     Chebyshev-distributed nodes pulled slightly inside the annulus so the
     5-point stencil stays in range.  The stencil step is
-    ``min(2e-4 * (R - rho), 0.02 * rho)``.  rho must be > 0 and R finite
-    and > rho.
+    ``min(2e-4 * (R - rho), 0.02 * rho)``.  p must be finite and >= 2, rho
+    > 0 and R finite and > rho; each is checked before the profile is read.
     """
+    check_number("p", p, at_least=2)
     check_number("rho", rho, above=0)
     check_number("R", R, above=("rho", rho))
     profile = solution.profile if hasattr(solution, "profile") else solution

@@ -104,8 +104,11 @@ def unit_sphere_volume(m: int) -> float:
 
 
 def sphere_volume(ms: ModelSpace, r) -> Union[float, np.ndarray]:
-    """Volume of the distance sphere: ``omega_{m-1} * w(r)**(m-1)``."""
-    _check(np.asarray(r) <= 0, r, "radius must be positive")
+    """Volume of the distance sphere: ``omega_{m-1} * w(r)**(m-1)``.  The
+    radius must be finite and positive, or :class:`DomainError` names it."""
+    radius = np.asarray(r)
+    _check(~np.isfinite(radius), r, "radius must be finite")
+    _check(radius <= 0, r, "radius must be positive")
     wv = eval_jet2(ms.w, r).value
     return unit_sphere_volume(ms.m) * np.power(wv, ms.m - 1)
 

@@ -272,9 +272,11 @@ class CumulativeCache:
         return out.reshape(pts.shape)
 
     def grow(self, top: float) -> None:
-        """Mesh ``[base, top]``, evaluating the primitive nowhere."""
+        """Mesh ``[base, top]``, evaluating the primitive nowhere.  A ``top``
+        that is not finite raises "r must be finite", named as the radius
+        that the primitive's callers take."""
         if not math.isfinite(top):
-            raise ValueError(f"cumulative cache queried at {top}")
+            raise ValueError(f"r must be finite, got {top}")
         if top > self._reach:
             self._extend(top)
 

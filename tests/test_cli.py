@@ -1,9 +1,11 @@
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,12 +15,15 @@ import pytest
 
 import radialcap.dirichlet as dirichlet
 from radialcap.cli import (
-    EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main,
+    _COMMANDS, _FLAG_TABLE, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser,
+    load_config, main,
 )
 from radialcap.constellation import Tangency
-from radialcap.criteria import classify
+from radialcap.criteria import ClassifyConfig, classify
+from radialcap.diffusion import DiffusionConfig
 from radialcap.errors import ConfigError
 from radialcap.model import sphere_volume
+from radialcap.quadrature import TailConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EUCLID3 = str(CONFIG_DIR / "euclid3.json")
@@ -467,6 +472,49 @@ def test_simulate_asking_too_many_steps_names_dt_and_max_time(capsys, max_time):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _keyword_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_TAIL_DEFAULTS = {"horizon": TailConfig().k_max, "grid_points": ClassifyConfig().grid_points,
+                  "conv_eps": TailConfig().conv_eps, "exp_band": TailConfig().exp_band,
+                  "rel_tol": ClassifyConfig().weight_rel_tol}
+# per subcommand: its required flags, and the library's own default of each
+# flag that one sets
+LIBRARY_DEFAULTS = {
+    "classify": (["--p", "3"], _TAIL_DEFAULTS),
+    "sweep": (["--p-from", "2", "--p-to", "3"], _TAIL_DEFAULTS),
+    "capacity": (["--p", "3", "--R", "2"],
+                 {"rel_tol": _keyword_default(dirichlet.drifted_capacity, "rel_tol")}),
+    "solve": (["--p", "3", "--R", "2"],
+              {"rel_tol": _keyword_default(dirichlet.solve_dirichlet_closed, "rel_tol")}),
+    "simulate": (["--r0", "1"],
+                 {"rin": DiffusionConfig().r_inner, "rout": DiffusionConfig().r_outer,
+                  "paths": DiffusionConfig().paths, "dt": DiffusionConfig().dt,
+                  "seed": DiffusionConfig().seed, "max_time": DiffusionConfig().max_time}),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_DEFAULTS))
+def test_help_lists_every_flag_with_the_library_defaults(capsys, command):
+    # argparse formats a help text's %(default)s only when the help is printed
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    required, defaults = LIBRARY_DEFAULTS[command]
+    for flag in _COMMANDS[command].flags:
+        assert re.search(rf"^  {flag} [A-Z0-9_]+(  |$)", text, re.M), flag
+    args = vars(build_parser().parse_args([command, EUCLID3, *required]))
+    assert {dest: args[dest] for dest in defaults} == defaults
+    for value in defaults.values():
+        assert f"(default {value})" in text
+
+
+def test_every_table_flag_belongs_to_a_command():
+    assert {flag for cmd in _COMMANDS.values() for flag in cmd.flags} == set(_FLAG_TABLE)
+
 
 def test_module_entry_point_runs():
     # the child imports radialcap from this checkout, as this process does

@@ -351,16 +351,25 @@ def test_operator_residual_closed_solution_small():
     assert operator_residual(c, 2.0, 1.0, 2.0, sol) <= 1e-6
 
 
-@pytest.mark.parametrize("rho, R, text", [
-    (1.0, math.inf, "R must be finite, got inf"), (math.nan, 2.0, "rho must be finite, got nan"),
-    (2.0, 1.0, r"R must be > rho \(2.0\), got 1.0"), (0.0, 2.0, "rho must be > 0, got 0.0")])
-def test_operator_residual_checks_rho_and_R_first(rho, R, text):
-    # inf and nan raised "cumulative cache queried at nan", and rho > R gave a residual
+RESIDUAL_BAD_INPUTS = [  # p, rho, R and the error's text
+    (2.0, 1.0, math.inf, "R must be finite, got inf"),
+    (2.0, math.nan, 2.0, "rho must be finite, got nan"),
+    (2.0, 2.0, 1.0, r"R must be > rho \(2.0\), got 1.0"),
+    (2.0, 0.0, 2.0, "rho must be > 0, got 0.0"),
+    (math.nan, 1.0, 2.0, "p must be finite, got nan"),
+    (1.5, 1.0, 2.0, "p must be >= 2, got 1.5")]
+
+
+@pytest.mark.parametrize("p, rho, R, text", RESIDUAL_BAD_INPUTS,
+                         ids=[f"{rho}-{R}-{text}" for _, rho, R, text in RESIDUAL_BAD_INPUTS])
+def test_operator_residual_checks_rho_and_R_first(p, rho, R, text):
+    # inf and nan raised "cumulative cache queried at nan", and rho > R gave a
+    # residual; a bad p raised only after 1,285 profile evaluations
     def profile(r):
         raise AssertionError("the profile was evaluated")
 
     with pytest.raises(ValueError, match=f"^{text}$"):
-        operator_residual(euclid_self(3), 2.0, rho, R, profile)
+        operator_residual(euclid_self(3), p, rho, R, profile)
 
 
 def test_closed_solution_samples_the_remainder_once_per_panel(monkeypatch):

@@ -46,6 +46,14 @@ def test_sphere_volumes():
         4 * math.pi * math.sinh(1.0) ** 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan, np.array([1.0, math.inf])],
+                         ids=["inf", "nan", "array"])
+def test_sphere_volume_needs_a_finite_radius(r):
+    # inf returned inf with no error, and nan said "evaluation produced NaN"
+    with pytest.raises(DomainError, match="^radius must be finite at r="):
+        sphere_volume(ModelSpace.euclidean(3), r)
+
+
 def test_unit_sphere_volume_large_dimension_no_overflow():
     v = unit_sphere_volume(50)
     assert 0.0 < v < math.inf

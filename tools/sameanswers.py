@@ -496,6 +496,10 @@ def record_bad_numbers(rec, rc):
     for rho, R in ((1.0, inf), (nan, 2.0), (2.0, 1.0)):
         rec.run(f"bad_number:operator_residual:rho={rho},R={R}",
                 rc.operator_residual, c, 3.0, rho, R, sol)
+    for p in (nan, 1.5):
+        rec.run(f"bad_number:operator_residual:p={p}", rc.operator_residual, c, p, 1.0, 2.0, sol)
+    rec.run("bad_number:profile:r=nan", sol.profile, nan)
+    rec.run("bad_number:sphere_volume:r=inf", rc.sphere_volume, rc.ModelSpace.euclidean(3), inf)
     for size in (0, 1, 2.5):
         rec.run(f"bad_number:balance_sign:grid_size={size}",
                 lambda: rc.balance_sign(c, 3.0, (0.1, 10.0), size).to_dict())

@@ -123,16 +123,10 @@ def _balance_terms(c: Constellation, p: float, r, eta):
     the result is a scalar when eta and every datum are."""
     t1 = (c.m + p - 2.0) * eta
     t2 = c.m * _at(c.h, r)
-    if p == 2.0:
-        # the lam term carries the factor (p - 2) = 0: skip evaluation
-        # entirely so outcomes are exactly lam-independent at p = 2
-        value = t1 - t2
-        scale = np.abs(t1) + np.abs(t2)
-    else:
-        t3 = (p - 2.0) * _at(c.lam, r)
-        value = t1 - t2 - t3
-        scale = np.abs(t1) + np.abs(t2) + np.abs(t3)
-    return value, scale
+    # the lam term carries the factor (p - 2): at p = 2 it is 0.0 with lam
+    # not evaluated, so outcomes there are exactly lam-independent
+    t3 = 0.0 if p == 2.0 else (p - 2.0) * _at(c.lam, r)
+    return t1 - t2 - t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
 
 
 def balance(c: Constellation, p: float, r) -> Union[float, np.ndarray]:

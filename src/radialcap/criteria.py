@@ -444,6 +444,7 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
     for name, value in (("p_from", p_from), ("p_to", p_to)):
         check_number(name, value, error=ConfigError)
     check_number("p_to", p_to, at_least=("p_from", p_from))
+    check_number("rho", rho, above=0)
     cfg = cfg or ClassifyConfig()
     cfg.tail.horizon(rho)
     ps = [round(p_from + i * p_step, 12)

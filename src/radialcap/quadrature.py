@@ -87,15 +87,12 @@ def _clenshaw(c, x):
 
 
 def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``n`` points from ``lo`` to ``hi`` in geometric progression, for
+    """``n >= 1`` points from ``lo`` to ``hi`` in geometric progression, for
     0 < lo < hi: ``10**linspace(log10 lo, log10 hi, n)`` with the end points
     pinned.  Bit for bit ``np.geomspace(lo, hi, n)``, without its dtype and
     sign handling, which costs more than the grid itself."""
     out = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
-    if n > 1:
-        out[-1] = hi
-    if n:
-        out[0] = lo
+    out[-1], out[0] = hi, lo
     return out
 
 
@@ -140,6 +137,16 @@ def _gk(half: np.ndarray, vals: np.ndarray):
     return kron, errs
 
 
+def _stuck(limit: bool, lo: np.ndarray, hi: np.ndarray, err: np.ndarray,
+           value: Optional[float] = None) -> QuadratureError:
+    """The error of a refinement that cannot go on: at the panel budget if
+    ``limit``, else roundoff-limited; it names the panel of largest ``err``."""
+    worst = int(np.argmax(err))
+    return QuadratureError(
+        "subdivision limit reached" if limit else "cannot refine further (roundoff-limited)",
+        worst_interval=(float(lo[worst]), float(hi[worst]), float(err[worst])), value=value)
+
+
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
     """Adaptively integrate f over the finite interval [a, b]; f maps an
     array of nodes to an array of the same shape.
@@ -166,12 +173,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
         splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
         offenders = (errs > target / (2.0 * len(lo))) & splittable
         if not offenders.any() or len(lo) >= _MESH_PANELS:
-            worst = int(np.argmax(errs))
-            raise QuadratureError(
-                "subdivision limit reached" if len(lo) >= _MESH_PANELS
-                else "cannot refine further (roundoff-limited)",
-                worst_interval=(float(lo[worst]), float(hi[worst]), float(errs[worst])),
-                value=total)
+            raise _stuck(len(lo) >= _MESH_PANELS, lo, hi, errs, total)
         # split at most the 64 worst offenders per round to bound batch size
         idx = np.where(offenders)[0]
         if len(idx) > 64:
@@ -336,11 +338,7 @@ class CumulativeCache:
                     break
             splittable = (hi - lo) > np.maximum(4.0 * _EPS * (np.abs(lo) + np.abs(hi)), 1e-300)
             if n_done + 2 * len(lo) > _MESH_PANELS or not splittable.all():
-                worst = int(np.argmax(err))
-                raise QuadratureError(
-                    "subdivision limit reached" if splittable.all()
-                    else "cannot refine further (roundoff-limited)",
-                    worst_interval=(float(lo[worst]), float(hi[worst]), float(err[worst])))
+                raise _stuck(splittable.all(), lo, hi, err)
             mids = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mids]), np.concatenate([mids, hi])
             step = np.concatenate([step, step])
@@ -462,10 +460,7 @@ def _fit_exponent(f: Callable, rho: float, horizon: float):
     from the centred moments, slope = sum(dx*dy)/sum(dx*dx), which is the
     least-squares solution without an SVD; it agrees with ``np.polyfit``
     to rounding."""
-    t_lo = max(rho, horizon / 100.0)
-    if not t_lo < horizon:
-        return None, None
-    ts = geomgrid(t_lo, horizon, 64)
+    ts = geomgrid(max(rho, horizon / 100.0), horizon, 64)
     with np.errstate(all="ignore"):
         fs = f(ts)
     ok = np.isfinite(fs) & (fs > 0.0)

@@ -91,6 +91,11 @@ def test_classify_parabolic_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "p-parabolic" in out
+    # h = lam = coth cancel the balance at p = 2: it has both signs
+    code = main(["classify", str(CONFIG_DIR / "coth_dominated.json"), "--p", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "\nbalance: identically zero (counts as both signs) on r in [" in out
 
 
 def test_classify_inconclusive_exit_code(capsys):
@@ -330,14 +335,10 @@ def test_capacity_zero_flux_exit_2(capsys):
     assert code == EXIT_INPUT
 
 
-NONFINITE_FLAGS = [(command, flags) for command in ("capacity", "solve")
-                   for flags in (["--p", "nan"], ["--p", "inf"], ["--R", "inf"],
-                                 ["--rel-tol", "nan"])]
-NONFINITE_FLAGS += [(command, flags) for command in ("classify", "sweep")
-                    for flags in (["--rho", "nan"], ["--rho", "inf"], ["--conv-eps", "inf"],
-                                  ["--exp-band", "nan"])]
-NONFINITE_FLAGS += [("simulate", flags)
-                    for flags in (["--dt", "nan"], ["--max-time", "inf"], ["--rout", "inf"])]
+# every float flag of every command, at nan and at inf
+NONFINITE_FLAGS = [(command, [flag, value]) for command, cmd in _COMMANDS.items()
+                   for flag in cmd.flags if _FLAG_TABLE[flag].type is float
+                   for value in ("nan", "inf")]
 
 
 @pytest.mark.parametrize("command, flags", NONFINITE_FLAGS,
@@ -506,6 +507,8 @@ def test_help_lists_every_flag_with_the_library_defaults(capsys, command):
     required, defaults = LIBRARY_DEFAULTS[command]
     for flag in _COMMANDS[command].flags:
         assert re.search(rf"^  {flag} [A-Z0-9_]+(  |$)", text, re.M), flag
+        # every flag says what its value is
+        assert _FLAG_TABLE[flag].help in " ".join(text.split()), flag
     args = vars(build_parser().parse_args([command, EUCLID3, *required]))
     assert {dest: args[dest] for dest in defaults} == defaults
     for value in defaults.values():

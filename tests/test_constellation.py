@@ -281,6 +281,9 @@ def test_self_model_detection():
 def test_constellation_validates_dimensions():
     with pytest.raises(ValueError):
         Constellation.from_functions(2, 3, "r")
+    with pytest.raises(ValueError, match="^model dimension 2 != m=3$"):
+        Constellation(n=3, m=3, model=ModelSpace(2, "r"), g="1", lam="0", h="0",
+                      tangency="lower")
 
 
 def lower_family(m=3, w="r + 0.3*r^2"):

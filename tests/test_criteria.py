@@ -145,6 +145,9 @@ def test_bounded_warping_detects_decaying_w():
 def test_bounded_warping_requires_upper_tangency():
     with pytest.raises(ValueError):
         classify_bounded_w(euclid_self(2), 2.0, 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="^monotone corollary needs an upper-tangency "
+                                         "constellation$"):
+        classify_monotone(euclid_self(2), 2.0, 3.0, 1.0)
 
 
 def test_monotone_corollary_certifies_all_p_above_q():

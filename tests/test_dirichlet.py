@@ -14,7 +14,7 @@ from radialcap.dirichlet import (
     RadialSolution, drift_coeff, drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
-from radialcap.errors import DomainError, QuadratureError
+from radialcap.errors import DomainError, QuadratureError, RadialCapError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume, validate_warping
 from radialcap.quadrature import CumulativeCache, integrate
 
@@ -185,6 +185,13 @@ def test_vanishing_warping_reports_its_radius():
         solve_dirichlet_ode(c, 3.0, 1.0, 2.0)
     assert exc.value.r == 1.5
     assert isinstance(exc.value.r, float)
+
+
+def test_negative_weight_integral_has_no_solution():
+    # w = -r keeps one sign, so the weight is -1/r and its integral -log 2
+    c = Constellation.from_functions(3, 3, "-r")
+    with pytest.raises(RadialCapError, match=r"^weight integral over \[1.0, 2.0\] is -0.693"):
+        solve_dirichlet_closed(c, 3.0, 1.0, 2.0)
 
 
 def test_oscillating_remainder_over_a_finite_annulus_raises_its_worst_interval():
@@ -471,6 +478,16 @@ def test_profile_queries_in_any_order_and_shape():
     assert np.array_equal(sol.profile(rs[shuffled]), ascending[shuffled])
     assert np.array_equal(sol.profile(rs.reshape(31, 1)).ravel(), ascending)
     assert sol.profile(1.0) == 0.0 and ascending[0] == 0.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, np.array([1.5, math.nan]),
+                               np.array([1.5, math.inf])], ids=["nan", "inf", "[1.5 nan]", "[1.5 inf]"])
+def test_profile_and_derivative_name_a_radius_that_is_not_finite(r):
+    # derivative(nan) said "evaluation produced NaN at r=nan", from the weight
+    sol = solve_dirichlet_closed(euclid_self(3), 3.0, 1.0, 2.0)
+    for query in (sol.profile, sol.derivative):
+        with pytest.raises(ValueError, match=f"^r must be finite, got {np.max(r)}$"):
+            query(r)
 
 
 def test_operator_residual_negative_control():

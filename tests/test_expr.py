@@ -52,6 +52,8 @@ def test_parse_errors_carry_position():
     assert exc.value.position == 7
     with pytest.raises(TypeError):
         parse(3)
+    # trailing spaces end the input
+    assert parse("r ").root == parse("r").root
 
 
 def test_parse_unicode_operators():

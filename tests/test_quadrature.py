@@ -62,6 +62,12 @@ def test_integrate_subdivision_limit_reports_worst_interval():
     with pytest.raises(QuadratureError, match="roundoff-limited") as exc:
         integrate(lambda t: 1.0 / t, 0.0, 1.0, rel_tol=1e-10)
     assert exc.value.worst_interval is not None
+    # and so does a jump on a cache's mesh, which no panel width resolves
+    with pytest.raises(QuadratureError, match=r"^cannot refine further \(roundoff-limited\); "
+                                              r"worst subinterval \[1\.3") as exc:
+        CumulativeCache(lambda t: (t > 1.3).astype(float), 1.0)(2.0)
+    lo, hi, _ = exc.value.worst_interval
+    assert lo <= 1.3 <= hi
 
 
 def _decay_plus_log(t):
@@ -95,6 +101,8 @@ def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
     assert cache(np.array([1.0, 3.0]))[0] == 0.0
     with pytest.raises(ValueError):
         cache(0.5)
+    with pytest.raises(ValueError, match=r"^cumulative cache is based at 1.0; query below it$"):
+        cache(np.array([0.5, 2.0]))
     with pytest.raises(ValueError):
         cache(np.array([2.0, np.nan]))
 

@@ -499,6 +499,9 @@ def record_bad_numbers(rec, rc):
     for p in (nan, 1.5):
         rec.run(f"bad_number:operator_residual:p={p}", rc.operator_residual, c, p, 1.0, 2.0, sol)
     rec.run("bad_number:profile:r=nan", sol.profile, nan)
+    for x in (nan, inf):
+        rec.run(f"bad_number:derivative:r={x}", sol.derivative, x)
+        rec.run(f"bad_number:sweep:rho={x}", lambda: len(rc.sweep(c, 2.0, 3.0, 0.5, x)))
     rec.run("bad_number:sphere_volume:r=inf", rc.sphere_volume, rc.ModelSpace.euclidean(3), inf)
     for size in (0, 1, 2.5):
         rec.run(f"bad_number:balance_sign:grid_size={size}",

@@ -131,7 +131,7 @@ def _by_flag():
     """Report an input error raised inside by the flags' names."""
     try:
         yield
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(_FLAG_RE.sub(lambda m: _FLAGS[m[0]], str(exc))) from None
 
 
@@ -205,7 +205,7 @@ def cmd_sweep(args, c: Constellation) -> tuple:
 
 
 def cmd_capacity(args, c: Constellation) -> tuple:
-    check_number("--flux", args.flux, above=0, error=ConfigError)
+    check_number("--flux", args.flux, above=0)
     cap = drifted_capacity(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     vol = float(sphere_volume(c.model, args.rho))
     bound = flux_bound(cap, vol, args.p, args.flux)
@@ -228,7 +228,7 @@ def cmd_capacity(args, c: Constellation) -> tuple:
 
 def cmd_solve(args, c: Constellation) -> tuple:
     k = args.samples
-    check_number("--samples", k, at_least=2, error=ConfigError)
+    check_number("--samples", k, at_least=2)
     sol = solve_dirichlet_closed(c, args.p, args.rho, args.R, rel_tol=args.rel_tol)
     per_gap = max(1, int(np.ceil(2000 / (k - 1))))
     ode = solve_dirichlet_ode(c, args.p, args.rho, args.R,
@@ -340,13 +340,9 @@ def main(argv: Optional[list] = None) -> int:
                 print(line)
             print("settings: " + " ".join(f"{k}={v}" for k, v in settings.items()))
         return code
-    except (ConfigError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RadialCapError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,10 +27,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, check_number
+from .errors import ConfigError, check_number
 from .expr import RadialExpr, _check, eval_jet2, evaluate, parse
 from .model import ModelSpace, _as_expr
-from .quadrature import CumulativeCache, geomgrid
+from .quadrature import CumulativeCache, check_radius, geomgrid
 
 __all__ = [
     "Tangency",
@@ -78,7 +78,7 @@ class Constellation:
         check_number("m", self.m, integer=True, at_least=2)
         check_number("n", self.n, integer=True, at_least=("m", self.m))
         if self.model.m != self.m:
-            raise ValueError(f"model dimension {self.model.m} != m={self.m}")
+            raise ConfigError(f"model dimension {self.model.m} != m={self.m}")
 
     @classmethod
     def from_functions(cls, n: int, m: int, w: Union[str, RadialExpr],
@@ -220,8 +220,8 @@ class WeightFunction:
     that grows with the largest radius queried, so a query inside it runs
     no quadrature.  :meth:`integral` is the weight's own primitive, which
     the Dirichlet solution and the monotone corollary share.  rel_tol
-    must be finite and >= 0.  Instances are cheap to build and not safe for
-    concurrent mutation; build one per thread.
+    must be finite and >= 0, a radius finite and >= rho.  Cheap to build
+    and not safe for concurrent mutation: build one per thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
@@ -263,6 +263,7 @@ class WeightFunction:
         off one CumulativeCache over the weight at its ``rel_tol``, built on
         first use.  The cache's first call of the weight in an extension
         takes the largest r, so the remainder mesh grows to it at once."""
+        check_radius(r, self.rho, "rho")
         if self._primitive is None:
             ref = weakref.ref(self)
             self._primitive = CumulativeCache(lambda t: ref()(t), self.rho, rel_tol=self.rel_tol)
@@ -280,9 +281,10 @@ class WeightFunction:
 
     def inner_integral(self, r, wv=None):
         """I(r) for scalar or ndarray r >= rho; ``wv`` is w(r) if known."""
-        lim = self.rho * (1.0 - 1e-15) - 1e-300
-        if r < lim if isinstance(r, float) else (np.asarray(r) < lim).any():
-            raise ValueError(f"weight is based at rho={self.rho}; query below it")
+        check_radius(r, self.rho, "rho")
+        return self._exponent(r, wv)
+
+    def _exponent(self, r, wv):
         total = 0.0 if self._cache is None else self._cache(r)
         if self._kappa:
             if wv is None:
@@ -291,8 +293,9 @@ class WeightFunction:
         return total
 
     def __call__(self, r):
+        check_radius(r, self.rho, "rho")
         wv = evaluate(self.constellation.model.w, r)
-        return wv * np.exp(-self.inner_integral(r, wv))
+        return wv * np.exp(-self._exponent(r, wv))
 
 
 def _constant_g(c: Constellation) -> Optional[float]:
@@ -310,22 +313,15 @@ def _tangency_bound(c: Constellation, t) -> Union[float, np.ndarray]:
     if g0 is not None:
         return g0
     gv = np.asarray(evaluate(c.g, t))
-    bad = gv < _G_FLOOR
-    if np.any(bad):
-        r_bad = np.ravel(t)[np.argmax(bad)]
-        raise DomainError(f"tangency bound g below {_G_FLOOR:g}", float(r_bad))
+    _check(gv < _G_FLOOR, t, f"tangency bound g below {_G_FLOOR:g}")
     return gv
 
 
 def _check_warping(wv, sign, r):
     """Raise unless w(r) is finite with the sign of w(rho): a sign change
     means w vanishes between rho and r, where w'/w has a pole."""
-    ok = np.logical_and(sign * wv > 0.0, np.isfinite(wv))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        bad = float(np.ravel(wv)[i])
-        raise DomainError("warping function overflows" if math.isinf(bad)
-                          else "warping function vanishes", float(np.ravel(r)[i]))
+    _check(np.isinf(wv), r, "warping function overflows")
+    _check(np.logical_not(sign * wv > 0.0), r, "warping function vanishes")
 
 
 def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> float:

@@ -77,9 +77,8 @@ class ClassifyConfig:
     weight_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        check_number("grid_points", self.grid_points, integer=True, at_least=2,
-                     error=ConfigError)
-        check_number("weight_rel_tol", self.weight_rel_tol, at_least=0, error=ConfigError)
+        check_number("grid_points", self.grid_points, integer=True, at_least=2)
+        check_number("weight_rel_tol", self.weight_rel_tol, at_least=0)
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
     monotone = q is not None
     letter, q = ("q", q) if monotone else ("p", p)
     for name, value in {"p": p, letter: q}.items():
-        check_number(name, value, error=ConfigError)
+        check_number(name, value)
     if monotone:
         check_number("p", p, at_least=("q", q))
     cfg.tail.horizon(rho)
@@ -387,7 +386,7 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
     by ``lower_const > 0`` on ``[r0, horizon]`` certifies p-parabolicity with
     no tail quadrature (the weight dominates w, so its integral diverges)."""
     if c.tangency is not Tangency.UPPER:
-        raise ValueError("bounded-warping corollary needs an upper-tangency constellation")
+        raise ConfigError("bounded-warping corollary needs an upper-tangency constellation")
     for name, value in (("lower_const", lower_const), ("rho", rho), ("r0", r0)):
         check_number(name, value, above=0)
     return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
@@ -406,7 +405,7 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
     Internally also asserts the comparisons the proof relies on
     (balance and weight monotonicity between q and p)."""
     if c.tangency is not Tangency.UPPER:
-        raise ValueError("monotone corollary needs an upper-tangency constellation")
+        raise ConfigError("monotone corollary needs an upper-tangency constellation")
     check_number("rho", rho, above=0)
     return _decide(c, p, rho, cfg, COR_MONOTONE, [
         (_sandwich_stage,),
@@ -440,9 +439,8 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
           cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
     failures recorded per row without aborting the sweep."""
-    check_number("p_step", p_step, above=0, error=ConfigError)
-    for name, value in (("p_from", p_from), ("p_to", p_to)):
-        check_number(name, value, error=ConfigError)
+    check_number("p_step", p_step, above=0)
+    check_number("p_from", p_from)
     check_number("p_to", p_to, at_least=("p_from", p_from))
     check_number("rho", rho, above=0)
     cfg = cfg or ClassifyConfig()

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_number
 from .expr import RadialExpr, c_value_d1, eval_jet2
-from .model import ModelSpace
+from .model import ModelSpace, _warping_power
 from .quadrature import integrate
 
 __all__ = ["DiffusionConfig", "HittingStats", "simulate_radial", "exact_hitting_prob"]
@@ -116,12 +116,12 @@ class DiffusionConfig:
     max_time: float = 100.0
 
     def __post_init__(self):
-        check_number("dt", self.dt, above=0, error=ConfigError)
-        check_number("paths", self.paths, integer=True, at_least=1, error=ConfigError)
-        check_number("seed", self.seed, integer=True, error=ConfigError)
-        check_number("r_inner", self.r_inner, above=0, error=ConfigError)
-        check_number("r_outer", self.r_outer, above=("r_inner", self.r_inner), error=ConfigError)
-        check_number("max_time", self.max_time, above=0, error=ConfigError)
+        check_number("dt", self.dt, above=0)
+        check_number("paths", self.paths, integer=True, at_least=1)
+        check_number("seed", self.seed, integer=True)
+        check_number("r_inner", self.r_inner, above=0)
+        check_number("r_outer", self.r_outer, above=("r_inner", self.r_inner))
+        check_number("max_time", self.max_time, above=0)
 
 
 @dataclass(frozen=True)
@@ -416,8 +416,8 @@ def simulate_radial(ms: ModelSpace, r0: float, cfg: DiffusionConfig) -> HittingS
     More than 1e8 steps per path, ``floor(max_time / dt)``, is a
     :class:`ConfigError`.
     """
-    check_number("r0", r0, above=("r_inner", cfg.r_inner), error=ConfigError)
-    check_number("r_outer", cfg.r_outer, above=("r0", r0), error=ConfigError)
+    check_number("r0", r0, above=("r_inner", cfg.r_inner))
+    check_number("r_outer", cfg.r_outer, above=("r0", r0))
     steps = cfg.max_time / cfg.dt
     if steps >= _MAX_STEPS + 1:
         raise ConfigError(f"max_time / dt = {steps:.6g} steps per path, "
@@ -451,7 +451,7 @@ def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float) -> float
 
     (the scale-function ratio; equals one minus the harmonic annulus profile
     at r0).  Both integrals are taken to 1e-12 relative, over finite radii
-    with 0 < rho <= r0 <= R.
+    with 0 < rho <= r0 <= R, where w must be positive.
     """
     check_number("rho", rho, above=0)
     check_number("r0", r0, at_least=("rho", rho))
@@ -460,11 +460,7 @@ def exact_hitting_prob(ms: ModelSpace, r0: float, rho: float, R: float) -> float
         return 1.0
     if r0 == R:
         return 0.0
-    expo = 1.0 - ms.m
-
-    def integrand(t):
-        return np.power(eval_jet2(ms.w, t).value, expo)
-
+    integrand = _warping_power(ms, 1.0 - ms.m)
     num, _ = integrate(integrand, r0, R, rel_tol=1e-12)
     den0, _ = integrate(integrand, rho, r0, rel_tol=1e-12)
     return num / (den0 + num)

@@ -62,8 +62,8 @@ class RadialSolution:
     ``profile(r)`` is exact 0 at rho and exact 1 at R by construction;
     ``derivative(r)`` is the weight over the normalizer, hence nonnegative.
     Both read the weight's primitive, meshed at the weight's ``rel_tol``,
-    so solutions on one weight share it.  A NaN or +inf radius, alone or in
-    an array, raises "r must be finite" in both, before the weight is read.
+    so solutions on one weight share it.  Both take the weight's rule for
+    a radius: finite, then >= rho ("r must be >= rho (1.0), got 0.5").
     """
 
     def __init__(self, weight: WeightFunction, R: float):
@@ -80,9 +80,6 @@ class RadialSolution:
         return self.weight.integral(r) / self.normalizer
 
     def derivative(self, r):
-        top = np.max(r, initial=-math.inf)
-        if not top < math.inf:
-            raise ValueError(f"r must be finite, got {top}")
         return self.weight(r) / self.normalizer
 
     def __repr__(self):

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all radialcap modules, and the one rule
 for a number a caller passes in (:func:`check_number`): its type, its
-finiteness and its range, where a range's bound may be another input."""
+finiteness and its range, where a range's bound may be another input.
+Every input error is a :class:`ConfigError`, which is a ``ValueError``; a
+point where an expression leaves its domain is a :class:`DomainError`."""
 
 import functools
 import math
@@ -11,7 +13,11 @@ class RadialCapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(RadialCapError):
+class ConfigError(RadialCapError, ValueError):
+    """Invalid input: a number, radius, field, flag or text outside its domain."""
+
+
+class ParseError(ConfigError):
     """Malformed expression text.
 
     Attributes:
@@ -70,10 +76,6 @@ class QuadratureError(RadialCapError):
         super().__init__(message)
 
 
-class ConfigError(RadialCapError):
-    """Invalid run configuration (bad field values, unknown keys, ...)."""
-
-
 @functools.cache
 def _number_kind(kind: type):
     """None unless ``kind`` is a real number type other than bool, else
@@ -89,24 +91,27 @@ def _shown(bound):
     return f"{bound[0]} ({bound[1]})" if isinstance(bound, tuple) else bound
 
 
-def check_number(name, value, *, integer=False, above=None, at_least=None,
-                 error=ValueError):
-    """Raise ``error`` naming ``name`` at the first of these rules that
-    ``value`` breaks, in this order: it is a real number and not a bool
-    (numpy scalars count), it is finite, it is an integer if ``integer``,
-    it is > ``above`` and it is >= ``at_least``, each if given.  A bound is
-    a number or a ``(name, value)`` pair naming another input, which the
-    caller checks first: "R must be > rho (1.0), got 0.5"."""
+def check_number(name, value, *, integer=False, above=None, at_least=None):
+    """Raise :class:`ConfigError` naming ``name`` at the first of these
+    rules that ``value`` breaks, in this order: it is a real number and not
+    a bool (numpy scalars count), it is finite, it is an integer if
+    ``integer``, it is > ``above`` and it is >= ``at_least``, each if given.
+    A bound is a number or a ``(name, value)`` pair naming another input,
+    which the caller checks first: "R must be > rho (1.0), got 0.5".  A
+    radius queried on a primitive takes the same rules
+    (:func:`~radialcap.quadrature.check_radius`).  A point where an
+    expression is evaluated (``evaluate``, ``eval_jet2``) is not an input:
+    +inf there gives the expression's limit, and NaN is a DomainError."""
     integral = _number_kind(type(value))
     if integral is None:
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     # an int is finite, however large; math.isfinite would overflow on it
     if not (integral or math.isfinite(value)):
-        raise error(f"{name} must be finite, got {value}")
+        raise ConfigError(f"{name} must be finite, got {value}")
     if integer and not integral:
-        raise error(f"{name} must be an integer, got {value}")
+        raise ConfigError(f"{name} must be an integer, got {value}")
     if above is not None and not value > (above[1] if isinstance(above, tuple) else above):
-        raise error(f"{name} must be > {_shown(above)}, got {value}")
+        raise ConfigError(f"{name} must be > {_shown(above)}, got {value}")
     if at_least is not None and not value >= (at_least[1] if isinstance(at_least, tuple)
                                               else at_least):
-        raise error(f"{name} must be >= {_shown(at_least)}, got {value}")
+        raise ConfigError(f"{name} must be >= {_shown(at_least)}, got {value}")

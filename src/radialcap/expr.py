@@ -348,10 +348,10 @@ def _format(node: Node, min_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _first_bad(mask, r):
-    """Return the evaluation point of the first True entry in mask."""
+    """The evaluation point of the first True entry in mask, as a Python number."""
     mask = np.asarray(mask)
     if mask.ndim == 0:
-        return r if np.ndim(r) == 0 else float(np.asarray(r).flat[0])
+        return r if type(r) in (int, float) else float(np.asarray(r).flat[0])
     idx = int(np.argmax(mask))
     return float(np.asarray(r + np.zeros_like(mask, dtype=float)).flat[idx])
 
@@ -599,7 +599,10 @@ def eval_jet2(expr: RadialExpr, r) -> Jet2:
     ``r`` may be a positive scalar or an ndarray of positive reals; jet
     components mirror the input shape.  Raises
     :class:`~radialcap.errors.DomainError` on out-of-domain points (the
-    error reports the first offending point), never a silent NaN.
+    error reports the first offending point), never a silent NaN.  A point
+    is not an input: r = +inf gives the expression's limit as its value
+    (``r`` is inf, ``exp(-r)`` 0.0), and NaN, at r = NaN or from inf - inf
+    or inf * 0, is a :class:`~radialcap.errors.DomainError`.
     """
     return Jet2(*_run(expr._jet, r))
 
@@ -610,7 +613,7 @@ def evaluate(expr: RadialExpr, r):
     Same domain rules as :func:`eval_jet2` except its derivative poles (see
     the module docstring), and no derivative work, so values near float
     overflow stay inf instead of turning into NaN through ``inf * 0``
-    derivative terms.
+    derivative terms.  As there, r = +inf gives the limit and NaN raises.
     """
     return _run(expr._value, r)[0]
 

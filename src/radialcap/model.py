@@ -113,6 +113,15 @@ def sphere_volume(ms: ModelSpace, r) -> Union[float, np.ndarray]:
     return unit_sphere_volume(ms.m) * np.power(wv, ms.m - 1)
 
 
+def _warping_power(ms: ModelSpace, expo: float):
+    """``t -> w(t)**expo``, the integrand of both exact oracles (w > 0)."""
+    def integrand(t):
+        wv = np.asarray(eval_jet2(ms.w, t).value)
+        _check(wv <= 0.0, t, "warping function must be positive on [rho, R]")
+        return np.power(wv, expo)
+    return integrand
+
+
 def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> float:
     """Exact radial p-capacity of the annulus (closed ball of radius rho,
     ball of radius R):
@@ -125,14 +134,7 @@ def exact_annulus_p_capacity(ms: ModelSpace, rho: float, R: float, p: float) -> 
     check_number("rho", rho, above=0)
     check_number("R", R, above=("rho", rho))
     check_number("p", p, at_least=2)
-    expo = (1.0 - ms.m) / (p - 1.0)
-
-    def integrand(t):
-        wv = np.asarray(eval_jet2(ms.w, t).value)
-        _check(wv <= 0.0, t, "warping function must be positive on [rho, R]")
-        return np.power(wv, expo)
-
-    total, _ = integrate(integrand, rho, R, rel_tol=1e-11)
+    total, _ = integrate(_warping_power(ms, (1.0 - ms.m) / (p - 1.0)), rho, R, rel_tol=1e-11)
     try:
         power = total ** (1.0 - p)
     except OverflowError:

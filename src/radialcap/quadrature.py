@@ -156,7 +156,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
     :class:`~radialcap.errors.QuadratureError` carrying the worst
     subinterval when the budget of ``_MESH_PANELS`` panels is exhausted.
     Bounds that are not finite with a < b, and a rel_tol that is NaN,
-    negative or infinite, raise ``ValueError``.
+    negative or infinite, raise :class:`~radialcap.errors.ConfigError`.
     """
     check_number("a", a)
     check_number("b", b, above=("a", a))
@@ -190,6 +190,19 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-10):
         lo, hi = new_lo, new_hi
 
 
+def check_radius(r, base, name="base"):
+    """``check_number``'s rules for a radius, or each of an array, queried
+    on a primitive based at ``base``: finite, then >= base (1e-15 slack)."""
+    lim = base * (1.0 - 1e-15) - 1e-300
+    if isinstance(r, float):
+        bad = () if lim <= r < math.inf else (r,)
+    else:
+        pts = np.asarray(r, dtype=float)
+        bad = pts[~((pts >= lim) & (pts < math.inf))].tolist()
+    if bad:
+        check_number("r", min(bad, key=math.isfinite), at_least=(name, base))
+
+
 class CumulativeCache:
     """``r -> integral(base, r)`` on a mesh of panels that grows to the right;
     ``fn`` maps a 1-D array of nodes to an array of the same shape.
@@ -205,7 +218,7 @@ class CumulativeCache:
     one ``searchsorted``, gathers its columns once and gives an array of
     its shape.  The two agree bit for bit.  :meth:`grow` and :meth:`error`
     only grow the mesh and make no Clenshaw sum; a query grows it through
-    :meth:`grow` before its sum.
+    :meth:`grow` before its sum.  Every radius follows :func:`check_radius`.
 
     Growing past the mesh's right end ``reach`` meshes ``[reach, top]``
     (top: the query's largest point) from the doubling steps ``[reach,
@@ -247,10 +260,8 @@ class CumulativeCache:
     def __call__(self, r):
         if isinstance(r, float) or np.ndim(r) == 0:     # one point, in Python floats
             x = float(r)
-            if x < self.base * (1.0 - 1e-15) - 1e-300:
-                raise ValueError(f"cumulative cache is based at {self.base}; query below it")
-            x = max(x, self.base)
             self.grow(x)
+            x = max(x, self.base)
             if not len(self._lo):   # an empty mesh is only ever queried at the base
                 return 0.0
             i = bisect.bisect_right(self._lo, x) - 1
@@ -259,10 +270,8 @@ class CumulativeCache:
             t = min(max((x - self._mid.item(i)) / self._half.item(i), -1.0), 1.0)
             return self._off.item(i) + _clenshaw(self._coef[:, i].tolist(), t)
         pts = np.asarray(r, dtype=float)
-        flat = pts.ravel()
-        if np.any(flat < self.base * (1.0 - 1e-15) - 1e-300):
-            raise ValueError(f"cumulative cache is based at {self.base}; query below it")
-        flat = np.maximum(flat, self.base)
+        check_radius(pts, self.base)
+        flat = np.maximum(pts.ravel(), self.base)
         out = np.zeros(flat.shape)
         if flat.size:
             self.grow(float(flat.max()))
@@ -274,11 +283,9 @@ class CumulativeCache:
         return out.reshape(pts.shape)
 
     def grow(self, top: float) -> None:
-        """Mesh ``[base, top]``, evaluating the primitive nowhere.  A ``top``
-        that is not finite raises "r must be finite", named as the radius
-        that the primitive's callers take."""
-        if not math.isfinite(top):
-            raise ValueError(f"r must be finite, got {top}")
+        """Mesh ``[base, top]``, evaluating the primitive nowhere; ``top``
+        is a query radius (:func:`check_radius`)."""
+        check_radius(top, self.base)
         if top > self._reach:
             self._extend(top)
 
@@ -392,11 +399,11 @@ class TailConfig:
     exp_band: float = 0.05
 
     def __post_init__(self):
-        check_number("k_max", self.k_max, integer=True, at_least=0, error=ConfigError)
+        check_number("k_max", self.k_max, integer=True, at_least=0)
         # an infinite threshold would call every tail convergent, and an
         # infinite band would let no fitted exponent decide
-        check_number("conv_eps", self.conv_eps, at_least=0, error=ConfigError)
-        check_number("exp_band", self.exp_band, at_least=0, error=ConfigError)
+        check_number("conv_eps", self.conv_eps, at_least=0)
+        check_number("exp_band", self.exp_band, at_least=0)
 
     def horizon(self, rho: float) -> float:
         """``rho * 2**k_max``; :class:`ConfigError` unless that is a finite float."""

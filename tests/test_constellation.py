@@ -392,6 +392,9 @@ def test_weight_reports_vanishing_and_overflowing_warping():
     # w = r - 1.3 changes sign inside [1, 2]: w'/w has a pole there
     with pytest.raises(DomainError, match="warping function vanishes"):
         WeightFunction(Constellation.from_functions(2, 2, "r - 1.3"), 3.0, 1.0)(2.0)
+    # a numpy scalar radius is named as a float
+    with pytest.raises(DomainError, match=r"^warping function vanishes at r=2.0$"):
+        WeightFunction(Constellation.from_functions(2, 2, "r - 1.3"), 3.0, 1.0)(np.float64(2.0))
     # sinh overflows past r ~ 710: an error, never a NaN weight
     with pytest.raises(DomainError, match="warping function overflows") as exc:
         WeightFunction(hyperbolic_self(3), 3.0, 1.0)(np.array([2.0, 700.0, 800.0]))

@@ -82,6 +82,17 @@ def test_exact_hitting_prob_needs_0_below_rho_r0_R_in_order(r0, rho, R, text):
             exact_hitting_prob(ModelSpace.euclidean(3), r0, rho, R)
 
 
+@pytest.mark.parametrize("R", [0.9, 4.0])
+def test_exact_hitting_prob_needs_a_positive_warping(R):
+    # w = r - 1 is negative on [0.5, 0.9], where the oracle answered 0.8333,
+    # and crosses 0 in [0.5, 4], where it warned and then raised a
+    # QuadratureError; the capacity oracle's rule now holds for both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^warping function must be positive on \[rho, R\]"):
+            exact_hitting_prob(ModelSpace(3, "r - 1"), 0.7, 0.5, R)
+
+
 def test_exact_hitting_prob_links_to_dirichlet_profile():
     for m, w in [(3, "r"), (2, "r"), (2, "sinh(r)")]:
         ms = ModelSpace(m, w)

@@ -14,7 +14,7 @@ from radialcap.dirichlet import (
     RadialSolution, drift_coeff, drifted_capacity, flux_bound, operator_residual,
     solve_dirichlet_closed, solve_dirichlet_ode,
 )
-from radialcap.errors import DomainError, QuadratureError, RadialCapError
+from radialcap.errors import ConfigError, DomainError, QuadratureError, RadialCapError
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume, validate_warping
 from radialcap.quadrature import CumulativeCache, integrate
 
@@ -177,6 +177,8 @@ def test_both_solvers_apply_the_tangency_floor():
         solve_dirichlet_closed(c, 3.0, 1.0, 1.4)
     with pytest.raises(DomainError, match=floor):
         operator_residual(c, 3.0, 1.0, 1.4, lambda r: r - 1.0)
+    with pytest.raises(DomainError, match=f"^{floor} at r=1.2$"):
+        drift_coeff(c, 3.0, np.float64(1.2))
 
 
 def test_vanishing_warping_reports_its_radius():
@@ -480,14 +482,31 @@ def test_profile_queries_in_any_order_and_shape():
     assert sol.profile(1.0) == 0.0 and ascending[0] == 0.0
 
 
-@pytest.mark.parametrize("r", [math.nan, math.inf, np.array([1.5, math.nan]),
-                               np.array([1.5, math.inf])], ids=["nan", "inf", "[1.5 nan]", "[1.5 inf]"])
-def test_profile_and_derivative_name_a_radius_that_is_not_finite(r):
-    # derivative(nan) said "evaluation produced NaN at r=nan", from the weight
-    sol = solve_dirichlet_closed(euclid_self(3), 3.0, 1.0, 2.0)
-    for query in (sol.profile, sol.derivative):
-        with pytest.raises(ValueError, match=f"^r must be finite, got {np.max(r)}$"):
-            query(r)
+RADIUS_PROBE = [  # a radius no query takes, and the one text every query gives
+    (math.nan, "r must be finite, got nan"),
+    (math.inf, "r must be finite, got inf"),
+    (np.array([1.5, math.nan]), "r must be finite, got nan"),
+    (np.array([1.5, math.inf]), "r must be finite, got inf"),
+    (0.5, r"r must be >= rho \(1.0\), got 0.5"),
+    (0.0, r"r must be >= rho \(1.0\), got 0.0"),
+    (-math.inf, "r must be finite, got -inf"),
+    (np.array([1.5, 0.5]), r"r must be >= rho \(1.0\), got 0.5")]
+
+
+@pytest.mark.parametrize("r, text", RADIUS_PROBE,
+                         ids=["nan", "inf", "[1.5 nan]", "[1.5 inf]", "0.5", "0.0", "-inf",
+                              "[1.5 0.5]"])
+def test_profile_and_derivative_name_a_radius_that_is_not_finite(r, text):
+    # derivative(nan) said "evaluation produced NaN at r=nan", from the weight.
+    # Below rho, six texts of two types: "cumulative cache is based at 1.0;
+    # query below it", "weight is based at rho=1.0; query below it" and a
+    # DomainError "radial variable must be positive"
+    for h in ("0", "0.1"):
+        sol = solve_dirichlet_closed(Constellation.from_functions(3, 3, "r", h=h), 3.0, 1.0, 2.0)
+        for query in (sol.profile, sol.derivative, sol.weight, sol.weight.integral,
+                      sol.weight.inner_integral):
+            with pytest.raises(ConfigError, match=f"^{text}$"):
+                query(r)
 
 
 def test_operator_residual_negative_control():

@@ -4,7 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from radialcap.errors import ConfigError, check_number
+from radialcap.constellation import Constellation, WeightFunction, balance, balance_sign
+from radialcap.criteria import classify, sweep
+from radialcap.dirichlet import (
+    drift_coeff, flux_bound, operator_residual, solve_dirichlet_closed,
+)
+from radialcap.errors import (
+    ConfigError, ParseError, RadialCapError, UnknownIdentifierError, check_number,
+)
+from radialcap.model import exact_annulus_p_capacity
 
 
 @pytest.mark.parametrize("value, rules, text", [
@@ -27,7 +35,7 @@ from radialcap.errors import ConfigError, check_number
 def test_check_number_names_the_first_rule_broken(value, rules, text):
     # the rules run in one order: a real number, finite, integer, > above, >= at_least
     with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
-        check_number("x", value, error=ConfigError, **rules)
+        check_number("x", value, **rules)
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         check_number("x", value, **rules)
 
@@ -41,3 +49,31 @@ def test_check_number_passes_finite_real_numbers(value):
 def test_check_number_passes_values_inside_named_bounds():
     assert check_number("R", 2.0, above=("rho", 1.0)) is None
     assert check_number("n", 3, integer=True, at_least=("m", 3)) is None
+
+
+def test_every_input_error_is_one_config_error():
+    assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, RadialCapError)
+    assert issubclass(ParseError, ConfigError) and issubclass(UnknownIdentifierError, ConfigError)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("name, call", [
+    ("p", lambda c: classify(c, NAN, 1.0)),
+    ("p_from", lambda c: sweep(c, NAN, 3.0, 0.5, 1.0)),
+    ("p", lambda c: balance(c, NAN, 1.0)),
+    ("p", lambda c: balance_sign(c, NAN, (0.1, 10.0))),
+    ("p", lambda c: drift_coeff(c, NAN, 1.0)),
+    ("p", lambda c: WeightFunction(c, NAN, 1.0)),
+    ("p", lambda c: solve_dirichlet_closed(c, NAN, 1.0, 2.0)),
+    ("p", lambda c: exact_annulus_p_capacity(c.model, 1.0, 2.0, NAN)),
+    ("p", lambda c: flux_bound(1.0, 1.0, NAN, 1.0)),
+    ("p", lambda c: operator_residual(c, NAN, 1.0, 2.0, solve_dirichlet_closed(c, 3.0, 1.0, 2.0))),
+], ids=["classify", "sweep", "balance", "balance_sign", "drift_coeff", "WeightFunction",
+        "solve_dirichlet_closed", "exact_annulus_p_capacity", "flux_bound", "operator_residual"])
+def test_a_nan_exponent_is_a_config_error_everywhere(name, call):
+    # classify and sweep raised a ConfigError, the other eight a ValueError,
+    # with the same text
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got nan$"):
+        call(Constellation.from_functions(3, 3, "r"))

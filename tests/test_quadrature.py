@@ -101,7 +101,7 @@ def test_cumulative_base_is_exactly_zero_and_bad_queries_rejected():
     assert cache(np.array([1.0, 3.0]))[0] == 0.0
     with pytest.raises(ValueError):
         cache(0.5)
-    with pytest.raises(ValueError, match=r"^cumulative cache is based at 1.0; query below it$"):
+    with pytest.raises(ValueError, match=r"^r must be >= base \(1.0\), got 0.5$"):
         cache(np.array([0.5, 2.0]))
     with pytest.raises(ValueError):
         cache(np.array([2.0, np.nan]))

@@ -510,6 +510,19 @@ def record_bad_numbers(rec, rc):
     for rho in (0.0, -1.0):
         rec.run(f"bad_number:exact_hitting_prob:rho={rho}",
                 rc.exact_hitting_prob, rc.ModelSpace.euclidean(3), 1.0, rho, 8.0)
+    # a radius below the base, through every query of a solution and its weight
+    for h in ("0", "0.1"):
+        probe = rc.solve_dirichlet_closed(rc.Constellation.from_functions(3, 3, "r", h=h),
+                                          3.0, 1.0, 2.0)
+        for name, query in (("profile", probe.profile), ("derivative", probe.derivative),
+                            ("weight", probe.weight), ("integral", probe.weight.integral),
+                            ("inner_integral", probe.weight.inner_integral)):
+            for r in (0.5, 0.0, -inf, np.array([1.5, 0.5])):
+                rec.run(f"bad_number:{name}:h={h},r={r}", query, r)
+    # a warping that is not positive on the oracle's interval
+    for R in (0.9, 4.0):
+        rec.run(f"bad_number:exact_hitting_prob:w=r-1,R={R}",
+                rc.exact_hitting_prob, rc.ModelSpace(3, "r - 1"), 0.7, 0.5, R)
     for argv in BAD_NUMBER_ARGV:
         rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 

@@ -68,9 +68,11 @@ class Constellation:
     tangency: Tangency
 
     def __post_init__(self):
-        tang = self.tangency
-        if isinstance(tang, str):
-            tang = Tangency(tang)
+        try:
+            tang = Tangency(self.tangency)
+        except ValueError:
+            raise ConfigError(f"tangency must be 'lower' or 'upper', "
+                              f"got {self.tangency!r}") from None
         object.__setattr__(self, "tangency", tang)
         object.__setattr__(self, "g", _as_expr("1" if tang is Tangency.UPPER else self.g))
         object.__setattr__(self, "lam", _as_expr(self.lam))
@@ -183,11 +185,12 @@ class BalanceProfile:
 
 def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> BalanceProfile:
     """Sample the balance function on a geometric grid over ``interval``
-    and classify its sign, recording up to 5 sign-change witnesses."""
+    and classify its sign, recording up to 5 sign-change witnesses.  An
+    interval of one radius (``lo == hi``) is valid: every sample is there."""
     check_number("p", p, at_least=2)
     lo, hi = interval
     check_number("lo", lo, above=0)
-    check_number("hi", hi, above=("lo", lo))
+    check_number("hi", hi, at_least=("lo", lo))
     check_number("grid_size", grid_size, integer=True, at_least=2)
     rs = geomgrid(lo, hi, grid_size)
     values, scale = _balance_terms(c, p, rs, _eta(c, rs))
@@ -279,10 +282,10 @@ class WeightFunction:
         _check_warping(wv, math.copysign(1.0, self._w_rho), r)
         return np.log(wv / self._w_rho)
 
-    def inner_integral(self, r, wv=None):
-        """I(r) for scalar or ndarray r >= rho; ``wv`` is w(r) if known."""
+    def inner_integral(self, r):
+        """I(r) for scalar or ndarray r >= rho."""
         check_radius(r, self.rho, "rho")
-        return self._exponent(r, wv)
+        return self._exponent(r, None)
 
     def _exponent(self, r, wv):
         total = 0.0 if self._cache is None else self._cache(r)

@@ -12,11 +12,16 @@ Hypotheses are certified numerically on a geometric grid from
 ``min(rho, 1e-3)`` out to the certified horizon, the largest doubling radius
 ``rho * 2**k`` (k <= k_max) at which the balance is finite, not on all of
 ``(0, infinity)``; the tail ladder and its exponent fit stay inside it, and
-every verdict carries the certified interval.
+every verdict carries the certified interval.  With rho <= 1e-3 and the
+horizon at rho that interval is the one radius rho, where the grid samples
+and the tail, with no doubling, is undetermined.
 
 All three criteria run one pipeline: the p >= 2 guard, the certified
 horizon, the model warnings, then the criterion's ordered stages (sandwich,
-balance sign, the monotone comparisons, bounded warping, tail).  Each stage
+balance sign, the monotone comparisons, bounded warping, tail).  The two
+grid hypotheses, the balance sign and the sandwich, share one violation
+rule (``_violations``): a radius where one fails or reads NaN makes it
+``balance_fails``, witnessed by the first five such radii.  Each stage
 adds one ``(name, passed, detail)`` row to ``Verdict.checks`` and the first
 that fails ends the run with its reason::
 
@@ -33,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constellation import (
-    BalanceProfile, Constellation, Tangency, WeightFunction, _eta, balance, balance_sign,
+    BalanceProfile, Constellation, Tangency, WeightFunction, _balance_terms, _eta, balance_sign,
 )
 from .dirichlet import drifted_capacity
 from .errors import ConfigError, DomainError, RadialCapError, check_number
@@ -61,6 +66,8 @@ COR_MONOTONE = "corollary_monotone_in_p"
 # 1e-9 relative whatever the weight tolerance of the classification
 SWEEP_CAP_DOUBLINGS = 10
 SWEEP_CAP_REL_TOL = 1e-9
+# a sweep asking for more rows than this is an input error, not a long run
+SWEEP_MAX_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,8 @@ def _certified_horizon(c: Constellation, p: float, rho: float,
     """
     rs = rho * 2.0 ** np.arange(cfg.tail.k_max + 1)
     flagged = {}
-    ok = _finite_radii(lambda r: balance(c, p, r), rs, np.arange(len(rs)), flagged)
+    ok = _finite_radii(lambda r: _balance_terms(c, p, r, _eta(c, r))[0], rs,
+                       np.arange(len(rs)), flagged)
     if lam:
         ok = _finite_radii(lambda r: evaluate(c.lam, r), rs, ok, flagged)
     if len(ok):
@@ -212,13 +220,14 @@ def _certified_horizon(c: Constellation, p: float, rho: float,
     raise DomainError("balance not evaluable anywhere on the grid", rho)
 
 
-def _balance_violations(prof: BalanceProfile, want: str) -> tuple:
-    """Up to 5 grid points where the required sign fails."""
-    if want == "non_negative":
-        bad = prof.values < -prof.zero_tol
-    else:
-        bad = prof.values > prof.zero_tol
-    return tuple(float(r) for r in prof.rs[bad][:5])
+def _violations(rs: np.ndarray, holds: np.ndarray, message: str) -> Optional[InconclusiveReason]:
+    """None if a hypothesis ``holds`` at every radius of ``rs``, else
+    ``balance_fails`` with the first 5 radii where it does not.  A
+    comparison with NaN is False, so a NaN fails."""
+    if np.all(holds):
+        return None
+    return InconclusiveReason("balance_fails", message=message,
+                              witnesses=tuple(float(r) for r in rs[~holds][:5]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +295,12 @@ def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig
                    checks=tuple(checks))
 
 
-def _balance_stage(run: _Run, name: str, want: str, message: str) -> tuple:
-    """The balance at q is ``want`` ("non_negative" or "non_positive") on
-    the certified grid."""
+def _balance_stage(run: _Run, name: str, sign: float, message: str) -> tuple:
+    """``sign`` times the balance at q is non-negative on the certified
+    grid: sign 1.0 asks for a non-negative balance, -1.0 a non-positive one."""
     prof = run.balance = balance_sign(run.c, run.q, run.interval, run.cfg.grid_points)
-    if getattr(prof, f"is_{want}"):
-        return name, "certified on grid", None
-    return name, message, InconclusiveReason(
-        "balance_fails", message=message, witnesses=_balance_violations(prof, want))
+    reason = _violations(prof.rs, sign * prof.values >= -prof.zero_tol, message)
+    return name, "certified on grid" if reason is None else message, reason
 
 
 def _tail_stage(run: _Run, name: str, convergent: str, undetermined: Callable) -> tuple:
@@ -330,13 +337,8 @@ def _sandwich_stage(run: _Run) -> tuple:
     hv = np.asarray(evaluate(run.c.h, rs))
     lv = np.asarray(evaluate(run.c.lam, rs))
     tol = 1e-12 * np.maximum(1.0, np.abs(et) + np.abs(hv) + np.abs(lv))
-    ok = (hv <= et + tol) & (et <= lv + tol)
-    detail = "h <= w'/w <= lam on certified grid"
-    if np.all(ok):
-        return "sandwich_h_eta_lam", detail, None
-    return "sandwich_h_eta_lam", detail, InconclusiveReason(
-        "balance_fails", message="sandwich h <= w'/w <= lam fails on the grid",
-        witnesses=tuple(float(r) for r in rs[~ok][:5]))
+    return "sandwich_h_eta_lam", "h <= w'/w <= lam on certified grid", _violations(
+        rs, (hv <= et + tol) & (et <= lv + tol), "sandwich h <= w'/w <= lam fails on the grid")
 
 
 def _balance_monotone_stage(run: _Run, p: float) -> tuple:
@@ -372,7 +374,7 @@ def classify(c: Constellation, p: float, rho: float,
     lower = c.tangency is Tangency.LOWER
     want = "non_negative" if lower else "non_positive"
     return _decide(c, p, rho, cfg, THEOREM_LOWER if lower else THEOREM_UPPER, [
-        (_balance_stage, f"balance_{want}", want,
+        (_balance_stage, f"balance_{want}", 1.0 if lower else -1.0,
          f"balance is not {want} on the certified grid"),
         (_tail_stage, "weight_integral_diverges", "weight integral converges; criterion silent",
          lambda detail: f"tail undetermined ({detail}); not guessed"),
@@ -390,7 +392,7 @@ def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
     for name, value in (("lower_const", lower_const), ("rho", rho), ("r0", r0)):
         check_number(name, value, above=0)
     return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
-        (_balance_stage, "balance_non_positive", "non_positive",
+        (_balance_stage, "balance_non_positive", -1.0,
          "balance is not non-positive on the certified grid"),
         (_warping_stage, r0, lower_const),
     ])
@@ -409,7 +411,7 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
     check_number("rho", rho, above=0)
     return _decide(c, p, rho, cfg, COR_MONOTONE, [
         (_sandwich_stage,),
-        (_balance_stage, f"balance_non_positive_at_q={q:g}", "non_positive",
+        (_balance_stage, f"balance_non_positive_at_q={q:g}", -1.0,
          f"balance at q={q} is not non-positive"),
         (_balance_monotone_stage, p),
         *([(_weight_monotone_stage, p)] if p > q else []),
@@ -438,15 +440,20 @@ class SweepRow:
 def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: float,
           cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
-    failures recorded per row without aborting the sweep."""
+    failures recorded per row without aborting the sweep.  A range and step
+    that ask for more than ``SWEEP_MAX_ROWS`` rows, or for a count past float
+    range, are a :class:`ConfigError` naming p_step."""
     check_number("p_step", p_step, above=0)
     check_number("p_from", p_from)
     check_number("p_to", p_to, at_least=("p_from", p_from))
+    rows = np.floor((p_to - p_from) / p_step + 1e-9) + 1
+    if not rows <= SWEEP_MAX_ROWS:
+        raise ConfigError(f"p_step {p_step} gives {rows:g} rows from p_from to p_to, "
+                          f"more than {SWEEP_MAX_ROWS}")
     check_number("rho", rho, above=0)
     cfg = cfg or ClassifyConfig()
     cfg.tail.horizon(rho)
-    ps = [round(p_from + i * p_step, 12)
-          for i in range(int(np.floor((p_to - p_from) / p_step + 1e-9)) + 1)]
+    ps = [round(p_from + i * p_step, 12) for i in range(int(rows))]
     r_cap = rho * 2.0 ** SWEEP_CAP_DOUBLINGS
 
     def run_one(p: float) -> SweepRow:

@@ -171,13 +171,20 @@ def flux_bound(cap: float, vol: float, p: float, boundary_flux: float) -> float:
     tangency over the inner boundary; it depends on the actual immersion and
     is supplied by the caller (any positive value keeps the bound's decisive
     R -> infinity behavior).  Each input must be finite, with cap >= 0,
-    vol > 0, p >= 2 and boundary_flux > 0.
+    vol > 0, p >= 2 and boundary_flux > 0; a bound past float range is a
+    :class:`RadialCapError`.
     """
     check_number("cap", cap, at_least=0)
     check_number("vol", vol, above=0)
     check_number("p", p, at_least=2)
     check_number("boundary_flux", boundary_flux, above=0)
-    return boundary_flux * (cap / vol) ** (p - 1.0)
+    try:
+        bound = boundary_flux * (cap / vol) ** (p - 1.0)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise RadialCapError(f"capacity upper bound overflows float range (p={p:g})")
+    return bound
 
 
 def operator_residual(c: Constellation, p: float, rho: float, R: float,

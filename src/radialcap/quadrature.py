@@ -88,9 +88,12 @@ def _clenshaw(c, x):
 
 def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
     """``n >= 1`` points from ``lo`` to ``hi`` in geometric progression, for
-    0 < lo < hi: ``10**linspace(log10 lo, log10 hi, n)`` with the end points
+    0 < lo <= hi: ``10**linspace(log10 lo, log10 hi, n)`` with the end points
     pinned.  Bit for bit ``np.geomspace(lo, hi, n)``, without its dtype and
-    sign handling, which costs more than the grid itself."""
+    sign handling, which costs more than the grid itself.  At lo == hi it is
+    n copies of lo, which ``10**log10(lo)`` can miss by a bit."""
+    if lo == hi:
+        return np.full(n, float(lo))
     out = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
     out[-1], out[0] = hi, lo
     return out

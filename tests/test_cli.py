@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import radialcap.criteria as criteria
 import radialcap.dirichlet as dirichlet
 from radialcap.cli import (
     _COMMANDS, _FLAG_TABLE, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser,
@@ -303,9 +304,27 @@ def test_sweep_settings_that_certify_nothing_exit_2(tmp_path, capsys, flags):
     assert flags[0].split("=")[0] in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--horizon", "0"], ["--rel-tol", "0"]], ids=" ".join)
+@pytest.mark.parametrize("flags", [["--horizon", "0"], ["--rel-tol", "0"],
+                                   ["--horizon", "0", "--rho", "1e-3"]], ids=" ".join)
 def test_zero_horizon_and_zero_tolerance_are_valid_flags(capsys, flags):
     assert main(["classify", EUCLID3, "--p", "3", *flags]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("flags, rows", [
+    (["--p-from", "2", "--p-to", "8", "--p-step", str(6.0 / 10_000)], "10001"),
+    (["--p-from", "2", "--p-to", "8", "--p-step", "5e-324"], "inf"),
+    (["--p-from=-1e308", "--p-to", "1e308"], "inf"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else f"rows={v}")
+def test_sweep_with_too_many_rows_names_p_step(monkeypatch, capsys, flags, rows):
+    # the infinite counts were "numeric failure: cannot convert float
+    # infinity to integer"
+    monkeypatch.setattr(criteria, "classify",
+                        lambda *args: pytest.fail("the sweep classified a row"))
+    code = main(["sweep", EUCLID3, *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: --p-step ")
+    assert err.endswith(f" gives {rows} rows from --p-from to --p-to, more than 10000\n")
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +390,18 @@ def test_capacity_whose_exact_value_overflows_is_a_numeric_failure(capsys):
     assert capsys.readouterr().err == (
         "numeric failure: exact annulus p-capacity overflows float range "
         "(p=1e+308, rho=1, R=2)\n")
+
+
+@pytest.mark.parametrize("flags, p", [(["--p", "1000", "--R", "1.01"], "1000"),
+                                      (["--p", "3", "--R", "1.5", "--flux", "1e308"], "3")],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else f"p={v}")
+def test_capacity_whose_upper_bound_overflows_is_a_numeric_failure(capsys, flags, p):
+    # the first was the bare "(34, 'Numerical result out of range')", the
+    # second printed a bound of inf and exited 0
+    code = main(["capacity", EUCLID3, *flags])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        f"numeric failure: capacity upper bound overflows float range (p={p})\n")
 
 
 def test_capacity_nan_flux_is_an_input_error(capsys):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import radialcap.constellation as constellation
 import radialcap.dirichlet as dirichlet
 from radialcap.criteria import classify
-from radialcap.errors import DomainError
+from radialcap.errors import ConfigError, DomainError
 from radialcap.expr import evaluate
 from radialcap.constellation import (
     Constellation, Tangency, WeightFunction, _balance_terms, _eta, balance,
@@ -108,7 +109,7 @@ def test_balance_sign_identically_zero_counts_both_ways():
     ((0.1, 10.0), 1, "grid_size must be >= 2, got 1"),
     ((0.1, 10.0), 2.5, "grid_size must be an integer, got 2.5"),
     ((0.0, 1.0), 512, "lo must be > 0, got 0.0"),
-    ((2.0, 1.0), 512, r"hi must be > lo \(2.0\), got 1.0")])
+    ((2.0, 1.0), 512, r"hi must be >= lo \(2.0\), got 1.0")])
 def test_balance_sign_names_the_input_it_rejects(interval, grid_size, text):
     # 0 and 1 points certified a sign, and 2.5 was a TypeError from np.linspace
     with pytest.raises(ValueError, match=f"^{text}$"):
@@ -270,6 +271,15 @@ def test_shift_identity_hyperbolic():
 def test_upper_tangency_forces_g_to_one():
     c = Constellation.from_functions(2, 2, "r", g="0.3", tangency="upper")
     assert str(c.g) == "1"
+
+
+@pytest.mark.parametrize("tangency", [None, 5, True, "side"], ids=repr)
+def test_tangency_is_lower_upper_or_a_member(tangency):
+    # None, 5 and True built a constellation that classify read as upper
+    # tangency with g left at 0.5; "side" was the enum's bare ValueError
+    with pytest.raises(ConfigError, match=f"^tangency must be 'lower' or 'upper', "
+                                          f"got {re.escape(repr(tangency))}$"):
+        Constellation.from_functions(3, 3, "r", g="0.5", h="0.5/r", tangency=tangency)
 
 
 def test_self_model_detection():

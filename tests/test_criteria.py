@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import radialcap.criteria as criteria
 from radialcap.cli import load_config
 from radialcap.constellation import Constellation, Tangency, balance
 from radialcap.criteria import (
@@ -320,6 +321,68 @@ def test_sweep_row_whose_horizon_is_rho_has_no_capacity():
         assert row.verdict.warnings == (
             "balance evaluable only up to r=1 (log of non-positive value at r=2); "
             "hypotheses certified there",)
+
+
+# h leaves its domain at r = 0.0015, between rho = 1e-3 and its first doubling
+LOG_NEAR_RHO = dict(n=3, m=3, w="r", h="log(0.0015 - r)")
+COLLAPSED_CASES = [
+    (euclid_self(3), 1e-4, ClassifyConfig(tail=TailConfig(k_max=0)), ()),
+    (euclid_self(3), 1e-3, ClassifyConfig(tail=TailConfig(k_max=0)), ()),
+    (Constellation.from_functions(**LOG_NEAR_RHO), 1e-3, None, (
+        "balance evaluable only up to r=0.001 (log of non-positive value at r=0.002); "
+        "hypotheses certified there",)),
+]
+
+
+@pytest.mark.parametrize("c, rho, cfg, warnings", COLLAPSED_CASES,
+                         ids=["euclid3 rho=1e-4", "euclid3 rho=1e-3", "log h rho=1e-3"])
+def test_a_certified_interval_of_one_radius_is_sampled_there(c, rho, cfg, warnings):
+    # rho <= 1e-3 is the grid's low end, so a horizon capped at rho leaves
+    # the interval [rho, rho]: it was "hi must be > lo", an input error
+    v = classify(c, 3.0, rho, cfg)
+    assert v.summary() == "inconclusive (tail_undetermined)"
+    assert v.certified_interval == (rho, rho)
+    assert v.warnings == warnings
+    assert np.all(v.balance.rs == rho)
+    assert v.checks[1] == ("weight_integral_diverges", False,
+                           "ladder too short: 0 of 3 doublings needed")
+
+
+def test_sweep_rows_of_a_one_radius_interval_are_not_errors():
+    rows = sweep(Constellation.from_functions(**LOG_NEAR_RHO), 2.0, 8.0, 1.5, 1e-3)
+    assert [row.p for row in rows] == [2.0, 3.5, 5.0, 6.5, 8.0]
+    for row in rows:
+        assert row.error is None and row.cap_at_horizon is None
+        assert row.verdict.certified_interval == (1e-3, 1e-3)
+
+
+def first_row_fails(monkeypatch):
+    """Make the first row a sweep classifies fail the test, so that a
+    bound that is not checked fails fast instead of running its rows."""
+    def classify_row(*args):
+        pytest.fail("the sweep classified a row")
+    monkeypatch.setattr(criteria, "classify", classify_row)
+
+
+@pytest.mark.parametrize("p_from, p_to, p_step", [(2.0, 8.0, 5e-324), (-1e308, 1e308, 1.0)])
+def test_sweep_whose_row_count_is_not_finite_names_p_step(monkeypatch, p_from, p_to, p_step):
+    # these raised "cannot convert float infinity to integer"
+    first_row_fails(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^p_step {p_step} gives inf rows from p_from to "
+                                          f"p_to, more than 10000$"):
+        sweep(euclid_self(3), p_from, p_to, p_step, 1.0)
+
+
+def test_sweep_row_count_is_bounded_before_a_row_runs(monkeypatch):
+    # 10,001 rows is one past the bound; a step of 1e-9 asked for 6e9
+    # rows, built the list of them and never returned
+    first_row_fails(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^p_step {6.0 / 10_000} gives 10001 rows from "
+                                          f"p_from to p_to, more than 10000$"):
+        sweep(euclid_self(3), 2.0, 8.0, 6.0 / 10_000, 1.0)
+    with pytest.raises(pytest.fail.Exception, match="the sweep classified a row"):
+        sweep(euclid_self(3), 2.0, 8.0, 6.0 / 9_999, 1.0)
+    assert criteria.SWEEP_MAX_ROWS == 10_000
 
 
 def test_sweep_capacity_matches_the_closed_form_of_the_bounded_cylinder():

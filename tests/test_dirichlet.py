@@ -309,6 +309,14 @@ def test_nonfinite_inputs_are_input_errors():
             call()
 
 
+@pytest.mark.parametrize("args", [(100.0, 1.0, 1000.0, 1.0), (2.0, 1.0, 3.0, 1e308)], ids=str)
+def test_capacity_upper_bound_past_float_range_is_named(args):
+    # the power raised a bare OverflowError; the product returned inf
+    with pytest.raises(RadialCapError, match=r"^capacity upper bound overflows float range "
+                                             rf"\(p={args[2]:g}\)$"):
+        flux_bound(*args)
+
+
 def test_capacity_upper_bound_collapses_to_exact_for_self_constellation():
     """With the natural boundary flux the (p-1)-power chain reproduces the
     exact annulus p-capacity for every p, not only p = 2."""

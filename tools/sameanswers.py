@@ -169,6 +169,13 @@ def _constellations(rc):
     return out
 
 
+def _sweep_rows(rc, c, p_step, rho=1.0):
+    return [{"p": row.p, "outcome": row.outcome, "error": row.error,
+             "alpha_hat": row.alpha_hat, "cap": row.cap_at_horizon,
+             "verdict": row.verdict.to_dict() if row.verdict else None}
+            for row in rc.sweep(c, 2.0, 8.0, p_step, rho)]
+
+
 def record_criteria(rec, rc, cs):
     for name, c in cs.items():
         upper = c.tangency.value == "upper"
@@ -185,14 +192,21 @@ def record_criteria(rec, rc, cs):
                         f"classify_bounded_w:{name}:p={p}:rho={rho}:const={lower_const}",
                         lambda: rc.classify_bounded_w(c, p, rho, 1.0, lower_const).to_dict())
 
-        def sweep_rows(p_step):
-            return [{"p": row.p, "outcome": row.outcome, "error": row.error,
-                     "alpha_hat": row.alpha_hat, "cap": row.cap_at_horizon,
-                     "verdict": row.verdict.to_dict() if row.verdict else None}
-                    for row in rc.sweep(c, 2.0, 8.0, p_step, 1.0)]
-
         for p_step in (0.75, 1.5):
-            rec.run_split(f"sweep:{name}:step={p_step}", lambda: {"rows": sweep_rows(p_step)})
+            rec.run_split(f"sweep:{name}:step={p_step}",
+                          lambda: {"rows": _sweep_rows(rc, c, p_step)})
+    # certified intervals of one radius: rho <= 1e-3, the grid's low end, with
+    # the horizon capped at rho by k_max = 0 or by h leaving its domain
+    euclid3 = cs["euclid3"]
+    no_doubling = rc.ClassifyConfig(tail=rc.TailConfig(k_max=0))
+    for rho in (1e-4, 1e-3):
+        rec.run_split(f"classify:euclid3:p=3.0:rho={rho}:k_max=0",
+                      lambda: rc.classify(euclid3, 3.0, rho, no_doubling).to_dict())
+    log_h = rc.Constellation.from_functions(3, 3, "r", h="log(0.0015 - r)")
+    rec.run_split("classify:log_h_0.0015:p=3.0:rho=0.001",
+                  lambda: rc.classify(log_h, 3.0, 1e-3).to_dict())
+    rec.run_split("sweep:log_h_0.0015:step=1.5:rho=0.001",
+                  lambda: {"rows": _sweep_rows(rc, log_h, 1.5, 1e-3)})
 
 
 def _drift_coeff(rc):
@@ -410,7 +424,16 @@ BAD_NUMBER_ARGV = [
     ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "3", "--p-step", "0"],
     ["capacity", "configs/euclid3.json", "--p", "3", "--rho", "3", "--R", "2"],
     ["capacity", "configs/euclid3.json", "--p", "1.5", "--R", "2"],
+    ["classify", "configs/euclid3.json", "--p", "3", "--horizon", "0", "--rho", "1e-3"],
+    ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "8", "--p-step", "5e-324"],
+    ["sweep", "configs/euclid3.json", "--p-from=-1e308", "--p-to", "1e308"],
+    ["capacity", "configs/euclid3.json", "--p", "1000", "--R", "1.01"],
+    ["capacity", "configs/euclid3.json", "--p", "3", "--R", "1.5", "--flux", "1e308"],
 ]
+# a sweep one row past the bound, run with a classify that raises, so a
+# commit that does not bound the rows stops at its first row
+ROW_BOUND_ARGV = ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "8",
+                  "--p-step", str(6.0 / 10_000)]
 
 
 def _cli(rc, argv):
@@ -523,6 +546,27 @@ def record_bad_numbers(rec, rc):
     for R in (0.9, 4.0):
         rec.run(f"bad_number:exact_hitting_prob:w=r-1,R={R}",
                 rc.exact_hitting_prob, rc.ModelSpace(3, "r - 1"), 0.7, 0.5, R)
+    # a tangency that is neither side
+    for tangency in (None, 5, True, "side"):
+        rec.run(f"bad_number:Constellation:tangency={tangency!r}", lambda: repr(
+            rc.Constellation.from_functions(3, 3, "r", g="0.5", h="0.5/r", tangency=tangency)))
+    # a sweep row count past float range, or one row past the bound
+    for args in ((2.0, 8.0, 5e-324), (-1e308, 1e308, 1.0)):
+        rec.run(f"bad_number:sweep:range={args}", lambda: len(rc.sweep(c, *args, 1.0)))
+
+    def first_row(*args):
+        raise RuntimeError("the sweep classified a row")
+
+    classify, rc.criteria.classify = rc.criteria.classify, first_row
+    try:
+        rec.run("bad_number:sweep:rows=10001",
+                lambda: len(rc.sweep(c, 2.0, 8.0, 6.0 / 10_000, 1.0)))
+        rec.run(f"bad_number:cli:{' '.join(ROW_BOUND_ARGV)}", lambda: _cli(rc, ROW_BOUND_ARGV)[:3])
+    finally:
+        rc.criteria.classify = classify
+    # a capacity upper bound past float range, from the power and the product
+    for args in ((100.0, 1.0, 1000.0, 1.0), (2.0, 1.0, 3.0, 1e308)):
+        rec.run(f"bad_number:flux_bound:args={args}", rc.dirichlet.flux_bound, *args)
     for argv in BAD_NUMBER_ARGV:
         rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
 
@@ -533,6 +577,7 @@ def record(out: Path, root: Path) -> int:
     import radialcap as rc
     import radialcap.cli
     import radialcap.constellation
+    import radialcap.criteria
     import radialcap.diffusion
     import radialcap.expr  # noqa: F401
 

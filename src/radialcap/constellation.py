@@ -186,7 +186,7 @@ class BalanceProfile:
 def balance_sign(c: Constellation, p: float, interval, grid_size: int = 512) -> BalanceProfile:
     """Sample the balance function on a geometric grid over ``interval``
     and classify its sign, recording up to 5 sign-change witnesses.  An
-    interval of one radius (``lo == hi``) is valid: every sample is there."""
+    interval of one radius (``lo == hi``) is valid: it is sampled once."""
     check_number("p", p, at_least=2)
     lo, hi = interval
     check_number("lo", lo, above=0)

@@ -13,8 +13,8 @@ Hypotheses are certified numerically on a geometric grid from
 ``rho * 2**k`` (k <= k_max) at which the balance is finite, not on all of
 ``(0, infinity)``; the tail ladder and its exponent fit stay inside it, and
 every verdict carries the certified interval.  With rho <= 1e-3 and the
-horizon at rho that interval is the one radius rho, where the grid samples
-and the tail, with no doubling, is undetermined.
+horizon at rho that interval is the one radius rho, which the grid samples
+once, and the tail, with no doubling, is undetermined.
 
 All three criteria run one pipeline: the p >= 2 guard, the certified
 horizon, the model warnings, then the criterion's ordered stages (sandwich,
@@ -440,9 +440,11 @@ class SweepRow:
 def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: float,
           cfg: Optional[ClassifyConfig] = None) -> list:
     """Classify across a grid of exponents; one row per p in input order,
-    failures recorded per row without aborting the sweep.  A range and step
-    that ask for more than ``SWEEP_MAX_ROWS`` rows, or for a count past float
-    range, are a :class:`ConfigError` naming p_step."""
+    failures recorded per row without aborting the sweep.  Each p is rounded
+    to 12 decimals.  A range and step that ask for more than
+    ``SWEEP_MAX_ROWS`` rows, or for a count past float range, or a step
+    that gives one p to two rows, are a :class:`ConfigError` naming
+    p_step."""
     check_number("p_step", p_step, above=0)
     check_number("p_from", p_from)
     check_number("p_to", p_to, at_least=("p_from", p_from))
@@ -450,10 +452,14 @@ def sweep(c: Constellation, p_from: float, p_to: float, p_step: float, rho: floa
     if not rows <= SWEEP_MAX_ROWS:
         raise ConfigError(f"p_step {p_step} gives {rows:g} rows from p_from to p_to, "
                           f"more than {SWEEP_MAX_ROWS}")
+    ps = [round(p_from + i * p_step, 12) for i in range(int(rows))]
+    twice = next((p for p, q in zip(ps, ps[1:]) if p == q), None)
+    if twice is not None:
+        raise ConfigError(f"p_step {p_step} repeats rows: two exponents round to "
+                          f"{twice!r} at 12 decimals")
     check_number("rho", rho, above=0)
     cfg = cfg or ClassifyConfig()
     cfg.tail.horizon(rho)
-    ps = [round(p_from + i * p_step, 12) for i in range(int(rows))]
     r_cap = rho * 2.0 ** SWEEP_CAP_DOUBLINGS
 
     def run_one(p: float) -> SweepRow:

@@ -8,8 +8,9 @@ comes from a counter-based generator keyed by ``(seed, path, step)``
 reproducible bit for bit regardless of how paths are scheduled across
 threads.  The hot loop is a C kernel generated from the warping's
 expression, compiled once with the system C compiler and OpenMP and cached
-on disk; a pure-numpy lockstep implementation of the same recursion is the
-reference, and the fallback where no compiler works.
+on disk (:mod:`radialcap.ckernel`); a pure-numpy lockstep implementation of
+the same recursion is the reference, and the fallback where no compiler
+works.
 
 Discrete barrier checks alone underestimate hitting: a path can cross and
 come back inside one step.  At dt = 1e-4 that bias is comparable to the
@@ -26,15 +27,12 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import shutil
-import tempfile
 import warnings
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import ckernel
 from .errors import ConfigError, DomainError, check_number
 from .expr import RadialExpr, c_value_d1, eval_jet2
 from .model import ModelSpace, _warping_power
@@ -245,6 +243,11 @@ void simulate(uint64_t seed, int64_t n_paths, double r0, double dt, double coef,
 # no -ffast-math and no FMA contraction: the kernel must round like numpy
 _CFLAGS = ("-O2", "-fopenmp", "-ffp-contract=off", "-fPIC", "-shared")
 
+# simulate()'s arguments, as ctypes converts them
+_ARGTYPES = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int,
+             np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
+             np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
 _KERNELS: dict = {}  # str(w) -> ctypes kernel, or why there is none
 _WARNED: set = set()  # fallback reasons already warned about
 
@@ -272,72 +275,13 @@ def resolve_workers() -> int:
     return max(1, min(wanted, cpus or 1))
 
 
-def _cache_dir() -> Path:
-    """The user cache directory (``$XDG_CACHE_HOME``, else ``~/.cache``)."""
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(root) / "radialcap"
-
-
-def _compile(src: str, path: Path):
-    """Compile ``src`` into the shared library ``path``; returns None, or a
-    reason why that was not possible."""
-    import subprocess  # only on a cache miss: it costs every process 0.5 MB
-
-    name = os.environ.get("CC") or "cc"
-    cc = shutil.which(name)
-    if cc is None:
-        return f"no C compiler: {name!r} not found (set CC to choose one)"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
-        os.close(fd)
-        try:
-            proc = subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-x", "none", "-o", tmp,
-                                   "-lm"], input=src, capture_output=True, text=True,
-                                  timeout=300)
-            if proc.returncode != 0:
-                return f"C compiler {cc} failed: {proc.stderr.strip()[-500:]}"
-            os.replace(tmp, path)  # atomic: other processes see all or nothing
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except (OSError, subprocess.SubprocessError) as exc:
-        return f"C compiler {cc} could not build the kernel: {exc}"
-    return None
-
-
-def _load_kernel(src: str):
-    """Load the kernel built from ``src`` from the on-disk cache, compiling
-    it first on a miss; returns the ctypes function, or a str saying why
-    there is none."""
-    # zlib checksums, not hashlib: hashlib maps OpenSSL (3.5 MB) into the process
-    data = "\0".join((src,) + _CFLAGS).encode()
-    digest = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
-    path = _cache_dir() / f"mc-{digest}.so"
-    if not path.is_file():
-        reason = _compile(src, path)
-        if reason is not None:
-            return reason
-    try:
-        fn = ctypes.CDLL(str(path)).simulate
-    except OSError as exc:
-        return f"could not load the compiled kernel {path}: {exc}"
-    fn.restype = None
-    fn.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_int64, ctypes.c_int,
-                   np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
-                   np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
-    return fn
-
-
 def _build_kernel(w: RadialExpr):
     """The compiled kernel for warping ``w`` (or why there is none), once
     per process; compiled once per machine, cached on disk under a hash of
     its C source and flags."""
     key = str(w)
     if key not in _KERNELS:
-        _KERNELS[key] = _load_kernel(_kernel_source(w))
+        _KERNELS[key] = ckernel.load(_kernel_source(w), _CFLAGS, "mc", "simulate", _ARGTYPES)
     return _KERNELS[key]
 
 

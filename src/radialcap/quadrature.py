@@ -11,12 +11,15 @@ Repeated primitives ``r -> integral(base, r)`` live on a panel mesh that
 grows to the right (:class:`CumulativeCache`): each panel holds the
 antiderivative of f's interpolant at the same 15 nodes, so within a panel
 the primitive is one polynomial and a query costs no further quadrature.
-The polynomials' Chebyshev coefficients are the columns of one (16, n)
-array.  A query at one radius sums its column in Python floats; an array
-query gathers its columns once, as 16 rows, and sums every point at once.
-Both run one Clenshaw helper (:func:`_clenshaw`) in the order of
-operations of numpy's ``chebval``, so either answer is chebval's bit for
-bit.  A tolerance must be finite and >= 0
+Each panel is one column of a (20, n) array: its left edge, midpoint,
+half-width and offset, then the polynomial's 16 Chebyshev coefficients.
+A query at one radius sums its column in Python floats through the
+Clenshaw helper :func:`_clenshaw`.  An array query is one call of a C
+kernel, compiled once per machine (:mod:`radialcap.ckernel`), that runs
+the same recurrence point by point; its numpy reference, which runs the
+helper on 16 gathered rows, answers instead where no C compiler works.
+All run in the order of operations of numpy's ``chebval``, so every answer
+is chebval's bit for bit.  A tolerance must be finite and >= 0
 (:func:`~radialcap.errors.check_number`).
 
 The tail classifier computes partial integrals at doubling radii.  A single
@@ -29,12 +32,14 @@ stop rule fires, and retries below an overflow or a NaN.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import ckernel
 from .errors import ConfigError, QuadratureError, check_number
 
 __all__ = ["integrate", "CumulativeCache", "TailClass", "TailConfig", "classify_tail"]
@@ -77,8 +82,10 @@ def _clenshaw(c, x):
     """``sum_k c[k] T_k(x)`` over the 16 coefficients ``c[0..15]`` of a
     panel's primitive, by Clenshaw's recurrence in the order of operations
     of numpy's ``chebval``, so its bits are chebval's.  Floats ``c[k]`` and
-    ``x`` give a float; rows ``c[k]`` and an array ``x`` of their length
-    give the sums at every point."""
+    ``x`` give a float, for a query at one radius; rows ``c[k]`` and an
+    array ``x`` of their length give the sums at every point, for the numpy
+    reference of the compiled array query (``_QUERY_SOURCE``), which runs
+    this recurrence in the same order."""
     x2 = 2 * x
     c0, c1 = c[14], c[15]
     for k in range(13, -1, -1):
@@ -86,14 +93,75 @@ def _clenshaw(c, x):
     return c0 + c1 * x
 
 
+# the array query of CumulativeCache.__call__, point by point as
+# CumulativeCache._query_numpy computes it: the panel by bisect_right over
+# the left edges, t clipped to [-1, 1], _clenshaw's recurrence in its order
+# of operations, and the panel's offset plus 0.0 at its left edge
+_QUERY_SOURCE = """\
+#include <stdint.h>
+
+/* x[0..m) -> the primitive there, in place, on the (20, n) mesh of
+   CumulativeCache._commit; a point below base is read at base */
+void query(const double *mesh, int64_t n, double base, double *x, int64_t m)
+{
+    const double *lo = mesh, *mid = mesh + n, *half = mesh + 2 * n, *off = mesh + 3 * n,
+                 *coef = mesh + 4 * n;
+    for (int64_t j = 0; j < m; j++) {
+        const double r = x[j] < base ? base : x[j];
+        int64_t a = 0, b = n;
+        while (a < b) {
+            const int64_t h = a + (b - a) / 2;
+            if (r < lo[h])
+                b = h;
+            else
+                a = h + 1;
+        }
+        const int64_t i = a - 1;
+        double t = (r - mid[i]) / half[i];
+        t = t < -1.0 ? -1.0 : t > 1.0 ? 1.0 : t;
+        const double t2 = 2 * t;
+        double c0 = coef[14 * n + i], c1 = coef[15 * n + i];
+        for (int k = 13; k >= 0; k--) {
+            const double c = c0;
+            c0 = coef[k * n + i] - c1;
+            c1 = c + c1 * t2;
+        }
+        x[j] = off[i] + (r == lo[i] ? 0.0 : c0 + c1 * t);
+    }
+}
+"""
+# no -ffast-math and no FMA contraction: the sums must round like numpy's
+_QUERY_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_QUERY_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
+                   ctypes.c_int64]
+_query = None   # the compiled query, or why there is none, once loaded
+
+
+def _pointer(a: np.ndarray):
+    """A pointer to the C-ordered, non-empty array ``a`` for the compiled
+    query, which keeps ``a`` alive; a third of the cost of
+    ``a.ctypes.data``."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+def _query_kernel():
+    """The compiled array query (or why there is none), loaded once per
+    process; compiled once per machine (:func:`radialcap.ckernel.load`)."""
+    global _query
+    if _query is None:
+        _query = ckernel.load(_QUERY_SOURCE, _QUERY_FLAGS, "query", "query", _QUERY_ARGTYPES)
+    return _query
+
+
 def geomgrid(lo: float, hi: float, n: int) -> np.ndarray:
     """``n >= 1`` points from ``lo`` to ``hi`` in geometric progression, for
     0 < lo <= hi: ``10**linspace(log10 lo, log10 hi, n)`` with the end points
     pinned.  Bit for bit ``np.geomspace(lo, hi, n)``, without its dtype and
     sign handling, which costs more than the grid itself.  At lo == hi it is
-    n copies of lo, which ``10**log10(lo)`` can miss by a bit."""
+    the one point lo, exactly (``10**log10(lo)`` can miss it by a bit), as
+    an interval of one radius is sampled once."""
     if lo == hi:
-        return np.full(n, float(lo))
+        return np.array([float(lo)])
     out = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
     out[-1], out[0] = hi, lo
     return out
@@ -213,15 +281,19 @@ class CumulativeCache:
     Each panel samples f once at the 15 GK nodes; within a panel the
     primitive is one polynomial, the exact antiderivative of f's degree-14
     interpolant, kept as the 16 Chebyshev coefficients of one column of a
-    (16, n) array.  Panel offsets are a cumulative sum, so a query is one
-    panel lookup plus one Clenshaw sum (:func:`_clenshaw`), and a query at
-    a panel's left edge returns the stored offset (the base gives exactly
-    0).  A float, numpy scalar or 0-d array is looked up by ``bisect`` and
-    summed in Python floats, and gives a float; an array is looked up by
-    one ``searchsorted``, gathers its columns once and gives an array of
-    its shape.  The two agree bit for bit.  :meth:`grow` and :meth:`error`
-    only grow the mesh and make no Clenshaw sum; a query grows it through
-    :meth:`grow` before its sum.  Every radius follows :func:`check_radius`.
+    (20, n) array, below the panel's left edge, midpoint, half-width and
+    offset (:meth:`_commit`).  Panel offsets are a cumulative sum, so a
+    query is one panel lookup plus one Clenshaw sum (:func:`_clenshaw`),
+    and a query at a panel's left edge returns the stored offset (the base
+    gives exactly 0).  A float, numpy scalar or 0-d array is looked up by
+    ``bisect`` and summed in Python floats, and gives a float; an array is
+    one call of the compiled query (``_QUERY_SOURCE``), which looks up and
+    sums each point in C, and gives an array of its shape.  Where no C
+    compiler works, :meth:`_query_numpy`, its reference, answers with the
+    same bits and no warning.  All agree bit for bit.  :meth:`grow` and
+    :meth:`error` only grow the mesh and make no Clenshaw sum; a query
+    grows it before its sum.  Every radius follows :func:`check_radius`,
+    once per query.
 
     Growing past the mesh's right end ``reach`` meshes ``[reach, top]``
     (top: the query's largest point) from the doubling steps ``[reach,
@@ -257,7 +329,8 @@ class CumulativeCache:
         self._total = 0.0           # integral(base, reach)
         self._fmax = 0.0
         self._lo = self._mid = self._half = self._off = np.empty(0)
-        self._coef = np.empty((16, 0))  # column j: panel j's primitive
+        self._coef = np.empty((16, 0))
+        self._mesh = self._mesh_ptr = None  # set by the first extension (_commit)
         self._stop = None           # the tail ladder's stop rule (classify_tail)
 
     def __call__(self, r):
@@ -272,18 +345,27 @@ class CumulativeCache:
                 return self._off.item(i)
             t = min(max((x - self._mid.item(i)) / self._half.item(i), -1.0), 1.0)
             return self._off.item(i) + _clenshaw(self._coef[:, i].tolist(), t)
-        pts = np.asarray(r, dtype=float)
-        check_radius(pts, self.base)
-        flat = np.maximum(pts.ravel(), self.base)
-        out = np.zeros(flat.shape)
-        if flat.size:
-            self.grow(float(flat.max()))
-            if len(self._lo):
-                i = np.searchsorted(self._lo, flat, side="right") - 1
-                x = np.clip((flat - self._mid[i]) / self._half[i], -1.0, 1.0)
-                inner = _clenshaw(self._coef.take(i, axis=1), x)   # 16 rows of len(x)
-                out = self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
-        return out.reshape(pts.shape)
+        out = np.array(r, dtype=float, order="C")      # a copy: the kernel sums in place
+        check_radius(out, self.base)
+        top = float(out.max(initial=self.base))
+        if top > self._reach:
+            self._extend(top)
+        if not (len(self._lo) and out.size):    # no point, or only the base on no mesh
+            return np.zeros(out.shape)
+        kernel = _query_kernel()
+        if isinstance(kernel, str):
+            return self._query_numpy(out.ravel()).reshape(out.shape)
+        kernel(self._mesh_ptr, len(self._lo), self.base, _pointer(out), out.size)
+        return out
+
+    def _query_numpy(self, pts: np.ndarray) -> np.ndarray:
+        """The primitive at the 1-D array ``pts`` on the mesh as it stands,
+        by numpy: the compiled query's reference and its fallback."""
+        flat = np.maximum(pts, self.base)
+        i = np.searchsorted(self._lo, flat, side="right") - 1
+        x = np.clip((flat - self._mid[i]) / self._half[i], -1.0, 1.0)
+        inner = _clenshaw(self._coef.take(i, axis=1), x)   # 16 rows of len(x)
+        return self._off[i] + np.where(flat == self._lo[i], 0.0, inner)
 
     def grow(self, top: float) -> None:
         """Mesh ``[base, top]``, evaluating the primitive nowhere; ``top``
@@ -358,13 +440,24 @@ class CumulativeCache:
             n = int(np.searchsorted(new_lo, top))
             new_lo, coef, edges = new_lo[:n], coef[:n], edges[:n + 1]
         new_hi = np.append(new_lo[1:], top)
-        mesh = (new_lo, 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo), coef.T, edges[:-1])
+        mesh = np.empty((20, len(new_lo)))
+        mesh[0], mesh[1], mesh[2], mesh[3], mesh[4:] = (
+            new_lo, 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo), edges[:-1], coef.T)
         if len(self._lo):           # an empty mesh is replaced, not joined
-            mesh = [np.concatenate(pair, axis=-1) for pair in
-                    zip((self._lo, self._mid, self._half, self._coef, self._off), mesh)]
-        self._lo, self._mid, self._half, self._coef, self._off = mesh
-        self._coef = np.ascontiguousarray(self._coef)   # rows gather fastest in C order
+            mesh = np.concatenate([self._mesh, mesh], axis=1)
+        self._commit(mesh)
         self._reach, self._total, self._fmax = top, float(edges[-1]), float(fmax[kept - 1])
+
+    def _commit(self, mesh: np.ndarray) -> None:
+        """Keep the (20, n) ``mesh``, whose column j is panel j: its left
+        edge, midpoint, half-width and offset, then the 16 Chebyshev
+        coefficients of its primitive.  It is kept C-ordered, as the
+        compiled query reads it row by row through one pointer, taken
+        here."""
+        mesh = np.ascontiguousarray(mesh)
+        self._mesh, self._mesh_ptr = mesh, _pointer(mesh)
+        self._lo, self._mid, self._half, self._off = mesh[0], mesh[1], mesh[2], mesh[3]
+        self._coef = mesh[4:]
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,16 @@ def test_sweep_with_too_many_rows_names_p_step(monkeypatch, capsys, flags, rows)
     assert err.endswith(f" gives {rows} rows from --p-from to --p-to, more than 10000\n")
 
 
+def test_sweep_whose_step_repeats_rows_names_p_step(monkeypatch, capsys):
+    monkeypatch.setattr(criteria, "classify",
+                        lambda *args: pytest.fail("the sweep classified a row"))
+    code = main(["sweep", EUCLID3, "--p-from", "2", "--p-to", "2.0000000001",
+                 "--p-step", "1e-13"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == ("input error: --p-step 1e-13 repeats rows: two "
+                                       "exponents round to 2.0 at 12 decimals\n")
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------

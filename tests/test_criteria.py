@@ -343,7 +343,7 @@ def test_a_certified_interval_of_one_radius_is_sampled_there(c, rho, cfg, warnin
     assert v.summary() == "inconclusive (tail_undetermined)"
     assert v.certified_interval == (rho, rho)
     assert v.warnings == warnings
-    assert np.all(v.balance.rs == rho)
+    assert np.all(v.balance.rs == rho) and len(v.balance.rs) == 1
     assert v.checks[1] == ("weight_integral_diverges", False,
                            "ladder too short: 0 of 3 doublings needed")
 
@@ -371,6 +371,15 @@ def test_sweep_whose_row_count_is_not_finite_names_p_step(monkeypatch, p_from, p
     with pytest.raises(ConfigError, match=f"^p_step {p_step} gives inf rows from p_from to "
                                           f"p_to, more than 10000$"):
         sweep(euclid_self(3), p_from, p_to, p_step, 1.0)
+
+
+def test_sweep_step_that_repeats_rows_is_refused(monkeypatch):
+    # p is rounded to 12 decimals, so this step made 1,001 rows with 101
+    # distinct exponents and classified each repeated one again
+    first_row_fails(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^p_step 1e-13 repeats rows: two exponents round "
+                                          r"to 2\.0 at 12 decimals$"):
+        sweep(euclid_self(3), 2.0, 2.0 + 1e-10, 1e-13, 1.0)
 
 
 def test_sweep_row_count_is_bounded_before_a_row_runs(monkeypatch):

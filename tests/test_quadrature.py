@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +179,84 @@ def test_weight_with_remainder_answers_a_float_as_a_one_point_array(x):
     assert w._cache is not None
     assert w(x) == w(np.array([x]))[0]
     assert w.integral(x) == w.integral(np.array([x]))[0]
+
+
+needs_cc = pytest.mark.skipif(shutil.which(os.environ.get("CC") or "cc") is None,
+                              reason="no C compiler")
+
+
+@needs_cc
+def test_array_query_runs_the_compiled_kernel(monkeypatch):
+    monkeypatch.setattr(quadrature, "_query", None)     # loaded as in a fresh process
+    assert not isinstance(quadrature._query_kernel(), str)
+
+
+def _random_mesh(rng):
+    """A cache whose mesh is drawn, not built: random panel widths over
+    several scales, coefficients and offsets, and f never called."""
+    def unused(t):
+        raise AssertionError("a query of a drawn mesh extended it")
+
+    n = int(rng.integers(1, 40))
+    base = float(rng.uniform(1e-3, 10.0))
+    edges = base + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-6.0, 1.0, n))])
+    lo, hi = edges[:-1], edges[1:]
+    cache = CumulativeCache(unused, base)
+    cache._commit(np.vstack([lo, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                             np.cumsum(rng.standard_normal(n)), rng.standard_normal((16, n))]))
+    cache._reach = float(edges[-1])
+    return cache, edges
+
+
+def test_compiled_query_equals_numpy_reference_bit_for_bit():
+    rng = np.random.default_rng(20261022)
+    clipped = set()
+    for _ in range(200):
+        cache, edges = _random_mesh(rng)
+        # the base and a point below it inside the slack, every panel edge
+        # and its float neighbours, the mesh's right end, and inner points
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf)])
+        pts = np.concatenate([[cache.base, cache.base * (1.0 - 5e-16)],
+                              near[(near >= cache.base) & (near <= cache._reach)],
+                              rng.uniform(cache.base, cache._reach, 25)])
+        rng.shuffle(pts)
+        flat = np.maximum(pts, cache.base)
+        i = np.searchsorted(cache._lo, flat, side="right") - 1
+        t = (flat - cache._mid[i]) / cache._half[i]
+        clipped.update(np.sign(t[np.abs(t) > 1.0]).tolist())
+        want = cache._query_numpy(pts)
+        # whole arrays: shaped, F-ordered and strided views; then floats,
+        # numpy scalars and 0-d arrays, which sum in Python floats
+        cube = pts[:24].reshape(2, 3, 4)
+        for q, ref in ((pts, want), (pts[::-1], want[::-1]), (pts[::3], want[::3]),
+                       (cube, want[:24].reshape(2, 3, 4)),
+                       (np.asfortranarray(cube), want[:24].reshape(2, 3, 4))):
+            got = cache(q)
+            assert got.shape == q.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for x, ref in zip(pts[:6], want[:6]):
+            for q in (float(x), np.float64(x), np.array(x)):
+                got = cache(q)
+                assert type(got) is float
+                assert np.float64(got).view(np.int64) == ref.view(np.int64)
+    # t past both ends of [-1, 1], by rounding at a panel edge, was clipped
+    assert clipped == {-1.0, 1.0}
+
+
+def test_without_a_compiler_the_array_query_is_numpy_and_silent(monkeypatch, tmp_path):
+    pts = np.geomspace(1.0, 50.0, 101)
+    cache = CumulativeCache(_decay_plus_log, 1.0)
+    want = cache(pts)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", "no-such-compiler-radialcap")
+    monkeypatch.setattr(quadrature, "_query", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = cache(pts)
+        fresh = CumulativeCache(_decay_plus_log, 1.0)(pts)
+    assert "no-such-compiler-radialcap" in quadrature._query_kernel()
+    for got in (again, fresh):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, math.inf])
@@ -662,6 +743,13 @@ def test_geomgrid_is_geomspace_bit_for_bit(log_lo, decades, n):
         return
     np.testing.assert_array_equal(geomgrid(lo, hi, n).view(np.int64),
                                   np.geomspace(lo, hi, n).view(np.int64))
+
+
+@pytest.mark.parametrize("lo", [1e-5, 2e-3, 3.3])
+def test_geomgrid_of_one_radius_is_that_radius_once(lo):
+    # 10**log10(lo) misses these radii by a bit
+    for n in (1, 512):
+        assert geomgrid(lo, lo, n).tolist() == [lo]
 
 
 def polyfit_exponent(fv, rho, horizon):

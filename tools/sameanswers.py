@@ -434,6 +434,9 @@ BAD_NUMBER_ARGV = [
 # commit that does not bound the rows stops at its first row
 ROW_BOUND_ARGV = ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "8",
                   "--p-step", str(6.0 / 10_000)]
+# a step below 1e-12: 1,001 rows, of which 101 exponents are distinct
+REPEAT_ARGV = ["sweep", "configs/euclid3.json", "--p-from", "2", "--p-to", "2.0000000001",
+               "--p-step", "1e-13"]
 
 
 def _cli(rc, argv):
@@ -550,7 +553,8 @@ def record_bad_numbers(rec, rc):
     for tangency in (None, 5, True, "side"):
         rec.run(f"bad_number:Constellation:tangency={tangency!r}", lambda: repr(
             rc.Constellation.from_functions(3, 3, "r", g="0.5", h="0.5/r", tangency=tangency)))
-    # a sweep row count past float range, or one row past the bound
+    # a sweep row count past float range, one row past the bound, or a step
+    # that repeats rows
     for args in ((2.0, 8.0, 5e-324), (-1e308, 1e308, 1.0)):
         rec.run(f"bad_number:sweep:range={args}", lambda: len(rc.sweep(c, *args, 1.0)))
 
@@ -561,7 +565,10 @@ def record_bad_numbers(rec, rc):
     try:
         rec.run("bad_number:sweep:rows=10001",
                 lambda: len(rc.sweep(c, 2.0, 8.0, 6.0 / 10_000, 1.0)))
-        rec.run(f"bad_number:cli:{' '.join(ROW_BOUND_ARGV)}", lambda: _cli(rc, ROW_BOUND_ARGV)[:3])
+        rec.run("bad_number:sweep:step=1e-13",
+                lambda: len(rc.sweep(c, 2.0, 2.0 + 1e-10, 1e-13, 1.0)))
+        for argv in (ROW_BOUND_ARGV, REPEAT_ARGV):
+            rec.run(f"bad_number:cli:{' '.join(argv)}", lambda: _cli(rc, argv)[:3])
     finally:
         rc.criteria.classify = classify
     # a capacity upper bound past float range, from the power and the product

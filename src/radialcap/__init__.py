@@ -7,12 +7,11 @@ warped-product models that underlie them, and independent numerical oracles
 __version__ = "0.1.0"
 
 from .constellation import (   # noqa: F401
-    BalanceProfile, Constellation, Tangency, WeightFunction, balance,
-    balance_shift_identity_check, balance_sign,
+    BalanceProfile, Constellation, Tangency, WeightFunction, balance, balance_sign,
 )
 from .criteria import (        # noqa: F401
-    ClassifyConfig, InconclusiveReason, SweepRow, Verdict, classify,
-    classify_bounded_w, classify_monotone, sweep,
+    ClassifyConfig, InconclusiveReason, SweepRow, Verdict, classify, classify_monotone,
+    sweep,
 )
 from .diffusion import (       # noqa: F401
     DiffusionConfig, HittingStats, exact_hitting_prob, simulate_radial,

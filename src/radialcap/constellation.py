@@ -38,7 +38,6 @@ __all__ = [
     "BalanceProfile",
     "balance",
     "balance_sign",
-    "balance_shift_identity_check",
     "WeightFunction",
 ]
 
@@ -222,9 +221,9 @@ class WeightFunction:
     R lives on a :class:`~radialcap.quadrature.CumulativeCache` panel mesh
     that grows with the largest radius queried, so a query inside it runs
     no quadrature.  :meth:`integral` is the weight's own primitive, which
-    the Dirichlet solution and the monotone corollary share.  rel_tol
-    must be finite and >= 0, a radius finite and >= rho.  Cheap to build
-    and not safe for concurrent mutation: build one per thread.
+    the Dirichlet solutions read.  rel_tol must be finite and >= 0, a
+    radius finite and >= rho.  Cheap to build and not safe for concurrent
+    mutation: build one per thread.
     """
 
     def __init__(self, c: Constellation, p: float, rho: float, rel_tol: float = 1e-10):
@@ -325,23 +324,3 @@ def _check_warping(wv, sign, r):
     means w vanishes between rho and r, where w'/w has a pole."""
     _check(np.isinf(wv), r, "warping function overflows")
     _check(np.logical_not(sign * wv > 0.0), r, "warping function vanishes")
-
-
-def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> float:
-    """Max relative deviation over the grid of the shift identity
-
-        balance_p(r) - balance_q(r) == (p - q) * (w'/w - lam)(r)
-
-    Relative means measured against ``1 + |balance_p| + |balance_q|``.
-    """
-    check_number("p", p, at_least=2)
-    check_number("q", q, at_least=2)
-    rs = np.asarray(grid, dtype=float)
-    eta = _eta(c, rs)
-    bp, _ = _balance_terms(c, p, rs, eta)
-    bq, _ = _balance_terms(c, q, rs, eta)
-    # evaluate the p=2 lam term explicitly for the identity even though
-    # balance() elides it: the elision is exactly a zero coefficient
-    dev = np.abs(bp - bq - (p - q) * (eta - evaluate(c.lam, rs)))
-    rel = dev / (1.0 + np.abs(bp) + np.abs(bq))
-    return float(np.max(rel))

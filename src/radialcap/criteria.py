@@ -3,8 +3,8 @@ submanifold described by a comparison constellation.
 
 Lower tangency requires a non-negative balance and a divergent weight
 integral; upper tangency requires a non-positive balance and divergence of
-the g == 1 weight.  Two shortcut corollaries cover warping functions bounded
-below by a positive constant and monotonicity in p.  The criteria are
+the g == 1 weight.  One corollary, monotonicity in p under upper tangency,
+certifies at q and concludes for every p >= q.  The criteria are
 sufficient only: the engine never claims hyperbolicity, it answers
 "p-parabolic" or "inconclusive" with structured evidence.
 
@@ -16,14 +16,13 @@ every verdict carries the certified interval.  With rho <= 1e-3 and the
 horizon at rho that interval is the one radius rho, which the grid samples
 once, and the tail, with no doubling, is undetermined.
 
-All three criteria run one pipeline: the p >= 2 guard, the certified
-horizon, the model warnings, then the criterion's ordered stages (sandwich,
-balance sign, the monotone comparisons, bounded warping, tail).  The two
-grid hypotheses, the balance sign and the sandwich, share one violation
-rule (``_violations``): a radius where one fails or reads NaN makes it
-``balance_fails``, witnessed by the first five such radii.  Each stage
-adds one ``(name, passed, detail)`` row to ``Verdict.checks`` and the first
-that fails ends the run with its reason::
+Both criteria run one pipeline: the p >= 2 guard, the certified horizon,
+the model warnings, then the criterion's ordered stages (sandwich, balance
+sign, tail).  The two grid hypotheses, the balance sign and the sandwich,
+share one violation rule (``_violations``): a radius where one fails or
+reads NaN makes it ``balance_fails``, witnessed by the first five such
+radii.  Each stage adds one ``(name, passed, detail)`` row to
+``Verdict.checks`` and the first that fails ends the run with its reason::
 
     classify(Constellation.from_functions(3, 3, "r"), 3.0, 1.0).checks
     # (('balance_non_negative', True, 'certified on grid'),
@@ -51,7 +50,6 @@ __all__ = [
     "InconclusiveReason",
     "Verdict",
     "classify",
-    "classify_bounded_w",
     "classify_monotone",
     "sweep",
     "SweepRow",
@@ -59,7 +57,6 @@ __all__ = [
 
 THEOREM_LOWER = "theorem_lower_tangency"
 THEOREM_UPPER = "theorem_upper_tangency"
-COR_BOUNDED_W = "corollary_bounded_warping"
 COR_MONOTONE = "corollary_monotone_in_p"
 
 # sweep rows take the drifted capacity out to rho * 2**10 at most, meshed at
@@ -237,8 +234,9 @@ def _violations(rs: np.ndarray, holds: np.ndarray, message: str) -> Optional[Inc
 @dataclass
 class _Run:
     """What the stages of one criterion share: the exponent q the
-    hypotheses are certified at (p except in the monotone corollary), the
-    certified interval, the capped tail settings and the evidence so far."""
+    hypotheses are certified at (p in :func:`classify`, q in
+    :func:`classify_monotone`), the certified interval, the capped tail
+    settings and the evidence so far."""
 
     c: Constellation
     q: float
@@ -248,13 +246,6 @@ class _Run:
     tail_cfg: TailConfig
     balance: Optional[BalanceProfile] = None
     tail: Optional[TailClass] = None
-    _weight: Optional[WeightFunction] = None
-
-    def weight(self) -> WeightFunction:
-        """The q-weight, built on first use and then shared."""
-        if self._weight is None:
-            self._weight = WeightFunction(self.c, self.q, self.rho, self.cfg.weight_rel_tol)
-        return self._weight
 
 
 def _decide(c: Constellation, p: float, rho: float, cfg: Optional[ClassifyConfig],
@@ -306,7 +297,8 @@ def _balance_stage(run: _Run, name: str, sign: float, message: str) -> tuple:
 def _tail_stage(run: _Run, name: str, convergent: str, undetermined: Callable) -> tuple:
     """The q-weight integral diverges; ``undetermined`` words the reason
     from the tail's detail."""
-    tail = run.tail = classify_tail(run.weight(), run.rho, run.tail_cfg)
+    weight = WeightFunction(run.c, run.q, run.rho, run.cfg.weight_rel_tol)
+    tail = run.tail = classify_tail(weight, run.rho, run.tail_cfg)
     if tail.is_divergent:
         return name, tail.detail, None
     if tail.is_convergent:
@@ -314,20 +306,6 @@ def _tail_stage(run: _Run, name: str, convergent: str, undetermined: Callable) -
     else:
         reason = InconclusiveReason("tail_undetermined", message=undetermined(tail.detail))
     return name, tail.detail, reason
-
-
-def _warping_stage(run: _Run, r0: float, lower_const: float) -> tuple:
-    """w >= lower_const on [r0, horizon]."""
-    top = max(run.interval[1], 2.0 * r0)
-    grid = geomgrid(r0, top, 1024)
-    wv = np.asarray(evaluate(run.c.model.w, grid))
-    low = wv >= lower_const
-    if np.all(low):
-        return "warping_bounded_below", f"w >= {lower_const:g} on [{r0:g}, {top:.3g}]", None
-    i = int(np.argmax(~low))
-    message = f"warping drops below {lower_const:g} (w({grid[i]:.6g}) = {wv[i]:.6g})"
-    return "warping_bounded_below", message, InconclusiveReason(
-        "balance_fails", message=message, witnesses=(float(grid[i]),))
 
 
 def _sandwich_stage(run: _Run) -> tuple:
@@ -339,26 +317,6 @@ def _sandwich_stage(run: _Run) -> tuple:
     tol = 1e-12 * np.maximum(1.0, np.abs(et) + np.abs(hv) + np.abs(lv))
     return "sandwich_h_eta_lam", "h <= w'/w <= lam on certified grid", _violations(
         rs, (hv <= et + tol) & (et <= lv + tol), "sandwich h <= w'/w <= lam fails on the grid")
-
-
-def _balance_monotone_stage(run: _Run, p: float) -> tuple:
-    """Proof-level comparison, asserted: balance_p <= balance_q pointwise."""
-    prof_q = run.balance
-    prof_p = balance_sign(run.c, p, run.interval, run.cfg.grid_points)
-    mono_tol = 1e-10 * np.maximum(1.0, np.abs(prof_q.values))
-    if not np.all(prof_p.values <= prof_q.values + mono_tol):
-        raise RadialCapError("internal assertion failed: balance not monotone in p")
-    return "balance_monotone_p_vs_q", "pointwise on grid", None
-
-
-def _weight_monotone_stage(run: _Run, p: float) -> tuple:
-    """Proof-level comparison, asserted: the p-weight integral dominates the
-    q-weight integral at 8 and 64 times rho."""
-    horizons = run.rho * np.array([8.0, 64.0])
-    weight_p = WeightFunction(run.c, p, run.rho, run.cfg.weight_rel_tol)
-    if np.any(weight_p.integral(horizons) < run.weight().integral(horizons) * (1.0 - 1e-9)):
-        raise RadialCapError("internal assertion failed: weight integral not monotone in p")
-    return "weight_integral_monotone", "finite horizons 8x and 64x rho", None
 
 
 def classify(c: Constellation, p: float, rho: float,
@@ -381,31 +339,21 @@ def classify(c: Constellation, p: float, rho: float,
     ])
 
 
-def classify_bounded_w(c: Constellation, p: float, rho: float, r0: float,
-                       lower_const: float,
-                       cfg: Optional[ClassifyConfig] = None) -> Verdict:
-    """Shortcut criterion: non-positive balance plus a warping bounded below
-    by ``lower_const > 0`` on ``[r0, horizon]`` certifies p-parabolicity with
-    no tail quadrature (the weight dominates w, so its integral diverges)."""
-    if c.tangency is not Tangency.UPPER:
-        raise ConfigError("bounded-warping corollary needs an upper-tangency constellation")
-    for name, value in (("lower_const", lower_const), ("rho", rho), ("r0", r0)):
-        check_number(name, value, above=0)
-    return _decide(c, p, rho, cfg, COR_BOUNDED_W, [
-        (_balance_stage, "balance_non_positive", -1.0,
-         "balance is not non-positive on the certified grid"),
-        (_warping_stage, r0, lower_const),
-    ])
-
-
 def classify_monotone(c: Constellation, q: float, p: float, rho: float,
                       cfg: Optional[ClassifyConfig] = None) -> Verdict:
-    """Monotonicity criterion: if the balance at exponent q is non-positive,
-    ``h <= w'/w <= lam`` holds, and the q-weight integral diverges, then the
+    """Monotonicity corollary: if ``h <= w'/w <= lam`` holds, the balance at
+    exponent q is non-positive and the q-weight integral diverges, then the
     submanifold is p-parabolic for every ``p >= q``.
 
-    Internally also asserts the comparisons the proof relies on
-    (balance and weight monotonicity between q and p)."""
+    The step from q to p is algebra, so nothing is checked at p.  With
+    eta = w'/w and g == 1, the sandwich gives
+
+        B_p - B_q = (p - q) (eta - lam) <= 0
+        d/dp [B_p / (p-1)] = ((eta - lam) - m (eta - h)) / (p-1)**2 <= 0,
+
+    so the balance at p is non-positive and W_p >= W_q pointwise.
+    ``test_monotone_algebra_on_sandwiched_constellations`` in
+    ``tests/test_criteria.py`` checks both."""
     if c.tangency is not Tangency.UPPER:
         raise ConfigError("monotone corollary needs an upper-tangency constellation")
     check_number("rho", rho, above=0)
@@ -413,8 +361,6 @@ def classify_monotone(c: Constellation, q: float, p: float, rho: float,
         (_sandwich_stage,),
         (_balance_stage, f"balance_non_positive_at_q={q:g}", -1.0,
          f"balance at q={q} is not non-positive"),
-        (_balance_monotone_stage, p),
-        *([(_weight_monotone_stage, p)] if p > q else []),
         (_tail_stage, f"weight_integral_diverges_at_q={q:g}", f"q={q} weight integral converges",
          lambda detail: f"q={q} weight tail undetermined ({detail})"),
     ], q=q)

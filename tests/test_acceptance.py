@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from radialcap.constellation import (
-    Constellation, Tangency, WeightFunction, balance, balance_shift_identity_check,
-    balance_sign,
+    Constellation, Tangency, WeightFunction, balance, balance_sign,
 )
 from radialcap.criteria import classify, classify_monotone
 from radialcap.diffusion import DiffusionConfig, exact_hitting_prob, simulate_radial
@@ -24,6 +23,7 @@ from radialcap.expr import RadialExpr, eval_jet2, evaluate
 from radialcap.model import ModelSpace, exact_annulus_p_capacity, sphere_volume
 from radialcap.quadrature import classify_tail
 
+from test_constellation import balance_shift_identity_check
 from test_expr import _random_tree, fd12
 
 P_GRID = [2.0 + 0.5 * i for i in range(13)]          # 2, 2.5, ..., 8

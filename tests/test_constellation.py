@@ -12,8 +12,7 @@ from radialcap.criteria import classify
 from radialcap.errors import ConfigError, DomainError
 from radialcap.expr import evaluate
 from radialcap.constellation import (
-    Constellation, Tangency, WeightFunction, _balance_terms, _eta, balance,
-    balance_shift_identity_check, balance_sign,
+    Constellation, Tangency, WeightFunction, _balance_terms, _eta, balance, balance_sign,
 )
 from radialcap.model import ModelSpace
 from radialcap.quadrature import integrate
@@ -253,6 +252,24 @@ def test_weight_rejects_queries_below_base():
     c = euclid_self(2)
     with pytest.raises(ValueError):
         WeightFunction(c, 2.0, 1.0)(0.5)
+
+
+def balance_shift_identity_check(c: Constellation, p: float, q: float, grid) -> float:
+    """Max relative deviation over the grid of the shift identity
+
+        balance_p(r) - balance_q(r) == (p - q) * (w'/w - lam)(r)
+
+    Relative means measured against ``1 + |balance_p| + |balance_q|``.
+    """
+    rs = np.asarray(grid, dtype=float)
+    eta = _eta(c, rs)
+    bp, _ = _balance_terms(c, p, rs, eta)
+    bq, _ = _balance_terms(c, q, rs, eta)
+    # evaluate the p=2 lam term explicitly for the identity even though
+    # balance() elides it: the elision is exactly a zero coefficient
+    dev = np.abs(bp - bq - (p - q) * (eta - evaluate(c.lam, rs)))
+    rel = dev / (1.0 + np.abs(bp) + np.abs(bq))
+    return float(np.max(rel))
 
 
 def test_shift_identity_trivial_and_exact():

@@ -4,14 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialcap.criteria as criteria
 from radialcap.cli import load_config
-from radialcap.constellation import Constellation, Tangency, balance
+from radialcap.constellation import Constellation, Tangency, WeightFunction, balance
 from radialcap.criteria import (
-    COR_BOUNDED_W, COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER,
-    ClassifyConfig, _certified_horizon, _model_warnings, classify, classify_bounded_w,
-    classify_monotone, sweep,
+    COR_MONOTONE, THEOREM_LOWER, THEOREM_UPPER, ClassifyConfig, _certified_horizon,
+    _model_warnings, classify, classify_monotone, sweep,
 )
 from radialcap.diffusion import DiffusionConfig
 from radialcap.errors import ConfigError, DomainError
@@ -113,39 +113,10 @@ def test_warnings_surface_invalid_warping():
 
 
 # ---------------------------------------------------------------------------
-# corollaries
+# the monotone corollary
 # ---------------------------------------------------------------------------
 
-def cylinder_like():
-    return Constellation.from_functions(
-        3, 2, "tanh(r)", h="0", lam="2*cosh(r)/sinh(r)", tangency=Tangency.UPPER)
-
-
-def test_bounded_warping_corollary_fires_without_tail_quadrature():
-    v = classify_bounded_w(cylinder_like(), 5.0, 1.0, 1.0, 0.5)
-    assert v.is_parabolic
-    assert v.by == COR_BOUNDED_W
-    assert v.tail is None
-    assert any(name == "warping_bounded_below" for name, _, _ in v.checks)
-
-
-def test_bounded_warping_rejects_positive_balance():
-    v = classify_bounded_w(euclid_self(3, Tangency.UPPER), 3.0, 1.0, 1.0, 0.5)
-    assert not v.is_parabolic
-    assert v.reason.code == "balance_fails"
-
-
-def test_bounded_warping_detects_decaying_w():
-    c = Constellation.from_functions(2, 2, "r*exp(-r)", h="1/r", lam="1/r",
-                                     tangency=Tangency.UPPER)
-    v = classify_bounded_w(c, 3.0, 1.0, 1.0, 0.5)
-    assert not v.is_parabolic
-    assert "warping" in v.reason.message
-
-
-def test_bounded_warping_requires_upper_tangency():
-    with pytest.raises(ValueError):
-        classify_bounded_w(euclid_self(2), 2.0, 1.0, 1.0, 0.5)
+def test_monotone_corollary_requires_upper_tangency():
     with pytest.raises(ValueError, match="^monotone corollary needs an upper-tangency "
                                          "constellation$"):
         classify_monotone(euclid_self(2), 2.0, 3.0, 1.0)
@@ -187,6 +158,34 @@ def test_monotone_degenerate_p_equals_q_matches_main_criterion():
     assert via_cor.outcome == via_main.outcome == "p_parabolic"
 
 
+# w'/w of each warping, and non-negative shapes for the sandwich's two gaps
+ETA = {"r": "1/r", "sinh(r)": "coth(r)"}
+GAPS = ["1", "1/(1 + r)", "exp(-r)", "r/(1 + r^2)"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.sampled_from(list(ETA)), m=st.sampled_from([2, 3, 4]),
+       a=st.floats(0.0, 1.0), a_shape=st.sampled_from(GAPS),
+       b=st.floats(0.0, 1.0), b_shape=st.sampled_from(GAPS),
+       qp=st.lists(st.floats(2.0, 8.0), min_size=2, max_size=2).map(sorted),
+       rho=st.floats(0.5, 2.0))
+def test_monotone_algebra_on_sandwiched_constellations(w, m, a, a_shape, b, b_shape, qp, rho):
+    # classify_monotone checks nothing at p: with h = w'/w - a and
+    # lam = w'/w + b, a, b >= 0, the balance at p <= the balance at q and the
+    # p-weight >= the q-weight, so its integral dominates too
+    eta = ETA[w]
+    c = Constellation.from_functions(4, m, w, h=f"{eta} - {a!r}*({a_shape})",
+                                     lam=f"{eta} + {b!r}*({b_shape})", tangency=Tangency.UPPER)
+    q, p = qp
+    rs = np.geomspace(1e-3, 64.0 * rho, 256)
+    b_q, b_p = balance(c, q, rs), balance(c, p, rs)
+    assert np.all(b_p <= b_q + 1e-10 * np.maximum(1.0, np.abs(b_q)))
+    horizons = rho * np.array([8.0, 64.0])
+    w_q = WeightFunction(c, q, rho).integral(horizons)
+    w_p = WeightFunction(c, p, rho).integral(horizons)
+    assert np.all(w_p >= w_q * (1.0 - 1e-9))
+
+
 def monotone_convergent():
     """h = w'/w cancels the q = 2 balance, so the weight is w = r exp(-r),
     whose integral converges."""
@@ -201,19 +200,13 @@ STAGE_CASES = {
          ["balance_non_negative", "weight_integral_diverges"]),
         (lambda: classify(euclid_self(3, Tangency.UPPER), 3.0, 1.0),
          ["balance_non_positive"])),
-    "bounded_w": (
-        (lambda: classify_bounded_w(cylinder_like(), 5.0, 1.0, 1.0, 0.5),
-         ["balance_non_positive", "warping_bounded_below"]),
-        (lambda: classify_bounded_w(Constellation.from_functions(
-            2, 2, "r*exp(-r)", h="1/r", lam="1/r", tangency=Tangency.UPPER), 3.0, 1.0, 1.0, 0.5),
-         ["balance_non_positive", "warping_bounded_below"])),
     "monotone": (
         (lambda: classify_monotone(coth_dominated(), 2.0, 3.0, 1.0),
-         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2", "balance_monotone_p_vs_q",
-          "weight_integral_monotone", "weight_integral_diverges_at_q=2"]),
+         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2",
+          "weight_integral_diverges_at_q=2"]),
         (lambda: classify_monotone(monotone_convergent(), 2.0, 3.0, 1.0),
-         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2", "balance_monotone_p_vs_q",
-          "weight_integral_monotone", "weight_integral_diverges_at_q=2"])),
+         ["sandwich_h_eta_lam", "balance_non_positive_at_q=2",
+          "weight_integral_diverges_at_q=2"])),
 }
 
 
@@ -232,7 +225,6 @@ def test_checks_list_every_stage_that_ran(criterion):
 
 BELOW_2 = {
     "classify": (lambda rho: classify(coth_dominated(), 1.5, rho), "p"),
-    "bounded_w": (lambda rho: classify_bounded_w(coth_dominated(), 1.5, rho, 1.0, 0.5), "p"),
     "monotone": (lambda rho: classify_monotone(coth_dominated(), 1.5, 3.0, rho), "q"),
 }
 
@@ -440,12 +432,12 @@ def test_tail_look_ahead_grows_the_remainder_mesh_once(remainder_extensions):
 
 
 def test_monotone_comparison_grows_each_remainder_mesh_once(remainder_extensions):
-    # both weights' primitives are queried at 8 and 64 rho at once, so each
-    # remainder grows to 64 in one extension; the tail then takes q's to 512
+    # nothing is weighed at p: the q-weight alone is built, and the tail's
+    # look-ahead grows its remainder to 512 in one extension
     c = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "coth_dominated.json"))
     v = classify_monotone(c, 2.0, 3.0, 1.0)
-    assert ("weight_integral_monotone", True, "finite horizons 8x and 64x rho") in v.checks
-    assert remainder_extensions == [64.0, 64.0, 512.0]
+    assert v.is_parabolic
+    assert remainder_extensions == [512.0]
 
 
 @pytest.mark.parametrize("make, kwargs", [

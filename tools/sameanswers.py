@@ -187,10 +187,6 @@ def record_criteria(rec, rc, cs):
                 for p in (2.0, 3.0, 4.0):
                     rec.run_split(f"classify_monotone:{name}:q=2:p={p}:rho={rho}",
                                   lambda: rc.classify_monotone(c, 2.0, p, rho).to_dict())
-                for p, lower_const in ((2.0, 0.1), (3.0, 0.5)):
-                    rec.run_split(
-                        f"classify_bounded_w:{name}:p={p}:rho={rho}:const={lower_const}",
-                        lambda: rc.classify_bounded_w(c, p, rho, 1.0, lower_const).to_dict())
 
         for p_step in (0.75, 1.5):
             rec.run_split(f"sweep:{name}:step={p_step}",
@@ -479,8 +475,6 @@ def record_bad_numbers(rec, rc):
             lambda: rc.balance_sign(c, nan, (0.1, 10.0)).to_dict())
     rec.run("bad_number:coeff:p=nan", drift_coeff, c, nan, 1.0)
     rec.run("bad_number:weight:p=nan", weight, nan, 1e-10)
-    rec.run("bad_number:shift_identity:p=nan", rc.balance_shift_identity_check,
-            c, nan, 3.0, [1.0, 2.0])
     rec.run("bad_number:weight:rel_tol=nan", weight, 3.0, nan)
     rec.run("bad_number:weight:rel_tol=-1e-10", weight, 3.0, -1e-10)
     rec.run("bad_number:solve.closed:R=inf",
@@ -488,13 +482,7 @@ def record_bad_numbers(rec, rc):
     for name in ("dt", "r_outer", "max_time"):
         rec.run(f"bad_number:DiffusionConfig:{name}",
                 lambda: repr(rc.DiffusionConfig(**{name: inf})))
-    upper = rc.Constellation.from_functions(3, 2, "sinh(r)", lam="coth(r)", h="1.2*coth(r)",
-                                            tangency="upper")
     for x in (nan, inf):
-        rec.run(f"bad_number:classify_bounded_w:r0={x}",
-                lambda: rc.classify_bounded_w(upper, 2.0, 1.0, x, 0.1).to_dict())
-        rec.run(f"bad_number:classify_bounded_w:lower_const={x}",
-                lambda: rc.classify_bounded_w(upper, 2.0, 1.0, 1.0, x).to_dict())
         rec.run(f"bad_number:validate_warping:r_max={x}",
                 lambda: rc.validate_warping("r", r_max=x).violations)
         rec.run(f"bad_number:weight:rho={x}",
